@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-all race vet lint lint-json vectorcheck fuzz-smoke serve-smoke delta-smoke obs-smoke shard-smoke ingest-smoke verify clean
+.PHONY: build test bench bench-all race vet fmt-check lint lint-json vectorcheck fuzz-smoke serve-smoke delta-smoke obs-smoke shard-smoke ingest-smoke verify clean
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,13 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# fmt-check fails when gofmt would rewrite any Go file under cmd,
+# internal, bench or scripts. Analyzer fixtures under testdata/ are
+# exempt: some are deliberately not gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l cmd internal bench scripts | grep -v '/testdata/' || true); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # lint runs spamlint, the repo's own static-analysis suite
 # (internal/analysis): sliceexport, floatcmp, f32acc, solveerr,
@@ -113,10 +120,10 @@ ingest-smoke:
 obs-smoke:
 	sh scripts/obs_smoke.sh
 
-# verify is the tier-1 gate: vet, spamlint, full build, full test
-# suite, the race detector over every package, and the pagerank tests
-# under the vectorcheck debug tag.
-verify: vet lint build test race vectorcheck
+# verify is the tier-1 gate: vet, gofmt, spamlint, full build, full
+# test suite, the race detector over every package, and the pagerank
+# tests under the vectorcheck debug tag.
+verify: vet fmt-check lint build test race vectorcheck
 	@echo "verify: OK"
 
 clean:

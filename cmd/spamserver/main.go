@@ -316,9 +316,9 @@ func main() {
 	startCtx, startCancel := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	if pl != nil {
 		// Durable boot: last persisted snapshot (or the initial build
-		// when none exists) plus a WAL replay through the same apply
-		// function the live loop uses — kill -9 at any byte offset
-		// recovers every acknowledged batch.
+		// when none exists) plus the WAL suffix folded onto it and
+		// solved once, exactly — with or without -anytime-every. kill -9
+		// at any byte offset recovers every acknowledged batch.
 		base, baseSeq, err := pl.Latest(dcfg, 0)
 		if err != nil {
 			startCancel()
@@ -331,7 +331,7 @@ func main() {
 			}
 			baseSeq = 0
 		}
-		recovered, replayed, err := pl.Recover(startCtx, base, baseSeq, applyDelta)
+		recovered, replayed, err := pl.Recover(startCtx, base, baseSeq, solver)
 		if err != nil {
 			startCancel()
 			die("WAL recovery: %v", err)

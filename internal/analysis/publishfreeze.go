@@ -35,7 +35,7 @@ func runPublishFreeze(pass *Pass) {
 
 // publishSite is one publish of a local variable.
 type publishSite struct {
-	node ast.Node   // the statement containing the publish call
+	node ast.Node // the statement containing the publish call
 	call *ast.CallExpr
 	obj  *types.Var // the published local
 	// defs are the definitions of obj reaching the publish: a later
@@ -248,6 +248,25 @@ func checkNodeWrites(pass *Pass, rd *ReachingDefs, site *publishSite, n ast.Node
 			exprPathOrName(lhs, root), describePublish(site.call))
 	}
 
+	// The CFG's synthetic headers are not ast.Walk-able: unwrap them to
+	// what the header itself evaluates. Loop and clause bodies are CFG
+	// nodes of their own.
+	switch h := n.(type) {
+	case *SelectHeader:
+		return
+	case *RangeHeader:
+		// `for _, snap.f = range xs` writes through a non-identifier
+		// iteration variable on every pass; a bare identifier rebinds.
+		for _, e := range []ast.Expr{h.R.Key, h.R.Value} {
+			if e == nil {
+				continue
+			}
+			if _, plain := ast.Unparen(e).(*ast.Ident); !plain {
+				reportWrite(e, h.R)
+			}
+		}
+		n = h.R.X
+	}
 	ast.Inspect(n, func(m ast.Node) bool {
 		switch m := m.(type) {
 		case *ast.FuncLit:

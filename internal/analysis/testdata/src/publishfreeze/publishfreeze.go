@@ -102,3 +102,45 @@ func Suppressed(limit int) {
 	// lint:ignore publishfreeze fixture demonstrates a deliberate post-publish patch
 	cfg.Limit = limit * 2
 }
+
+// RangeAfterPublish only reads the published value in a loop: clean.
+func RangeAfterPublish() int {
+	cfg := &config{Hot: []string{"x", "y"}}
+	current.Store(cfg)
+	total := 0
+	for _, h := range cfg.Hot {
+		total += len(h)
+	}
+	return total
+}
+
+// RangeWriteAfterPublish writes through the published value inside a
+// loop that follows the publish.
+func RangeWriteAfterPublish() {
+	cfg := &config{Hot: []string{"x", "y"}}
+	current.Store(cfg)
+	for i := range cfg.Hot {
+		cfg.Hot[i] = "" // want `write to cfg after it was published by current\.Store`
+	}
+}
+
+// RangeIntoPublished uses a field of the published value as the
+// iteration variable: the range header itself is the write.
+func RangeIntoPublished(limits []int) {
+	cfg := &config{}
+	current.Store(cfg)
+	for _, cfg.Limit = range limits { // want `write to cfg\.Limit after it was published by current\.Store`
+	}
+}
+
+// SelectAfterPublish waits on channels after the publish and writes in
+// one clause only.
+func SelectAfterPublish(stop <-chan struct{}, limits <-chan int) {
+	cfg := &config{}
+	current.Store(cfg)
+	select {
+	case <-stop:
+	case l := <-limits:
+		cfg.Limit = l // want `write to cfg\.Limit after it was published by current\.Store`
+	}
+}

@@ -44,6 +44,25 @@ func (r *Result) RemapNodes(ids []graph.NodeID) []graph.NodeID {
 	return out
 }
 
+// ComposeRemap chains two successive Remaps: first maps generation 0
+// onto generation 1, then maps generation 1 onto generation 2, and the
+// result maps 0 onto 2 (-1 where either step removed the host). A nil
+// first is the identity. The composition of monotone maps is monotone;
+// the inputs are not modified.
+func ComposeRemap(first, then []int64) []int64 {
+	if first == nil {
+		return then
+	}
+	out := make([]int64, len(first))
+	for old, x := range first {
+		out[old] = -1
+		if x >= 0 {
+			out[old] = then[x]
+		}
+	}
+	return out
+}
+
 // pairKey identifies one edge in the mixed old/new endpoint space used
 // during resolution: old survivors keep their old ID, created hosts
 // get n+index.

@@ -176,6 +176,15 @@ type Stats struct {
 // serving metric.
 func (s Stats) AppliedEdges() int64 { return s.EdgesAdded + s.EdgesRemoved }
 
+// Add accumulates o into s, so a run of applied batches reports one
+// total.
+func (s *Stats) Add(o Stats) {
+	s.HostsAdded += o.HostsAdded
+	s.HostsRemoved += o.HostsRemoved
+	s.EdgesAdded += o.EdgesAdded
+	s.EdgesRemoved += o.EdgesRemoved
+}
+
 func (s Stats) String() string {
 	return fmt.Sprintf("+%dh -%dh +%de -%de", s.HostsAdded, s.HostsRemoved, s.EdgesAdded, s.EdgesRemoved)
 }

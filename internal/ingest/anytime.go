@@ -196,30 +196,18 @@ func NewHybridDeltaBuilder(cfg HybridBuilderConfig) (serve.DeltaApplyFunc, error
 	a := cfg.Anytime
 	sinceExact := 0
 	return func(ctx context.Context, prev *serve.Snapshot, epoch int64, batch *delta.Batch) (*serve.Snapshot, error) {
-		octx := cfg.Obs
-		if ro := obs.RequestContext(ctx); ro != nil {
-			octx = ro
-		}
+		octx := obs.RequestOr(ctx, cfg.Obs)
 		sp := octx.Span("ingest.hybrid_build")
 		defer sp.End()
 		sp.SetAttr("ops", batch.NumOps())
-
-		res, err := delta.Apply(prev.HostGraph(), batch)
+		fold := serve.NewDeltaFold(prev)
+		res, err := fold.Stage(batch)
 		if err != nil {
-			return nil, fmt.Errorf("apply delta: %w", err)
+			return nil, err
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		prevCore := prev.Core()
-		if prevCore == nil {
-			return nil, fmt.Errorf("ingest: previous snapshot carries no core; hybrid path needs SnapshotConfig.Core")
-		}
-		core := res.RemapNodes(prevCore)
-		if len(core) == 0 {
-			return nil, fmt.Errorf("ingest: delta removed the entire good core (%d nodes)", len(prevCore))
-		}
-		scfg := prev.Config()
 
 		// Lineage: walks must track the exact graph object prev serves.
 		// First use, recovery boot, or a full refresh in between all
@@ -230,50 +218,28 @@ func NewHybridDeltaBuilder(cfg HybridBuilderConfig) (serve.DeltaApplyFunc, error
 			}
 		}
 
+		// The walks advance on every batch so they track the graph; on an
+		// exact epoch their scores are simply not published.
+		est, err := a.advance(prev, res, batch, res.RemapNodes(prev.Core()))
+		if err != nil {
+			return nil, err
+		}
+		sp.SetAttr("stats", res.Stats.String())
 		sinceExact++
-		exact := sinceExact >= a.cfg.ExactEvery
-		var est *mass.Estimates
-		if exact {
-			warm, err := mass.RemapWarmStart(prev.Estimates(), res.Remap, res.Hosts.Graph.NumNodes(), core, scfg.Gamma)
-			if err != nil {
-				return nil, fmt.Errorf("remap warm start: %w", err)
-			}
-			solver := cfg.Solver
-			if solver.Obs == nil {
-				solver.Obs = octx.In(sp)
-			}
-			es, err := mass.NewEstimator(res.Hosts.Graph, mass.Options{Solver: solver, Gamma: scfg.Gamma})
-			if err != nil {
-				return nil, fmt.Errorf("estimator: %w", err)
-			}
-			defer es.Close()
-			if est, err = es.EstimateFromCoreWarm(core, warm); err != nil {
-				return nil, fmt.Errorf("warm estimate: %w", err)
-			}
-			// The walks still advance so they track the graph; their
-			// scores are simply not published this epoch.
-			if _, err := a.advance(prev, res, batch, core); err != nil {
-				return nil, err
-			}
-			sinceExact = 0
-			octx.Counter("ingest.exact_batches_total").Inc()
-			sp.SetAttr("mode", "exact")
-		} else {
-			if est, err = a.advance(prev, res, batch, core); err != nil {
-				return nil, err
-			}
+		if sinceExact < a.cfg.ExactEvery {
 			octx.Counter("ingest.anytime_batches_total").Inc()
 			sp.SetAttr("mode", "anytime")
+			return fold.Snapshot(octx, est, epoch)
 		}
-
-		octx.Counter("delta.batches_total").Inc()
-		octx.Counter("delta.applied_edges_total").Add(res.Stats.AppliedEdges())
-		octx.Counter("delta.hosts_added_total").Add(int64(res.Stats.HostsAdded))
-		octx.Counter("delta.hosts_removed_total").Add(int64(res.Stats.HostsRemoved))
-		sp.SetAttr("stats", res.Stats.String())
-
-		scfg.Core = core
-		scfg.CoreSize = len(core)
-		return serve.NewSnapshot(res.Hosts, est, scfg, epoch)
+		// Solve nests its spans under the request context. Should it fail,
+		// the walks are a graph ahead and the lineage check reseeds them.
+		snap, err := fold.Solve(obs.WithRequest(ctx, octx.In(sp)), serve.DeltaBuilderConfig{Solver: cfg.Solver, Obs: octx}, epoch)
+		if err != nil {
+			return nil, err
+		}
+		sinceExact = 0
+		octx.Counter("ingest.exact_batches_total").Inc()
+		sp.SetAttr("mode", "exact")
+		return snap, nil
 	}, nil
 }

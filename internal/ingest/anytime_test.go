@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"spammass/internal/delta"
+	"spammass/internal/mass"
+	"spammass/internal/obs"
 	"spammass/internal/pagerank"
 	"spammass/internal/serve"
 )
@@ -135,5 +137,71 @@ func TestHybridBuilderHandlesRemoval(t *testing.T) {
 		delta.RemoveHostOp("a.example"), delta.RemoveHostOp("b.example"),
 	}}); err == nil {
 		t.Fatal("hybrid builder accepted a batch that removes the whole core")
+	}
+}
+
+// TestRecoveryThenAnytime: a server booted with -anytime-every recovers
+// its WAL suffix exactly — the fold ends on a warm solve whatever the
+// live cadence — and the first live batch finds the walk stores off the
+// recovered lineage, reseeds them once, and serves an anytime epoch
+// within the documented sampling error.
+func TestRecoveryThenAnytime(t *testing.T) {
+	reg := obs.NewRegistry()
+	octx := obs.NewContext(reg, nil)
+	any, err := NewAnytime(AnytimeConfig{WalksPerNode: 3000, ExactEvery: 3, Seed: 11, Obs: octx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hybrid, err := NewHybridDeltaBuilder(HybridBuilderConfig{Solver: pagerank.DefaultConfig(), Anytime: any, Obs: octx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := Open(Config{Dir: t.TempDir(), Obs: octx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pl.Close()
+	for i := 1; i <= 5; i++ {
+		if _, err := pl.Append(growthBatch(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recovered, applied, err := pl.Recover(context.Background(), testServeSnapshot(t, 1), 0, pagerank.DefaultConfig())
+	if err != nil || applied != 5 || recovered.Epoch() != 6 {
+		t.Fatalf("Recover = (epoch %v, %d, %v), want epoch 6 from 5 batches", recovered, applied, err)
+	}
+	cold, err := mass.EstimateFromCore(recovered.HostGraph().Graph, recovered.Core(), mass.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for x := range cold.P {
+		if math.Abs(recovered.Estimates().P[x]-cold.P[x]) > 1e-9 || math.Abs(recovered.Estimates().PCore[x]-cold.PCore[x]) > 1e-9 {
+			t.Fatalf("node %d: recovered (p, p') = (%v, %v), cold solve (%v, %v)", x,
+				recovered.Estimates().P[x], recovered.Estimates().PCore[x], cold.P[x], cold.PCore[x])
+		}
+	}
+
+	reseeds := reg.Counter("ingest.anytime_reseeds_total").Value()
+	live := applyHybrid(t, hybrid, recovered, growthBatch(6))
+	if got := reg.Counter("ingest.anytime_reseeds_total").Value(); got != reseeds+1 {
+		t.Fatalf("anytime_reseeds_total went %d → %d across the first live batch, want one reseed", reseeds, got)
+	}
+	if n := reg.Counter("ingest.anytime_batches_total").Value(); n != 1 {
+		t.Fatalf("anytime_batches_total = %d, want the live batch served from the walks", n)
+	}
+	exact := serve.NewDeltaBuilder(serve.DeltaBuilderConfig{Solver: pagerank.DefaultConfig()})
+	control := applyHybrid(t, exact, recovered, growthBatch(6))
+	var dev, norm float64
+	for _, name := range control.HostGraph().Names {
+		want, _ := control.Lookup(name)
+		got, ok := live.Lookup(name)
+		if !ok {
+			t.Fatalf("live snapshot misses %s", name)
+		}
+		dev += math.Abs(got.PageRank - want.PageRank)
+		norm += want.PageRank
+	}
+	if live.Epoch() != 7 || dev/norm > 0.25 {
+		t.Fatalf("live epoch %d with relative L1 PageRank deviation %.4f, want epoch 7 within 0.25", live.Epoch(), dev/norm)
 	}
 }

@@ -89,16 +89,20 @@ func BenchmarkIngestThroughput(b *testing.B) {
 	b.Run("group-commit", func(b *testing.B) { run(b, 500*time.Microsecond) })
 }
 
-// BenchmarkRecoveryReplay measures the boot path: load the persisted
-// snapshot, replay the WAL suffix through the live apply function, and
-// publish. The suffix is 6 churn batches over the 10k graph — the
-// worst case a CompactEvery window leaves behind at the default delta
-// cadence.
+// BenchmarkRecoveryReplay measures the boot path — load the persisted
+// snapshot, fold the WAL suffix, solve once — for suffixes of 1, 10 and
+// 50 churn batches over the 10k graph. The slope between them is one
+// delta.Apply merge pass per batch; the intercept is the snapshot load
+// plus the single warm solve and snapshot build.
 func BenchmarkRecoveryReplay(b *testing.B) {
-	const suffix = 6
-	dir := b.TempDir()
 	base := benchBase(b)
-	apply := serve.NewDeltaBuilder(serve.DeltaBuilderConfig{Solver: pagerank.DefaultConfig()})
+	for _, suffix := range []int{1, 10, 50} {
+		b.Run(fmt.Sprintf("suffix%d", suffix), func(b *testing.B) { benchRecovery(b, base, suffix) })
+	}
+}
+
+func benchRecovery(b *testing.B, base *serve.Snapshot, suffix int) {
+	dir := b.TempDir()
 	ctx := context.Background()
 
 	// Seed the directory once: snapshot at seq 0, then a WAL suffix the
@@ -127,7 +131,7 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 		if err != nil || snap == nil {
 			b.Fatalf("Latest: (%v, %v)", snap, err)
 		}
-		recovered, applied, err := pl.Recover(ctx, snap, seq, apply)
+		recovered, applied, err := pl.Recover(ctx, snap, seq, pagerank.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -9,6 +9,7 @@ import (
 	"spammass/internal/delta"
 	"spammass/internal/mass"
 	"spammass/internal/obs"
+	"spammass/internal/pagerank"
 	"spammass/internal/serve"
 )
 
@@ -150,52 +151,64 @@ func (p *Pipeline) Latest(detect mass.DetectConfig, maxTop int) (*serve.Snapshot
 	return snap, st.AppliedSeq, nil
 }
 
-// Recover replays the WAL suffix beyond baseSeq onto base through the
-// same apply function the live server uses, one batch per epoch. A
-// batch whose apply fails is logged and skipped — exactly what the
-// live Run loop does with a failed apply — so the recovered state
-// equals the state a never-crashed server would serve. Returns the
-// recovered snapshot (base itself when the suffix is empty) and the
-// number of batches applied.
-func (p *Pipeline) Recover(ctx context.Context, base *serve.Snapshot, baseSeq uint64, apply serve.DeltaApplyFunc) (*serve.Snapshot, int, error) {
+// Recover folds the WAL suffix beyond baseSeq onto base: each replayed
+// batch is staged (one delta.Apply merge pass, memory ∝ one batch) and
+// the result is solved once, at epoch = base epoch + batches staged. A
+// batch that fails to stage is logged and skipped, as the live Run loop
+// does, so the recovered state equals a never-crashed server's — scores
+// to the solver tolerance, not bit for bit: the warm start differs.
+// Returns the snapshot (base itself if nothing staged) and that count.
+func (p *Pipeline) Recover(ctx context.Context, base *serve.Snapshot, baseSeq uint64, solver pagerank.Config) (*serve.Snapshot, int, error) {
 	if base == nil {
 		return nil, 0, fmt.Errorf("ingest: recovery needs a base snapshot")
 	}
 	sp := p.cfg.Obs.Span("ingest.recover")
 	defer sp.End()
+	octx := p.cfg.Obs.In(sp)
 	start := time.Now()
-	cur := base
-	applied := 0
+	fold := serve.NewDeltaFold(base)
+	applied, skipped := 0, 0
 	lastSeq := baseSeq
 	err := p.wal.Replay(baseSeq+1, func(seq uint64, b *delta.Batch) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		next, err := apply(ctx, cur, cur.Epoch()+1, b)
+		bsp := octx.Span("delta.apply")
+		bsp.SetAttr("seq", seq)
+		bsp.SetAttr("ops", b.NumOps())
+		_, err := fold.Stage(b)
+		bsp.End()
 		if err != nil {
+			skipped++
 			p.skipped.Inc()
 			p.cfg.Obs.Logf("ingest: recovery skipping batch seq %d (%d ops): %v", seq, b.NumOps(), err)
-			lastSeq = seq
-			return nil
+		} else {
+			applied++
 		}
-		cur = next
-		applied++
 		lastSeq = seq
 		return nil
 	})
 	if err != nil {
-		return nil, applied, fmt.Errorf("ingest: WAL replay: %w", err)
+		return nil, 0, fmt.Errorf("ingest: WAL replay: %w", err)
+	}
+	staged := time.Since(start)
+	cur := base
+	if applied > 0 {
+		// Clearing Obs lets Solve nest the solver's spans (and, through
+		// the pipeline's registry, its metrics) under this recovery.
+		solver.Obs = nil
+		cur, err = fold.Solve(ctx, serve.DeltaBuilderConfig{Solver: solver, Obs: octx}, base.Epoch()+int64(applied))
+		if err != nil {
+			return nil, 0, fmt.Errorf("ingest: recovery solve: %w", err)
+		}
 	}
 	p.recovered.Add(int64(applied))
-	p.mu.Lock()
-	p.snap = cur
-	p.seq = lastSeq
-	p.mu.Unlock()
+	p.MarkApplied(lastSeq, cur)
 	sp.SetAttr("applied", applied)
 	sp.SetAttr("epoch", cur.Epoch())
 	p.cfg.Obs.Histogram("ingest.recovery_seconds").Observe(time.Since(start).Seconds())
-	p.cfg.Obs.Logf("ingest: recovered to epoch %d (replayed %d batches through seq %d, %s)",
-		cur.Epoch(), applied, lastSeq, time.Since(start).Round(time.Millisecond))
+	p.cfg.Obs.Logf("ingest: recovered to epoch %d (%d batches staged in %s, solved and published in %s, %d skipped)",
+		cur.Epoch(), applied, staged.Round(time.Millisecond), (time.Since(start) - staged).Round(time.Millisecond), skipped)
 	return cur, applied, nil
 }
 

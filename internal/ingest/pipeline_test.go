@@ -31,11 +31,42 @@ func poisonBatch() *delta.Batch {
 	return &delta.Batch{Ops: []delta.Op{delta.AddHostOp("a.example")}}
 }
 
+// assertRecordsMatch holds got to want to the recovery contract: same
+// epoch and host set, every record's scores within the solver tolerance
+// and every label equal.
+func assertRecordsMatch(t *testing.T, got, want *serve.Snapshot) {
+	t.Helper()
+	if got.Epoch() != want.Epoch() {
+		t.Fatalf("recovered epoch %d, control %d", got.Epoch(), want.Epoch())
+	}
+	if got.NumHosts() != want.NumHosts() {
+		t.Fatalf("recovered %d hosts, control %d", got.NumHosts(), want.NumHosts())
+	}
+	for _, name := range want.HostGraph().Names {
+		w, _ := want.Lookup(name)
+		g, ok := got.Lookup(name)
+		if !ok {
+			t.Fatalf("recovered snapshot misses %s", name)
+		}
+		if math.Abs(g.AbsMass-w.AbsMass) > 1e-9 || math.Abs(g.RelMass-w.RelMass) > 1e-9 ||
+			math.Abs(g.PageRank-w.PageRank) > 1e-9 || math.Abs(g.CorePageRank-w.CorePageRank) > 1e-9 || g.Label != w.Label {
+			t.Fatalf("%s: recovered %+v, control %+v", name, g, w)
+		}
+	}
+}
+
 // TestPipelineCrashRecoveryEquality is the subsystem's core property:
-// a server that journals every batch, compacts mid-sequence, and is
-// then killed must recover to exactly the state a never-crashed server
-// serves — same epoch, same per-host scores and labels.
+// a server that journals every batch and is then killed must recover to
+// the state a never-crashed server serves — same epoch, same labels,
+// per-host scores within the solver tolerance — whether a mid-sequence
+// compaction left a snapshot to start from or the whole log is replayed
+// onto the initial build.
 func TestPipelineCrashRecoveryEquality(t *testing.T) {
+	t.Run("compacted", func(t *testing.T) { crashRecoveryEquality(t, true) })
+	t.Run("whole-log", func(t *testing.T) { crashRecoveryEquality(t, false) })
+}
+
+func crashRecoveryEquality(t *testing.T, compact bool) {
 	dir := t.TempDir()
 	ctx := context.Background()
 	apply := serve.NewDeltaBuilder(serve.DeltaBuilderConfig{Solver: pagerank.DefaultConfig()})
@@ -71,7 +102,7 @@ func TestPipelineCrashRecoveryEquality(t *testing.T) {
 			control = next
 			pl.MarkApplied(seq, control)
 		}
-		if i == 2 {
+		if i == 2 && compact {
 			// Mid-sequence compaction: the snapshot covers seqs 1..3.
 			if err := pl.Compact(); err != nil {
 				t.Fatalf("Compact: %v", err)
@@ -90,34 +121,26 @@ func TestPipelineCrashRecoveryEquality(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Latest: %v", err)
 	}
-	if rbase == nil || baseSeq != 3 {
-		t.Fatalf("Latest = (%v, %d), want compacted snapshot at seq 3", rbase, baseSeq)
+	wantApplied := 5 // every batch but the poison one
+	if compact {
+		if rbase == nil || baseSeq != 3 {
+			t.Fatalf("Latest = (%v, %d), want compacted snapshot at seq 3", rbase, baseSeq)
+		}
+		wantApplied = 2 // seqs 5 and 6; 4 is poison
+	} else {
+		if rbase != nil || baseSeq != 0 {
+			t.Fatalf("Latest = (%v, %d) without a compaction, want (nil, 0)", rbase, baseSeq)
+		}
+		rbase = base // the boot path's initial build
 	}
-	recovered, applied, err := pl2.Recover(ctx, rbase, baseSeq, apply)
+	recovered, applied, err := pl2.Recover(ctx, rbase, baseSeq, pagerank.DefaultConfig())
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
-	if applied != 2 {
-		t.Fatalf("recovery applied %d batches, want 2 (seqs 5 and 6; 4 is poison)", applied)
+	if applied != wantApplied {
+		t.Fatalf("recovery applied %d batches, want %d", applied, wantApplied)
 	}
-
-	if recovered.Epoch() != control.Epoch() {
-		t.Fatalf("recovered epoch %d, control %d", recovered.Epoch(), control.Epoch())
-	}
-	if recovered.NumHosts() != control.NumHosts() {
-		t.Fatalf("recovered %d hosts, control %d", recovered.NumHosts(), control.NumHosts())
-	}
-	for _, name := range control.HostGraph().Names {
-		want, _ := control.Lookup(name)
-		got, ok := recovered.Lookup(name)
-		if !ok {
-			t.Fatalf("recovered snapshot misses %s", name)
-		}
-		if math.Abs(got.AbsMass-want.AbsMass) > 1e-9 || math.Abs(got.RelMass-want.RelMass) > 1e-9 ||
-			math.Abs(got.PageRank-want.PageRank) > 1e-9 || got.Label != want.Label {
-			t.Errorf("%s: recovered %+v, control %+v", name, got, want)
-		}
-	}
+	assertRecordsMatch(t, recovered, control)
 
 	// Recovery re-established the checkpoint, so a compaction now
 	// persists the recovered state and drops the replayed suffix.
@@ -144,8 +167,7 @@ func TestPipelineFreshDir(t *testing.T) {
 	if err != nil || snap != nil || seq != 0 {
 		t.Fatalf("Latest on fresh dir = (%v, %d, %v), want (nil, 0, nil)", snap, seq, err)
 	}
-	apply := serve.NewDeltaBuilder(serve.DeltaBuilderConfig{Solver: pagerank.DefaultConfig()})
-	recovered, applied, err := pl.Recover(context.Background(), base, 0, apply)
+	recovered, applied, err := pl.Recover(context.Background(), base, 0, pagerank.DefaultConfig())
 	if err != nil || applied != 0 || recovered != base {
 		t.Fatalf("Recover on empty WAL = (%v, %d, %v), want (base, 0, nil)", recovered, applied, err)
 	}

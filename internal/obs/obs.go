@@ -204,6 +204,16 @@ func RequestContext(ctx context.Context) *Context {
 	return octx
 }
 
+// RequestOr returns the obs context attached by WithRequest, or
+// fallback when the request carries none: builders run under the
+// caller's trace when there is one and under their own otherwise.
+func RequestOr(ctx context.Context, fallback *Context) *Context {
+	if ro := RequestContext(ctx); ro != nil {
+		return ro
+	}
+	return fallback
+}
+
 // SetRoot swaps the span that new spans attach to and returns the
 // previous one, for stage-scoped re-rooting:
 //

@@ -281,4 +281,11 @@ func TestRequestContextHelpers(t *testing.T) {
 	if got := WithRequest(ctx, nil); got != ctx {
 		t.Fatalf("WithRequest(nil octx) rewrapped the context")
 	}
+	own := NewContext(NewRegistry(), nil)
+	if got := RequestOr(ctx, own); got != octx {
+		t.Fatalf("RequestOr with an attachment = %p, want the request's %p", got, octx)
+	}
+	if got := RequestOr(t.Context(), own); got != own {
+		t.Fatalf("RequestOr without an attachment = %p, want the fallback %p", got, own)
+	}
 }

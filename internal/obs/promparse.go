@@ -86,10 +86,10 @@ func familyOf(name string, types map[string]string) string {
 func ParsePrometheus(r io.Reader) ([]PromFamily, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	types := make(map[string]string)          // family -> type
-	samples := make(map[string][]PromSample)  // family -> samples
-	seen := make(map[string]bool)             // name + rendered labels -> dup guard
-	order := []string{}                       // family declaration order
+	types := make(map[string]string)         // family -> type
+	samples := make(map[string][]PromSample) // family -> samples
+	seen := make(map[string]bool)            // name + rendered labels -> dup guard
+	order := []string{}                      // family declaration order
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

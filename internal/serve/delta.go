@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"spammass/internal/delta"
+	"spammass/internal/graph"
 	"spammass/internal/mass"
 	"spammass/internal/obs"
 	"spammass/internal/pagerank"
@@ -21,79 +22,102 @@ type DeltaBuilderConfig struct {
 	Obs *obs.Context
 }
 
-// NewDeltaBuilder returns the standard DeltaApplyFunc: apply the
-// mutation batch to the previous snapshot's host graph in one merge
-// pass, remap the good core and the solved (p, p') vectors onto the
-// new node set, re-estimate warm-started from them, and package the
-// result as the next snapshot generation.
-//
-// The warm start is what makes the path incremental rather than
-// merely convenient: with churn touching a small fraction of the
-// graph, the previous vectors are already close to the new fixpoint
-// and the batched solve converges in a fraction of the cold
-// iteration count, while the published estimates match a cold rebuild
-// to within the convergence tolerance.
-//
-// The previous snapshot must carry its core (SnapshotConfig.Core);
-// applying a batch that removes the entire core is an error — mass
-// estimation is undefined without Ṽ⁺.
+// DeltaFold is the delta build in its two stages: Stage applies one
+// mutation batch to the carried host graph, Solve re-estimates once on
+// the graph the staged batches left. p and p' depend only on that graph
+// and the core, so the live apply is the one-batch fold and crash
+// recovery folds its whole WAL suffix: k merge passes, one solve.
+type DeltaFold struct {
+	base  *Snapshot
+	hosts *graph.HostGraph
+	core  []graph.NodeID
+	// remap is the composed monotone base→current node map (-1: the
+	// host was removed along the way); nil until the first Stage.
+	remap  []int64
+	staged int
+	stats  delta.Stats
+}
+
+// NewDeltaFold starts a fold on base with nothing staged.
+func NewDeltaFold(base *Snapshot) *DeltaFold {
+	return &DeltaFold{base: base, hosts: base.HostGraph(), core: base.Core()}
+}
+
+// Stage applies batch in one merge pass. A failing batch — a conflict,
+// or one that leaves no good core (mass estimation is undefined without
+// Ṽ⁺) — leaves the fold untouched: the caller logs it and stages the next.
+func (f *DeltaFold) Stage(batch *delta.Batch) (*delta.Result, error) {
+	res, err := delta.Apply(f.hosts, batch)
+	if err != nil {
+		return nil, fmt.Errorf("apply delta: %w", err)
+	}
+	core := res.RemapNodes(f.core)
+	if len(core) == 0 {
+		return nil, fmt.Errorf("serve: delta leaves no good core (the previous snapshot carried %d core nodes; the delta path needs SnapshotConfig.Core)", len(f.core))
+	}
+	f.hosts, f.core = res.Hosts, core
+	f.remap = delta.ComposeRemap(f.remap, res.Remap)
+	f.staged++
+	f.stats.Add(res.Stats)
+	return res, nil
+}
+
+// Solve packages the folded graph (at least one batch staged) as the
+// next generation: the base's solved (p, p') are carried through the
+// composed remap (mass.RemapWarmStart) and the estimator re-solves
+// warm-started from them.
+func (f *DeltaFold) Solve(ctx context.Context, cfg DeltaBuilderConfig, epoch int64) (*Snapshot, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	// Under the refresher's (or a synchronous admin delta's) span tree.
+	octx := obs.RequestOr(ctx, cfg.Obs)
+	sp := octx.Span("serve.delta_build")
+	defer sp.End()
+	sp.SetAttr("batches", f.staged)
+	sp.SetAttr("stats", f.stats.String())
+	gamma := f.base.Config().Gamma
+	warm, err := mass.RemapWarmStart(f.base.Estimates(), f.remap, f.hosts.Graph.NumNodes(), f.core, gamma)
+	if err != nil {
+		return nil, fmt.Errorf("remap warm start: %w", err)
+	}
+	if cfg.Solver.Obs == nil {
+		cfg.Solver.Obs = octx.In(sp)
+	}
+	es, err := mass.NewEstimator(f.hosts.Graph, mass.Options{Solver: cfg.Solver, Gamma: gamma})
+	if err != nil {
+		return nil, fmt.Errorf("estimator: %w", err)
+	}
+	defer es.Close()
+	est, err := es.EstimateFromCoreWarm(f.core, warm)
+	if err != nil {
+		return nil, fmt.Errorf("warm estimate: %w", err)
+	}
+	octx.Logf("serve: delta %s → %d hosts", f.stats, f.hosts.Graph.NumNodes())
+	return f.Snapshot(octx, est, epoch)
+}
+
+// Snapshot packages the folded graph with est — Solve's exact estimates
+// or an anytime estimator's — and counts the staged batches.
+func (f *DeltaFold) Snapshot(octx *obs.Context, est *mass.Estimates, epoch int64) (*Snapshot, error) {
+	octx.Counter("delta.batches_total").Add(int64(f.staged))
+	octx.Counter("delta.applied_edges_total").Add(f.stats.AppliedEdges())
+	octx.Counter("delta.hosts_added_total").Add(int64(f.stats.HostsAdded))
+	octx.Counter("delta.hosts_removed_total").Add(int64(f.stats.HostsRemoved))
+	scfg := f.base.Config()
+	scfg.Core = f.core
+	scfg.CoreSize = len(f.core)
+	return NewSnapshot(f.hosts, est, scfg, epoch)
+}
+
+// NewDeltaBuilder returns the standard DeltaApplyFunc: the one-batch
+// fold. The previous snapshot must carry its core.
 func NewDeltaBuilder(cfg DeltaBuilderConfig) DeltaApplyFunc {
 	return func(ctx context.Context, prev *Snapshot, epoch int64, batch *delta.Batch) (*Snapshot, error) {
-		octx := cfg.Obs
-		// A synchronous admin delta carries the request's traced obs
-		// context; build under it so the delta spans (and the solver
-		// span below, via solver.Obs) join the request's span tree.
-		if ro := obs.RequestContext(ctx); ro != nil {
-			octx = ro
-		}
-		sp := octx.Span("serve.delta_build")
-		defer sp.End()
-		sp.SetAttr("ops", batch.NumOps())
-
-		res, err := delta.Apply(prev.HostGraph(), batch)
-		if err != nil {
-			return nil, fmt.Errorf("apply delta: %w", err)
-		}
-		if err := ctx.Err(); err != nil {
+		fold := NewDeltaFold(prev)
+		if _, err := fold.Stage(batch); err != nil {
 			return nil, err
 		}
-		prevCore := prev.Core()
-		if prevCore == nil {
-			return nil, fmt.Errorf("serve: previous snapshot carries no core; delta path needs SnapshotConfig.Core")
-		}
-		core := res.RemapNodes(prevCore)
-		if len(core) == 0 {
-			return nil, fmt.Errorf("serve: delta removed the entire good core (%d nodes)", len(prevCore))
-		}
-		scfg := prev.Config()
-		warm, err := mass.RemapWarmStart(prev.Estimates(), res.Remap, res.Hosts.Graph.NumNodes(), core, scfg.Gamma)
-		if err != nil {
-			return nil, fmt.Errorf("remap warm start: %w", err)
-		}
-
-		solver := cfg.Solver
-		if solver.Obs == nil {
-			solver.Obs = octx.In(sp)
-		}
-		es, err := mass.NewEstimator(res.Hosts.Graph, mass.Options{Solver: solver, Gamma: scfg.Gamma})
-		if err != nil {
-			return nil, fmt.Errorf("estimator: %w", err)
-		}
-		defer es.Close()
-		est, err := es.EstimateFromCoreWarm(core, warm)
-		if err != nil {
-			return nil, fmt.Errorf("warm estimate: %w", err)
-		}
-
-		octx.Counter("delta.batches_total").Inc()
-		octx.Counter("delta.applied_edges_total").Add(res.Stats.AppliedEdges())
-		octx.Counter("delta.hosts_added_total").Add(int64(res.Stats.HostsAdded))
-		octx.Counter("delta.hosts_removed_total").Add(int64(res.Stats.HostsRemoved))
-		sp.SetAttr("stats", res.Stats.String())
-		octx.Logf("serve: delta %s → %d hosts", res.Stats, res.Hosts.Graph.NumNodes())
-
-		scfg.Core = core
-		scfg.CoreSize = len(core)
-		return NewSnapshot(res.Hosts, est, scfg, epoch)
+		return fold.Solve(ctx, cfg, epoch)
 	}
 }

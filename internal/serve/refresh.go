@@ -371,15 +371,12 @@ func (r *Refresher) runBuild(ctx context.Context, spanName string, needPrev bool
 		ctx, cancel = context.WithTimeout(ctx, r.cfg.Timeout)
 		defer cancel()
 	}
-	octx := r.cfg.Obs
 	// A synchronous admin request (POST /admin/refresh?wait=1,
 	// /admin/delta?wait=1) carries its own traced obs context; building
 	// under it threads the refresh and solver spans into the request's
 	// span tree. The registry is shared either way, so metrics land in
 	// one place regardless of who drove the build.
-	if ro := obs.RequestContext(ctx); ro != nil {
-		octx = ro
-	}
+	octx := obs.RequestOr(ctx, r.cfg.Obs)
 	sp := octx.Span(spanName)
 	defer sp.End()
 	if sp != nil {

@@ -500,8 +500,8 @@ func TestRouterBehindServeHTTP(t *testing.T) {
 		DisableMetrics: true,
 		Backend:        r,
 		Routes: map[string]http.HandlerFunc{
-			"POST /admin/delta":  r.HandleDelta,
-			"GET /admin/status":  r.HandleStatus,
+			"POST /admin/delta": r.HandleDelta,
+			"GET /admin/status": r.HandleStatus,
 		},
 	})
 	ts := httptest.NewServer(front.Handler())

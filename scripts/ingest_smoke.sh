@@ -5,11 +5,15 @@
 # Generates a graph plus a churn-stream delta feed, then runs the same
 # feed through two servers: a control that never crashes, and a durable
 # server (-wal-dir) that is SIGKILLed mid-stream after acknowledging a
-# prefix of the feed. The killed server is restarted on the same WAL
-# directory, must come back already serving the recovered epoch, and
-# after the rest of the feed its epoch and per-host scores must match
-# the control exactly — the acknowledged-batches-survive-kill-9
-# property, end to end. Run via `make ingest-smoke`.
+# prefix of the feed: four batches the compactor has folded into a
+# snapshot, then two more that exist only in the WAL. The killed server
+# is restarted on the same WAL directory, must replay exactly those two,
+# come back already serving the recovered epoch, and after the rest of
+# the feed match the control: epoch and labels exactly, scores to 1e-9
+# (recovery folds its WAL suffix into one solve, so it equals the
+# never-crashed server to the solver tolerance, not bit for bit) — the
+# acknowledged-batches-survive-kill-9 property, end to end. Run via
+# `make ingest-smoke`.
 set -eu
 
 GO=${GO:-go}
@@ -25,8 +29,9 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
-STREAM=6 # deltas in the feed
-CRASH_AFTER=4 # acknowledged batches before the SIGKILL
+STREAM=8      # deltas in the feed
+COMPACTED=4   # acknowledged batches the snapshot covers at the SIGKILL
+CRASH_AFTER=6 # acknowledged batches before the SIGKILL
 
 echo "ingest-smoke: building binaries"
 $GO build -o "$WORK/genweb" ./cmd/genweb
@@ -42,17 +47,18 @@ for i in $(seq 1 $STREAM); do
     fi
 done
 
-# boot <addr-file> <log> [extra flags...] — start a server and echo its PID.
+# boot <addr-file> <log> [extra flags...] — start a server, leaving its
+# PID in BOOT_PID. Not via $(boot …): a server started inside a command
+# substitution is no child of this shell, so `wait` cannot reap it and
+# the cleanup's rm -rf races the dying server's last compaction.
 boot() {
     af=$1
     log=$2
     shift 2
-    # stdout must not leak into the caller's command substitution: the
-    # substitution only returns when every writer on the pipe exits.
     "$WORK/spamserver" -addr 127.0.0.1:0 -addr-file "$af" \
         -graph "$WORK/web.graph" -names "$WORK/web.names" -core "$WORK/web.core" \
         "$@" >/dev/null 2>"$log" &
-    echo $!
+    BOOT_PID=$!
 }
 
 # wait_addr <addr-file> <pid> <name> — block until the server binds.
@@ -87,7 +93,8 @@ epoch_of() {
 }
 
 # --- Control: never crashes, applies the whole feed. -----------------
-CONTROL_PID=$(boot "$WORK/control.addr" "$WORK/control.log")
+boot "$WORK/control.addr" "$WORK/control.log"
+CONTROL_PID=$BOOT_PID
 CONTROL=$(wait_addr "$WORK/control.addr" "$CONTROL_PID" control)
 echo "ingest-smoke: control on $CONTROL"
 for i in $(seq 1 $STREAM); do
@@ -95,17 +102,31 @@ for i in $(seq 1 $STREAM); do
 done
 
 # --- Durable server: ack a prefix, SIGKILL, restart, finish. ---------
-CRASH_PID=$(boot "$WORK/crash.addr" "$WORK/crash1.log" \
-    -wal-dir "$WORK/wal" -compact-every 2s -wal-group-commit 1ms)
+boot "$WORK/crash.addr" "$WORK/crash1.log" \
+    -wal-dir "$WORK/wal" -compact-every 2s -wal-group-commit 1ms
+CRASH_PID=$BOOT_PID
 CRASH=$(wait_addr "$WORK/crash.addr" "$CRASH_PID" "durable server")
 echo "ingest-smoke: durable server on $CRASH (wal: $WORK/wal)"
-for i in $(seq 1 $CRASH_AFTER); do
+for i in $(seq 1 $COMPACTED); do
     post_delta "$CRASH" "$i"
 done
-# Let the 2s compactor get a chance to fold a prefix into a snapshot,
-# so the restart exercises snapshot-load + suffix-replay, not only
-# full replay. Recovery is correct either way; this widens coverage.
-sleep 2.5
+# Wait for the 2s compactor to fold those batches into a snapshot, then
+# acknowledge two more and kill at once: the next compaction tick is
+# ~2s away, so the restart must load the snapshot AND replay a suffix.
+SNAP=$(printf 'snap-%020d-' "$COMPACTED")
+i=0
+until ls "$WORK/wal/$SNAP"*.snap >/dev/null 2>&1; do
+    i=$((i + 1))
+    if [ "$i" -gt 100 ]; then
+        echo "ingest-smoke: no snapshot covering seq $COMPACTED after 10s" >&2
+        ls -l "$WORK/wal" >&2
+        exit 1
+    fi
+    sleep 0.1
+done
+for i in $(seq $((COMPACTED + 1)) $CRASH_AFTER); do
+    post_delta "$CRASH" "$i"
+done
 echo "ingest-smoke: SIGKILL after $CRASH_AFTER acknowledged batches"
 kill -9 "$CRASH_PID"
 wait "$CRASH_PID" 2>/dev/null || true
@@ -116,8 +137,9 @@ if [ ! -d "$WORK/wal" ]; then
 fi
 
 rm -f "$WORK/crash.addr"
-CRASH_PID=$(boot "$WORK/crash.addr" "$WORK/crash2.log" \
-    -wal-dir "$WORK/wal" -compact-every 2s -wal-group-commit 1ms)
+boot "$WORK/crash.addr" "$WORK/crash2.log" \
+    -wal-dir "$WORK/wal" -compact-every 2s -wal-group-commit 1ms
+CRASH_PID=$BOOT_PID
 CRASH=$(wait_addr "$WORK/crash.addr" "$CRASH_PID" "restarted server")
 EPOCH=$(epoch_of "$CRASH")
 WANT=$((CRASH_AFTER + 1))
@@ -126,7 +148,13 @@ if [ "$EPOCH" != "$WANT" ]; then
     sed -n '1,40p' "$WORK/crash2.log" >&2
     exit 1
 fi
-echo "ingest-smoke: restart recovered every acknowledged batch (epoch $EPOCH)"
+REPLAYED=$((CRASH_AFTER - COMPACTED))
+if ! grep -q "recovered $REPLAYED WAL batches" "$WORK/crash2.log"; then
+    echo "ingest-smoke: restart did not replay the $REPLAYED-batch WAL suffix:" >&2
+    sed -n '1,40p' "$WORK/crash2.log" >&2
+    exit 1
+fi
+echo "ingest-smoke: restart replayed $REPLAYED WAL batches onto the snapshot (epoch $EPOCH)"
 
 for i in $(seq $((CRASH_AFTER + 1)) $STREAM); do
     post_delta "$CRASH" "$i"
@@ -138,12 +166,41 @@ if [ "$EPOCH" != "$CONTROL_EPOCH" ]; then
     exit 1
 fi
 
-# Crash+recover must be invisible in the served scores: spot-check a
-# spread of hosts against the control, byte for byte.
+# same_record <recovered-json> <control-json> — host, node, label,
+# evaluated and epoch must be equal, the four scores within 1e-9.
+same_record() {
+    printf '%s\n%s\n' "$1" "$2" | awk '
+        function field(s, k,    r) {
+            if (!match(s, "\"" k "\":[^,}]*")) return "MISSING"
+            r = substr(s, RSTART, RLENGTH)
+            sub(/^[^:]*:/, "", r)
+            return r
+        }
+        NR == 1 { a = $0 }
+        NR == 2 { b = $0 }
+        END {
+            n = split("host node label evaluated epoch", exact, " ")
+            for (i = 1; i <= n; i++)
+                if (field(a, exact[i]) == "MISSING" || field(a, exact[i]) != field(b, exact[i])) {
+                    print "  " exact[i] ": " field(a, exact[i]) " vs " field(b, exact[i]); bad = 1
+                }
+            n = split("pagerank core_pagerank abs_mass rel_mass", score, " ")
+            for (i = 1; i <= n; i++) {
+                d = field(a, score[i]) - field(b, score[i])
+                if (field(a, score[i]) == "MISSING" || d > 1e-9 || d < -1e-9) {
+                    print "  " score[i] ": " field(a, score[i]) " vs " field(b, score[i]); bad = 1
+                }
+            }
+            exit bad
+        }' >&2
+}
+
+# Crash+recover must be invisible in the served records: spot-check a
+# spread of hosts against the control, field by field.
 for HOST in $(sed -n '1p;1000p;5000p;9999p' "$WORK/web.names"); do
     A=$(curl -sS --fail --max-time 30 "http://$CRASH/v1/host/$HOST")
     B=$(curl -sS --fail --max-time 30 "http://$CONTROL/v1/host/$HOST")
-    if [ "$A" != "$B" ]; then
+    if ! same_record "$A" "$B"; then
         echo "ingest-smoke: $HOST diverged after recovery:" >&2
         echo "  recovered: $A" >&2
         echo "  control:   $B" >&2
