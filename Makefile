@@ -8,9 +8,8 @@ build:
 test:
 	$(GO) test ./...
 
-# bench runs the acceptance benchmarks — the 1M-host sweep and
-# solve-to-epsilon suite (fixed-sweep layout comparison plus the
-# Gauss-Southwell vs full-sweep wall-clock headline), the 10k-node
+# bench runs the acceptance benchmarks — the 1M-host solve-to-epsilon
+# pair (Gauss-Southwell vs the Jacobi full sweep, wall clock), the 10k-node
 # mass-estimation sweep, the serving-layer lookup benchmarks (plain,
 # metrics-only, fully instrumented, and the paired telemetry-overhead
 # measurement backing the <=3% budget), the routed lookup/batch
@@ -51,8 +50,8 @@ fmt-check:
 	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # lint runs spamlint, the repo's own static-analysis suite
-# (internal/analysis): sliceexport, floatcmp, f32acc, solveerr,
-# spanend, printcall, metricname, plus the flow-sensitive concurrency
+# (internal/analysis): sliceexport, floatcmp, solveerr, spanend,
+# printcall, metricname, plus the flow-sensitive concurrency
 # family on the shared CFG layer: publishfreeze, lockbal, atomicmix,
 # ctxleak. Suppress intentional findings with
 # `// lint:ignore <analyzer> <reason>`.

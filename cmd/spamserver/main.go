@@ -14,7 +14,6 @@
 //	           [-ingest-queue 16] [-anytime-every 0] [-anytime-walks 100]
 //	           [-max-inflight 256] [-timeout 5s] [-max-batch 1000]
 //	           [-addr-file path] [-debug-addr :6060] [-v]
-//	           [-solver-layout blocked|flat] [-solver-precision float64|float32]
 //	           [-metrics=true] [-tracing=true] [-sample-interval 15s]
 //	           [-flight-dir path] [-drift-window 12] [-drift-z 4]
 //
@@ -127,8 +126,6 @@ func main() {
 	maxBatch := flag.Int("max-batch", serve.DefaultMaxBatch, "host limit per POST /v1/batch")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/vars and /debug/pprof/ on this address")
 	verbose := flag.Bool("v", false, "log refreshes and solver progress to stderr")
-	layoutFlag := flag.String("solver-layout", "blocked", "solver adjacency layout: blocked (degree-sorted compressed sweeps) or flat")
-	precisionFlag := flag.String("solver-precision", "float64", "solver storage precision: float64, or float32 for mixed-precision blocked sweeps")
 	metrics := flag.Bool("metrics", true, "serve Prometheus text exposition at GET /metrics")
 	tracing := flag.Bool("tracing", true, "per-request trace IDs, flight recorder, and admin span trees")
 	sampleInterval := flag.Duration("sample-interval", 15*time.Second, "metric history sampling interval for /admin/timeseries (0 disables history)")
@@ -151,27 +148,6 @@ func main() {
 		}
 	default:
 		die("unknown -role %q (want serve or router)", *role)
-	}
-	var layout pagerank.Layout
-	switch *layoutFlag {
-	case "blocked":
-		layout = pagerank.LayoutBlocked
-	case "flat":
-		layout = pagerank.LayoutFlat
-	default:
-		die("unknown -solver-layout %q (want blocked or flat)", *layoutFlag)
-	}
-	var precision pagerank.Precision
-	switch *precisionFlag {
-	case "float64":
-		precision = pagerank.PrecisionFloat64
-	case "float32":
-		precision = pagerank.PrecisionFloat32
-	default:
-		die("unknown -solver-precision %q (want float64 or float32)", *precisionFlag)
-	}
-	if precision == pagerank.PrecisionFloat32 && layout != pagerank.LayoutBlocked {
-		die("-solver-precision float32 requires -solver-layout blocked")
 	}
 
 	// A server keeps metrics on at all times — they are the interface
@@ -216,7 +192,6 @@ func main() {
 	// pagerank.iterations_total.
 	solveIters := octx.Gauge("pagerank.solve_iterations")
 	solver := pagerank.Config{Damping: *damping, Epsilon: 1e-10, MaxIter: 1000, Obs: octx,
-		Layout: layout, Precision: precision,
 		OnStats: func(st *pagerank.SolveStats) { solveIters.Set(float64(st.Iterations)) }}
 	build := func(ctx context.Context, prev *serve.Snapshot, epoch int64) (*serve.Snapshot, error) {
 		g, _, err := graph.LoadFile(*graphPath, octx)

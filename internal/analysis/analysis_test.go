@@ -15,8 +15,6 @@ func TestSliceExportGolden(t *testing.T) { analysistest.Run(t, "sliceexport", an
 
 func TestFloatCmpGolden(t *testing.T) { analysistest.Run(t, "floatcmp", analysis.FloatCmp) }
 
-func TestF32AccGolden(t *testing.T) { analysistest.Run(t, "f32acc", analysis.F32Acc) }
-
 func TestSolveErrGolden(t *testing.T) { analysistest.Run(t, "solveerr", analysis.SolveErr) }
 
 func TestSpanEndGolden(t *testing.T) { analysistest.Run(t, "spanend", analysis.SpanEnd) }

@@ -4,7 +4,7 @@ package analysis
 // listed by `spamlint -list`.
 func All() []*Analyzer {
 	return []*Analyzer{
-		SliceExport, FloatCmp, F32Acc, SolveErr, SpanEnd, PrintCall, MetricName,
+		SliceExport, FloatCmp, SolveErr, SpanEnd, PrintCall, MetricName,
 		PublishFreeze, LockBal, AtomicMix, CtxLeak, SyncRename,
 	}
 }

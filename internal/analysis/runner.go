@@ -56,14 +56,6 @@ func DefaultRules() []Rule {
 			"spammass/internal/mass",
 			"spammass/internal/trustrank",
 		}},
-		// float32 storage is allowed in the numerical core (the
-		// mixed-precision sweep buffers), but reductions over it must
-		// accumulate in float64.
-		{Analyzer: F32Acc, Include: []string{
-			"spammass/internal/pagerank",
-			"spammass/internal/mass",
-			"spammass/internal/trustrank",
-		}},
 		// Library packages must not print; CLIs and examples may.
 		{Analyzer: PrintCall,
 			Include: []string{"spammass/internal"},

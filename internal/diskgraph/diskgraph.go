@@ -58,9 +58,8 @@ func Build(path string, g *graph.Graph) error {
 			return err
 		}
 	}
-	// Adjacency rows use the shared gap codec (graph.AppendGapList):
-	// the same wire format the in-memory blocked layout speaks, so the
-	// encoder and both decoders are covered by one test and fuzz corpus.
+	// Adjacency rows use the gap codec of internal/graph
+	// (AppendGapList / GapDecoder), covered by its test and fuzz corpus.
 	var row []byte
 	for y := 0; y < n; y++ {
 		in := g.InNeighbors(graph.NodeID(y))

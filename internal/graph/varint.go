@@ -15,10 +15,8 @@ import (
 // i.e. the first element absolute and every later element as the gap
 // to its predecessor. Because CSR adjacency is sorted, gaps are small
 // for locally dense graphs and most entries fit in one or two bytes.
-// This is the single wire format shared by the on-disk graph
-// (internal/diskgraph, format version 1) and the in-memory blocked
-// sweep layout (internal/pagerank); the degree is carried out of band
-// by the caller.
+// This is the wire format of the on-disk graph (internal/diskgraph,
+// format version 1); the degree is carried out of band by the caller.
 
 // AppendGapList appends the gap encoding of list, which must be
 // strictly increasing, to dst and returns the extended slice.
@@ -38,40 +36,13 @@ func AppendGapList(dst []byte, list []NodeID) []byte {
 	return dst
 }
 
-// DecodeGapList decodes deg gap-encoded values from data starting at
-// offset pos, appending them to out, and returns the extended slice
-// and the offset one past the encoding. The decoded list is strictly
-// increasing with every element < n (pass n = 2^32−1 to skip the
-// range check). Truncated or malformed input yields an error, never a
-// panic: the decoder is safe on untrusted bytes.
-func DecodeGapList(out []NodeID, data []byte, pos, deg int, n uint64) ([]NodeID, int, error) {
-	cur := uint64(0)
-	for i := 0; i < deg; i++ {
-		v, k := binary.Uvarint(data[pos:])
-		if k <= 0 {
-			return out, pos, fmt.Errorf("graph: gap list truncated at element %d/%d", i, deg)
-		}
-		pos += k
-		if i == 0 {
-			cur = v
-		} else {
-			if v == 0 {
-				return out, pos, fmt.Errorf("graph: zero gap at element %d/%d", i, deg)
-			}
-			cur += v
-		}
-		if cur >= n || cur > math.MaxUint32 {
-			return out, pos, fmt.Errorf("graph: gap list element %d/%d decodes to %d outside [0,%d)", i, deg, cur, n)
-		}
-		out = append(out, NodeID(cur))
-	}
-	return out, pos, nil
-}
-
 // GapDecoder streams one gap-encoded list from an io.ByteReader. It is
-// the decoder used by internal/diskgraph, whose adjacency never fits
-// in memory at once; in-memory consumers use DecodeGapList or inline
-// the arithmetic. Reuse a decoder across lists via Reset.
+// the one decoder of the format: internal/diskgraph, whose adjacency
+// never fits in memory at once, reads through it, and an in-memory
+// buffer decodes through a bytes.Reader. Every decoded list is strictly
+// increasing with every element < n; truncated or malformed input
+// yields an error, never a panic, so the decoder is safe on untrusted
+// bytes. Reuse a decoder across lists via Reset.
 type GapDecoder struct {
 	br   io.ByteReader
 	n    uint64 // exclusive upper bound on decoded values

@@ -8,80 +8,36 @@ import (
 	"spammass/internal/webgen"
 )
 
-// sweep1MIters fixes the sweep count so the three layout benchmarks
-// below traverse exactly the same iters·m in-edges and their edges/s
-// metrics compare layouts, not convergence luck.
-const sweep1MIters = 20
-
-var sweep1M struct {
+var solve1M struct {
 	sync.Once
 	world *webgen.World
 	err   error
 }
 
-// sweep1MGraph generates the million-host synthetic web once and
-// shares it across the Sweep1M benchmarks. The webgen structure (power
-// -law degrees, isolated fringe, spam farms) is the workload the
-// blocked layout is designed for — not a uniform random graph.
-func sweep1MGraph(b *testing.B) *graph.Graph {
-	sweep1M.Do(func() {
-		sweep1M.world, sweep1M.err = webgen.Generate(webgen.DefaultConfig(1_000_000))
+// solve1MGraph generates the million-host synthetic web once and
+// shares it across the Solve1M benchmarks: webgen structure (power-law
+// degrees, isolated fringe, spam farms), not a uniform random graph.
+func solve1MGraph(b *testing.B) *graph.Graph {
+	solve1M.Do(func() {
+		solve1M.world, solve1M.err = webgen.Generate(webgen.DefaultConfig(1_000_000))
 	})
-	if sweep1M.err != nil {
-		b.Fatalf("generate 1M-host graph: %v", sweep1M.err)
+	if solve1M.err != nil {
+		b.Fatalf("generate 1M-host graph: %v", solve1M.err)
 	}
-	return sweep1M.world.Graph
+	return solve1M.world.Graph
 }
-
-func benchSweep1M(b *testing.B, layout Layout, precision Precision) {
-	g := sweep1MGraph(b)
-	cfg := Config{
-		Damping: 0.85,
-		// Unreachably small epsilon plus AllowTruncated pins every run
-		// at exactly sweep1MIters full sweeps.
-		Epsilon:        1e-300,
-		MaxIter:        sweep1MIters,
-		AllowTruncated: true,
-		Layout:         layout,
-		Precision:      precision,
-	}
-	eng, err := NewEngine(g, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	v := UniformJump(g.NumNodes())
-	b.ResetTimer()
-	var edges int64
-	for i := 0; i < b.N; i++ {
-		r, err := eng.Solve(v)
-		if err != nil {
-			b.Fatal(err)
-		}
-		edges += r.Stats.EdgesSwept
-	}
-	b.StopTimer()
-	if secs := b.Elapsed().Seconds(); secs > 0 {
-		b.ReportMetric(float64(edges)/secs, "edges/s")
-	}
-}
-
-func BenchmarkSweep1MFlat(b *testing.B) { benchSweep1M(b, LayoutFlat, PrecisionFloat64) }
-
-func BenchmarkSweep1MBlocked(b *testing.B) { benchSweep1M(b, LayoutBlocked, PrecisionFloat64) }
-
-func BenchmarkSweep1MBlockedF32(b *testing.B) { benchSweep1M(b, LayoutBlocked, PrecisionFloat32) }
 
 // benchSolve1M times a full cold solve to Epsilon=1e-10 on the 1M-host
-// graph — the production shape of a snapshot refresh. Unlike the
-// fixed-sweep benchmarks above, modes here may do different amounts of
-// edge work for the same answer: Gauss-Southwell reaches the fixpoint
-// sweeping a fraction of the edges a full-sweep solver needs, which is
-// the throughput headline of this benchmark set (compare ns/op between
-// Solve1MGaussSouthwell and Solve1MFlatJacobi). All modes produce
-// scores agreeing to L1 ≤ 1e-9 (see TestGaussSouthwellMatchesJacobi
-// and TestFloat32Parity).
+// graph — the production shape of a snapshot refresh. The two
+// algorithms do different amounts of edge work for the same answer:
+// Gauss-Southwell reaches the fixpoint touching a fraction of the
+// edges the Jacobi sweep needs, so compare ns/op, not edges/s. This is
+// the pair ROADMAP item 2(v) decides the default algorithm on; raw
+// sweep throughput is bench/'s pagerank.sweep_edges_per_s_w1 / _wN.
+// Both produce scores agreeing to L1 ≤ 1e-9 (TestAllAlgorithmsParity,
+// TestGaussSouthwellMatchesJacobi).
 func benchSolve1M(b *testing.B, cfg Config) {
-	g := sweep1MGraph(b)
+	g := solve1MGraph(b)
 	cfg.Damping = 0.85
 	cfg.Epsilon = 1e-10
 	cfg.MaxIter = 1000
@@ -109,12 +65,6 @@ func benchSolve1M(b *testing.B, cfg Config) {
 }
 
 func BenchmarkSolve1MFlatJacobi(b *testing.B) { benchSolve1M(b, Config{}) }
-
-func BenchmarkSolve1MBlocked(b *testing.B) { benchSolve1M(b, Config{Layout: LayoutBlocked}) }
-
-func BenchmarkSolve1MBlockedF32(b *testing.B) {
-	benchSolve1M(b, Config{Layout: LayoutBlocked, Precision: PrecisionFloat32})
-}
 
 func BenchmarkSolve1MGaussSouthwell(b *testing.B) {
 	benchSolve1M(b, Config{Algorithm: AlgoGaussSouthwell})

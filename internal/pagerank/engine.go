@@ -2,7 +2,6 @@ package pagerank
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -31,24 +30,12 @@ type Engine struct {
 	inv      []float64      // 1/out(x), 0 for dangling nodes
 	dangling []graph.NodeID // nodes with no out-links
 
-	// blk is the degree-sorted compressed layout, built once at
-	// construction when cfg.Layout is LayoutBlocked. The permutation it
-	// carries is invisible outside the engine: jump vectors, warm
-	// starts, and scores are translated at the solve boundary.
-	blk *blockedAdj
-
 	mu      sync.Mutex
 	pool    *workerPool
 	cur     []float64 // interleaved solve buffers, reused across solves
 	next    []float64
 	jump    []float64
 	partial []float64 // chunk-local residual accumulators
-
-	// Blocked-sweep buffers: pre-multiplied contribution vectors
-	// (score/out-degree), double-buffered, plus the float32 mirrors of
-	// all four used by the PrecisionFloat32 phase.
-	contribA, contribB                    []float64
-	cur32, next32, contribA32, contribB32 []float32
 
 	closed bool
 }
@@ -68,9 +55,6 @@ func NewEngine(g *graph.Graph, cfg Config) (*Engine, error) {
 		} else {
 			e.dangling = append(e.dangling, graph.NodeID(x))
 		}
-	}
-	if cfg.Layout == LayoutBlocked {
-		e.blk = buildBlockedAdj(g, blockedBlockSize)
 	}
 	if cfg.Workers > 1 && n >= parallelThreshold {
 		e.pool = newWorkerPool(cfg.Workers)
@@ -134,7 +118,6 @@ func (e *Engine) SolveMany(vs []Vector) ([]*Result, error) {
 func (e *Engine) SolveManyConfig(vs []Vector, cfg Config) ([]*Result, error) {
 	cfg = cfg.WithDefaults()
 	cfg.Workers = e.cfg.Workers
-	cfg.Layout = e.cfg.Layout // the layout is fixed at construction
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -185,23 +168,6 @@ func (e *Engine) solveBatch(vs []Vector, cfg Config) ([]*Result, error) {
 		return e.solveSouthwell(vs, cfg)
 	}
 	n, k := e.g.NumNodes(), len(vs)
-	// The blocked layout accelerates the out-of-place pull sweeps;
-	// Gauss-Seidel's in-place sweep stays on the flat adjacency.
-	blocked := e.blk != nil && (cfg.Algorithm == AlgoJacobi || cfg.Algorithm == AlgoPowerIteration)
-	var perm []graph.NodeID
-	dangling := e.dangling
-	if blocked {
-		perm = e.blk.perm
-		dangling = e.blk.dangling
-	}
-	// row maps an original node ID to its buffer row: the identity on
-	// the flat path, the degree-sort permutation on the blocked one.
-	row := func(i int) int {
-		if perm != nil {
-			return int(perm[i])
-		}
-		return i
-	}
 	size := n * k
 	e.jump = growBuf(e.jump, size)
 	e.cur = growBuf(e.cur, size)
@@ -209,7 +175,7 @@ func (e *Engine) solveBatch(vs []Vector, cfg Config) ([]*Result, error) {
 	jump, cur, next := e.jump, e.cur, e.next
 	for j, v := range vs {
 		for i := 0; i < n; i++ {
-			jump[row(i)*k+j] = v[i]
+			jump[i*k+j] = v[i]
 		}
 	}
 	warmStarted := cfg.WarmStart != nil || cfg.WarmStarts != nil
@@ -217,12 +183,12 @@ func (e *Engine) solveBatch(vs []Vector, cfg Config) ([]*Result, error) {
 	case cfg.WarmStarts != nil:
 		for j, w := range cfg.WarmStarts {
 			for i := 0; i < n; i++ {
-				cur[row(i)*k+j] = w[i]
+				cur[i*k+j] = w[i]
 			}
 		}
 	case cfg.WarmStart != nil:
 		for i := 0; i < n; i++ {
-			base := row(i) * k
+			base := i * k
 			for j := 0; j < k; j++ {
 				cur[base+j] = cfg.WarmStart[i]
 			}
@@ -256,15 +222,8 @@ func (e *Engine) solveBatch(vs []Vector, cfg Config) ([]*Result, error) {
 	e.partial = growBuf(e.partial, workers*k)
 
 	start := time.Now()
-	layout, precision := LayoutFlat, PrecisionFloat64
-	if blocked {
-		layout = LayoutBlocked
-		precision = cfg.Precision
-	}
 	stats := &SolveStats{
 		Algorithm:   cfg.Algorithm,
-		Layout:      layout,
-		Precision:   precision,
 		Batch:       k,
 		Workers:     workers,
 		WarmStarted: warmStarted,
@@ -273,7 +232,6 @@ func (e *Engine) solveBatch(vs []Vector, cfg Config) ([]*Result, error) {
 	sp := octx.Span("pagerank.solve")
 	if sp != nil {
 		sp.SetAttr("algorithm", cfg.Algorithm.String())
-		sp.SetAttr("layout", layout.String())
 		sp.SetAttr("batch", k)
 		sp.SetAttr("nodes", n)
 		sp.SetAttr("workers", workers)
@@ -295,26 +253,15 @@ func (e *Engine) solveBatch(vs []Vector, cfg Config) ([]*Result, error) {
 	left := k // vectors that have not yet met Epsilon
 
 	// record folds one finished iteration into the stats, convergence
-	// flags, and telemetry. Both the float32 phase and the float64 loop
-	// report through it, so EdgesSwept counts every sweep identically
-	// (all m in-edges) regardless of layout or precision — the BENCH
-	// throughput numbers stay comparable across modes by construction.
-	//
-	// quantized marks float32-phase iterations, whose residuals are
-	// measured between quantized iterates: a zero residual there means
-	// the iterate hit the float32 fixpoint, not that it is within
-	// Epsilon of the float64 solution (on small systems the two differ
-	// by the full ~1e-7 quantization error). Convergence is therefore
-	// only ever declared by float64 iterations; the low-precision phase
-	// contributes residual telemetry and edge counts, never verdicts.
-	record := func(it int, quantized bool) (maxRes float64) {
+	// flags, and telemetry. Every full sweep counts all m in-edges.
+	record := func(it int) (maxRes float64) {
 		stats.Iterations = it
 		stats.EdgesSwept += m
 		for j := 0; j < k; j++ {
 			if resid[j] > maxRes {
 				maxRes = resid[j]
 			}
-			if !quantized && !converged[j] && resid[j] < cfg.Epsilon {
+			if !converged[j] && resid[j] < cfg.Epsilon {
 				converged[j] = true
 				firstIter[j] = it
 				left--
@@ -342,24 +289,6 @@ func (e *Engine) solveBatch(vs []Vector, cfg Config) ([]*Result, error) {
 	}
 
 	it := 0
-	if blocked && cfg.Precision == PrecisionFloat32 && !warmStarted {
-		// Leading low-precision phase; it leaves the promoted iterate in
-		// cur. Warm starts skip it: they are typically already below the
-		// float32 quantization floor.
-		var f32err error
-		it, f32err = e.runFloat32Phase(vs, cfg, stats, k, jump, cur, jumpCoef, dsum, resid, dangling, workers, record)
-		if f32err != nil {
-			return nil, fmt.Errorf("pagerank: %w", f32err)
-		}
-	}
-	var contrib, contribNext []float64
-	if blocked {
-		e.contribA = growBuf(e.contribA, size)
-		e.contribB = growBuf(e.contribB, size)
-		initContrib(e.contribA, cur, e.blk.invDeg, k)
-		contrib, contribNext = e.contribA, e.contribB
-	}
-	fullWrites := 0 // blocked sweeps since the float64 double buffers were seeded
 	for left > 0 && it < cfg.MaxIter {
 		it++
 		for j := 0; j < k; j++ {
@@ -368,29 +297,20 @@ func (e *Engine) solveBatch(vs []Vector, cfg Config) ([]*Result, error) {
 		if cfg.Algorithm == AlgoPowerIteration {
 			// Reinject the random-walk mass lost at dangling nodes as
 			// c·dᵀp·v, folded into the sweep's jump coefficient.
-			danglingSums(dangling, cur, k, dsum)
+			danglingSums(e.dangling, cur, k, dsum)
 			for j := 0; j < k; j++ {
 				jumpCoef[j] += c * dsum[j]
 			}
 		}
 
-		switch {
-		case blocked:
-			// See runFloat32Phase: Jacobi's in-degree-0 rows are
-			// constant, so after two seeding sweeps they drop out.
-			skipEmpty := cfg.Algorithm == AlgoJacobi && fullWrites >= 2
-			sweepBlocked(e, k, c, jumpCoef, jump, cur, next, contrib, contribNext, workers, resid, skipEmpty)
-			fullWrites++
-			cur, next = next, cur
-			contrib, contribNext = contribNext, contrib
-		case cfg.Algorithm == AlgoGaussSeidel:
+		if cfg.Algorithm == AlgoGaussSeidel {
 			e.sweepGaussSeidel(cur, jump, k, c, resid)
-		default: // Jacobi and power iteration: out-of-place pull sweep
+		} else { // Jacobi and power iteration: out-of-place pull sweep
 			e.sweepPull(cur, next, jump, jumpCoef, k, c, workers, resid)
 			cur, next = next, cur
 		}
 
-		if record(it, false) < cfg.Epsilon {
+		if record(it) < cfg.Epsilon {
 			break
 		}
 	}
@@ -417,9 +337,6 @@ func (e *Engine) solveBatch(vs []Vector, cfg Config) ([]*Result, error) {
 	// The swap leaves the freshest iterate in cur; remember it for the
 	// next solve's buffer reuse.
 	e.cur, e.next = cur, next
-	if blocked {
-		e.contribA, e.contribB = contrib, contribNext
-	}
 
 	// Power iteration converges to the stationary distribution of the
 	// augmented dangling-reinjected chain, which differs from the
@@ -432,7 +349,7 @@ func (e *Engine) solveBatch(vs []Vector, cfg Config) ([]*Result, error) {
 	// snapshots) never see a formulation-dependent scale.
 	var scale []float64
 	if cfg.Algorithm == AlgoPowerIteration {
-		danglingSums(dangling, cur, k, dsum)
+		danglingSums(e.dangling, cur, k, dsum)
 		scale = make([]float64, k)
 		for j := range scale {
 			scale[j] = (1 - c) / ((1 - c) + c*dsum[j])
@@ -447,7 +364,7 @@ func (e *Engine) solveBatch(vs []Vector, cfg Config) ([]*Result, error) {
 			s = scale[j]
 		}
 		for i := 0; i < n; i++ {
-			scores[i] = cur[row(i)*k+j] * s
+			scores[i] = cur[i*k+j] * s
 		}
 		iters := firstIter[j]
 		if iters == 0 {
@@ -484,90 +401,18 @@ func (e *Engine) solveBatch(vs []Vector, cfg Config) ([]*Result, error) {
 	return results, nil
 }
 
-// float32SwitchTol is the residual bound, relative to the largest
-// jump-vector L1 norm of the batch, at which the float32 phase hands
-// over to the float64 finish: past this point the iterate change
-// approaches the float32 quantization floor (~1e-7 relative) and
-// further low-precision sweeps stop converging.
-const float32SwitchTol = 2e-6
-
-// runFloat32Phase runs leading blocked sweeps with float32 score
-// storage (float64 accumulation throughout) until the residual nears
-// the float32 floor, the solve converges outright, or progress stalls.
-// It promotes the iterate into cur and returns the iterations used.
-// The error is non-nil only under `-tags vectorcheck`, when the
-// low-precision iterate fails the finiteness guard before promotion.
-func (e *Engine) runFloat32Phase(vs []Vector, cfg Config, stats *SolveStats, k int, jump, cur []float64, jumpCoef, dsum, resid []float64, dangling []graph.NodeID, workers int, record func(int, bool) float64) (int, error) {
-	size := len(cur)
-	e.cur32 = growBufF(e.cur32, size)
-	e.next32 = growBufF(e.next32, size)
-	e.contribA32 = growBufF(e.contribA32, size)
-	e.contribB32 = growBufF(e.contribB32, size)
-	cur32, next32 := e.cur32, e.next32
-	contrib32, contribNext32 := e.contribA32, e.contribB32
-	for i, x := range cur {
-		cur32[i] = float32(x)
+// danglingSums accumulates, per batch column, the score mass sitting
+// on dangling nodes: dᵀp in the notation of Section 2.2.
+func danglingSums(dangling []graph.NodeID, cur []float64, k int, dsum []float64) {
+	for j := range dsum {
+		dsum[j] = 0
 	}
-	initContrib(contrib32, cur32, e.blk.invDeg, k)
-	swTol := 0.0
-	for _, v := range vs {
-		if nrm := v.Norm1(); nrm > swTol {
-			swTol = nrm
-		}
-	}
-	swTol *= float32SwitchTol
-	c := cfg.Damping
-	it := 0
-	fullWrites := 0 // sweeps since the float32 double buffers were seeded
-	prevRes := math.Inf(1)
-	slow := 0
-	for it < cfg.MaxIter {
-		it++
+	for _, d := range dangling {
+		base := int(d) * k
 		for j := 0; j < k; j++ {
-			jumpCoef[j] = 1 - c
+			dsum[j] += cur[base+j]
 		}
-		if cfg.Algorithm == AlgoPowerIteration {
-			danglingSums(dangling, cur32, k, dsum)
-			for j := 0; j < k; j++ {
-				jumpCoef[j] += c * dsum[j]
-			}
-		}
-		// In-degree-0 rows hold the closed form (1−c)·v[z]; under Jacobi
-		// the coefficient never moves, so once both buffer generations
-		// carry it the sweep skips those rows (power iteration's
-		// dangling reinjection changes jumpCoef every sweep, so it
-		// always rewrites them).
-		skipEmpty := cfg.Algorithm == AlgoJacobi && fullWrites >= 2
-		sweepBlocked(e, k, c, jumpCoef, jump, cur32, next32, contrib32, contribNext32, workers, resid, skipEmpty)
-		fullWrites++
-		cur32, next32 = next32, cur32
-		contrib32, contribNext32 = contribNext32, contrib32
-		maxRes := record(it, true)
-		if maxRes < cfg.Epsilon || maxRes <= swTol {
-			break
-		}
-		// Stalling near the float32 floor shows up as consecutive
-		// iterations without the usual geometric contraction.
-		if maxRes > 0.9*prevRes {
-			if slow++; slow >= 2 {
-				break
-			}
-		} else {
-			slow = 0
-		}
-		prevRes = maxRes
 	}
-	stats.Float32Iterations = it
-	e.cur32, e.next32 = cur32, next32
-	e.contribA32, e.contribB32 = contrib32, contribNext32
-	if err := vectorCheckF32(cur32, k); err != nil {
-		return it, err
-	}
-	// Promote: the float64 loop continues from the float32 iterate.
-	for i, x := range cur32 {
-		cur[i] = float64(x)
-	}
-	return it, nil
 }
 
 // sweepPull computes next ← c·Tᵀcur + jumpCoef·v for every vector of

@@ -272,6 +272,32 @@ func TestEngineParallelMatchesSequential(t *testing.T) {
 	if d := testutil.MaxAbsDiff(seq.Scores, batch[0].Scores); d > 1e-12 {
 		t.Errorf("parallel batched Jacobi differs by %v", d)
 	}
+
+	// The (p, p′) shape of a mass estimation: two columns on a
+	// dangling-heavy graph, chunked parallel sweep vs sequential.
+	dg := danglingHeavyGraph(rng, 6000)
+	dn := dg.NumNodes()
+	pair := []Vector{UniformJump(dn), ScaledCoreJump(dn, []graph.NodeID{1, 3, 7}, 0.9)}
+	var got [2][]*Result
+	for i, workers := range []int{1, 8} {
+		deng, err := NewEngine(dg, Config{Damping: 0.85, Epsilon: 1e-12, MaxIter: 500, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i], err = deng.SolveMany(pair)
+		deng.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for j := range pair {
+		if d := l1Diff(got[0][j].Scores, got[1][j].Scores); d > 1e-9 {
+			t.Errorf("dangling-heavy k=2 vector %d: parallel sweep differs from sequential by L1 %v", j, d)
+		}
+	}
+	if w := got[1][0].Stats.Workers; w < 2 {
+		t.Errorf("dangling-heavy k=2 solve ran on %d worker(s); the parallel path was not exercised", w)
+	}
 }
 
 // TestEngineConcurrentSolves hammers one engine from several

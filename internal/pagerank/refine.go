@@ -28,8 +28,8 @@ type RefineStats struct {
 	// EdgesSwept counts adjacency entries actually touched: the m
 	// in-edges of the initial residual sweep plus one out-neighbor list
 	// per push. The unit is the same "edges" that SolveStats.EdgesSwept
-	// counts for sweep solvers on any layout, so push work and sweep
-	// work stay comparable in telemetry.
+	// counts for sweep solvers, so push work and sweep work stay
+	// comparable in telemetry.
 	EdgesSwept int64
 	// Converged reports whether FinalResidual met the tolerance; false
 	// means the work budget ran out first and the caller's solver is

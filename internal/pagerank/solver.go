@@ -40,21 +40,6 @@ type Config struct {
 	// parallelized, and Gauss-Southwell does work proportional to where
 	// the residual lives rather than sweeping every edge.
 	Algorithm Algorithm
-	// Layout selects the in-memory adjacency layout of the engine.
-	// LayoutAuto picks LayoutBlocked when Precision is PrecisionFloat32
-	// and LayoutFlat otherwise; the layout is fixed at engine
-	// construction and ignored on per-solve overrides. See the Engine
-	// docs for the blocked layout's permutation contract.
-	Layout Layout
-	// Precision selects the solution-vector storage for blocked-layout
-	// sweeps. PrecisionFloat32 stores the iterate and the contribution
-	// vector in float32 — halving the random-access bytes of the sweep —
-	// while every per-node reduction (link sums, residuals, dangling
-	// mass) still accumulates in float64; once the residual approaches
-	// the float32 quantization floor the solve is promoted to a float64
-	// finish phase, so the returned scores meet Epsilon in full
-	// precision. Only AlgoJacobi and AlgoPowerIteration support it.
-	Precision Precision
 	// AllowTruncated accepts solves that hit MaxIter without meeting
 	// Epsilon: the Result is returned with Converged == false and a
 	// nil error. By default such solves surface as *ErrNotConverged so
@@ -106,57 +91,6 @@ func (a Algorithm) String() string {
 	return fmt.Sprintf("algorithm(%d)", int(a))
 }
 
-// Layout names an in-memory adjacency layout.
-type Layout int
-
-// Adjacency layouts.
-const (
-	// LayoutAuto resolves to LayoutBlocked when Precision is
-	// PrecisionFloat32 and to LayoutFlat otherwise.
-	LayoutAuto Layout = iota
-	// LayoutFlat is the plain CSR of internal/graph: node IDs as
-	// built, uncompressed adjacency, float64 everywhere.
-	LayoutFlat
-	// LayoutBlocked relabels the graph by descending out-degree and
-	// stores the reverse adjacency as destination-blocked, gap-encoded
-	// varint streams (the format of graph.AppendGapList). Jacobi and
-	// power-iteration sweeps run on the compressed layout;
-	// Gauss-Seidel and Gauss-Southwell solves on the same engine fall
-	// back to the flat adjacency, which is kept alongside.
-	LayoutBlocked
-)
-
-func (l Layout) String() string {
-	switch l {
-	case LayoutAuto:
-		return "auto"
-	case LayoutFlat:
-		return "flat"
-	case LayoutBlocked:
-		return "blocked"
-	}
-	return fmt.Sprintf("layout(%d)", int(l))
-}
-
-// Precision names a solution-vector storage precision.
-type Precision int
-
-// Solve precisions.
-const (
-	PrecisionFloat64 Precision = iota
-	PrecisionFloat32
-)
-
-func (p Precision) String() string {
-	switch p {
-	case PrecisionFloat64:
-		return "float64"
-	case PrecisionFloat32:
-		return "float32"
-	}
-	return fmt.Sprintf("precision(%d)", int(p))
-}
-
 // DefaultConfig returns the configuration used in the paper's
 // experiments: c = 0.85, with a convergence bound tight enough that
 // scaled scores are stable to far beyond the two decimals reported.
@@ -181,13 +115,6 @@ func (cfg Config) WithDefaults() Config {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
-	if cfg.Layout == LayoutAuto {
-		if cfg.Precision == PrecisionFloat32 {
-			cfg.Layout = LayoutBlocked
-		} else {
-			cfg.Layout = LayoutFlat
-		}
-	}
 	return cfg
 }
 
@@ -205,25 +132,6 @@ func (cfg Config) validate() error {
 	case AlgoJacobi, AlgoGaussSeidel, AlgoPowerIteration, AlgoGaussSouthwell:
 	default:
 		return fmt.Errorf("pagerank: unknown algorithm %d", int(cfg.Algorithm))
-	}
-	switch cfg.Layout {
-	case LayoutFlat, LayoutBlocked:
-	default:
-		return fmt.Errorf("pagerank: unknown layout %d", int(cfg.Layout))
-	}
-	switch cfg.Precision {
-	case PrecisionFloat64:
-	case PrecisionFloat32:
-		if cfg.Layout != LayoutBlocked {
-			return fmt.Errorf("pagerank: PrecisionFloat32 requires LayoutBlocked, got %v", cfg.Layout)
-		}
-		switch cfg.Algorithm {
-		case AlgoJacobi, AlgoPowerIteration:
-		default:
-			return fmt.Errorf("pagerank: PrecisionFloat32 supports Jacobi and power-iteration sweeps, not %v", cfg.Algorithm)
-		}
-	default:
-		return fmt.Errorf("pagerank: unknown precision %d", int(cfg.Precision))
 	}
 	return nil
 }

@@ -16,13 +16,10 @@ import (
 // pushes are inherently single-threaded, and unlike pull sweeps they
 // share no adjacency traversal across columns.
 //
-// Gauss-Southwell always runs on the flat adjacency: pushes are
-// random-access by nature, so the compressed blocked stream (built for
-// streaming sweeps) has nothing to offer them. Result.Iterations
-// reports worklist scans, the closest analogue of sweeps;
-// Stats.EdgesSwept counts adjacency entries actually touched (the
-// initial residual sweep for warm starts plus one out-neighbor list
-// per push), keeping EdgesPerSecond honest next to sweep solvers.
+// Result.Iterations reports worklist scans, the closest analogue of
+// sweeps; Stats.EdgesSwept counts adjacency entries actually touched
+// (the initial residual sweep for warm starts plus one out-neighbor
+// list per push), keeping EdgesPerSecond honest next to sweep solvers.
 //
 // Callers hold e.mu and have validated cfg and the jump vectors.
 func (e *Engine) solveSouthwell(vs []Vector, cfg Config) ([]*Result, error) {
@@ -32,8 +29,6 @@ func (e *Engine) solveSouthwell(vs []Vector, cfg Config) ([]*Result, error) {
 	start := time.Now()
 	stats := &SolveStats{
 		Algorithm:   AlgoGaussSouthwell,
-		Layout:      LayoutFlat,
-		Precision:   PrecisionFloat64,
 		Batch:       k,
 		Workers:     1,
 		WarmStarted: cfg.WarmStart != nil || cfg.WarmStarts != nil,
@@ -42,7 +37,6 @@ func (e *Engine) solveSouthwell(vs []Vector, cfg Config) ([]*Result, error) {
 	sp := octx.Span("pagerank.solve")
 	if sp != nil {
 		sp.SetAttr("algorithm", cfg.Algorithm.String())
-		sp.SetAttr("layout", stats.Layout.String())
 		sp.SetAttr("batch", k)
 		sp.SetAttr("nodes", n)
 		sp.SetAttr("workers", 1)

@@ -63,22 +63,6 @@ type TraceFunc func(TraceEvent)
 // solve). All Results of a batch share the same *SolveStats.
 type SolveStats struct {
 	Algorithm Algorithm
-	// Layout is the adjacency layout the sweeps actually ran on. An
-	// engine built with LayoutBlocked still reports LayoutFlat here for
-	// the algorithms that use the flat adjacency (Gauss-Seidel,
-	// Gauss-Southwell).
-	Layout Layout
-	// Precision is the solution-vector storage the solve used.
-	// PrecisionFloat32 solves always end in a float64 finish phase —
-	// float32-phase residuals are measured between quantized iterates
-	// and never declare convergence — so stored results meet Epsilon in
-	// full precision.
-	Precision Precision
-	// Float32Iterations is the number of leading iterations run with
-	// float32 storage (0 for pure float64 solves). EdgesSwept counts
-	// these identically to float64 iterations: every sweep traverses
-	// all m in-edges regardless of layout or precision.
-	Float32Iterations int
 	// Batch is the number of jump vectors solved together.
 	Batch int
 	// Iterations is the number of sweeps executed before the whole

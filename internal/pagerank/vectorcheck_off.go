@@ -9,7 +9,3 @@ const vectorCheckEnabled = false
 // `-tags vectorcheck` to scan every solve result for NaN, ±Inf, and
 // negative scores at the engine boundary.
 func vectorCheck([]*Result) error { return nil }
-
-// vectorCheckF32 is a no-op in regular builds; under `-tags
-// vectorcheck` it scans the float32-phase iterate before promotion.
-func vectorCheckF32([]float32, int) error { return nil }

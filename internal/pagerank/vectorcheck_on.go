@@ -19,27 +19,6 @@ const vectorCheckEnabled = true
 // a poisoned input (NaN jump weight, corrupted warm start) or a solver
 // bug — both far easier to localize here than three packages
 // downstream in a mass estimate.
-// vectorCheckF32 is the mixed-precision sibling of vectorCheck: under
-// `-tags vectorcheck` the float32-phase iterate is scanned right before
-// promotion to float64, so a NaN, ±Inf, or negative entry is pinned to
-// the low-precision phase instead of surfacing later as a mysterious
-// failure of the float64 finish. buf is the interleaved batch buffer
-// (k columns per row).
-func vectorCheckF32(buf []float32, k int) error {
-	for i, x := range buf {
-		v := float64(x)
-		switch {
-		case math.IsNaN(v):
-			return fmt.Errorf("vectorcheck: float32 phase produced NaN at row %d column %d", i/k, i%k)
-		case math.IsInf(v, 0):
-			return fmt.Errorf("vectorcheck: float32 phase produced %v at row %d column %d", v, i/k, i%k)
-		case v < 0:
-			return fmt.Errorf("vectorcheck: float32 phase produced negative score %v at row %d column %d", v, i/k, i%k)
-		}
-	}
-	return nil
-}
-
 func vectorCheck(results []*Result) error {
 	for j, r := range results {
 		if r == nil {

@@ -26,49 +26,6 @@ func estimatorBuilder(h *graph.HostGraph, core []graph.NodeID, solver pagerank.C
 	}
 }
 
-// TestRefreshBlockedLayoutMatchesFlat runs the production refresh path
-// with the degree-sorted compressed solver layout (spamserver's
-// default) and the mixed-precision variant, checking the published
-// records against a flat float64 refresh. The layouts permute node IDs
-// internally; any leak of the permutation through the snapshot would
-// misattribute spam mass to the wrong hosts.
-func TestRefreshBlockedLayoutMatchesFlat(t *testing.T) {
-	h := testHostGraph(t)
-	core := []graph.NodeID{0, 1}
-	snapshotFor := func(solver pagerank.Config) *Snapshot {
-		t.Helper()
-		st := NewStore()
-		ref := NewRefresher(st, estimatorBuilder(h, core, solver), RefresherConfig{})
-		if err := ref.Refresh(context.Background()); err != nil {
-			t.Fatalf("refresh (layout %v, precision %v): %v", solver.Layout, solver.Precision, err)
-		}
-		return st.Load()
-	}
-	want := snapshotFor(pagerank.DefaultConfig())
-	for _, solver := range []pagerank.Config{
-		{Damping: 0.85, Epsilon: 1e-12, MaxIter: 1000, Layout: pagerank.LayoutBlocked},
-		{Damping: 0.85, Epsilon: 1e-12, MaxIter: 1000, Layout: pagerank.LayoutBlocked, Precision: pagerank.PrecisionFloat32},
-	} {
-		got := snapshotFor(solver)
-		for x := 0; x < h.Graph.NumNodes(); x++ {
-			w, _ := want.LookupNode(graph.NodeID(x))
-			g, ok := got.LookupNode(graph.NodeID(x))
-			if !ok {
-				t.Fatalf("node %d missing from blocked snapshot", x)
-			}
-			if diff := g.PageRank - w.PageRank; diff > 1e-9 || diff < -1e-9 {
-				t.Errorf("node %d: blocked PageRank %v vs flat %v", x, g.PageRank, w.PageRank)
-			}
-			if diff := g.CorePageRank - w.CorePageRank; diff > 1e-9 || diff < -1e-9 {
-				t.Errorf("node %d: blocked CorePageRank %v vs flat %v", x, g.CorePageRank, w.CorePageRank)
-			}
-			if g.Label != w.Label {
-				t.Errorf("node %d: blocked label %v vs flat %v", x, g.Label, w.Label)
-			}
-		}
-	}
-}
-
 func TestRefreshPublishes(t *testing.T) {
 	h := testHostGraph(t)
 	st := NewStore()

@@ -3,8 +3,11 @@
 #
 # Generates a small synthetic web graph, starts spamserver on an
 # ephemeral port, probes /healthz, /readyz, one /v1/host lookup, and
-# /v1/top, forces a synchronous refresh, and shuts the server down.
-# Exits non-zero on any failed probe. Run via `make serve-smoke`.
+# /v1/top, forces a synchronous refresh, checks /metrics still carries
+# the solve-iteration gauge, and shuts the server down. It first
+# asserts the removed -solver-layout / -solver-precision flags are
+# rejected loudly. Exits non-zero on any failed probe. Run via
+# `make serve-smoke`.
 set -eu
 
 GO=${GO:-go}
@@ -23,6 +26,24 @@ $GO build -o "$WORK/spamserver" ./cmd/spamserver
 
 echo "serve-smoke: generating 10k-host example graph"
 "$WORK/genweb" -hosts 10000 -out "$WORK/web" >/dev/null
+
+# The blocked layout and the float32 phase are gone, and so are their
+# flags: an operator still passing one gets the flag package's error
+# and a non-zero exit, not a silently different solver.
+for removed in -solver-layout=flat -solver-precision=float64; do
+    if "$WORK/spamserver" "$removed" -addr 127.0.0.1:0 \
+        -graph "$WORK/web.graph" -names "$WORK/web.names" -core "$WORK/web.core" \
+        2>"$WORK/removed.log"; then
+        echo "serve-smoke: spamserver accepted removed flag $removed" >&2
+        exit 1
+    fi
+    if ! grep -q "flag provided but not defined: ${removed%%=*}" "$WORK/removed.log"; then
+        echo "serve-smoke: removed flag $removed not rejected by the flag package:" >&2
+        cat "$WORK/removed.log" >&2
+        exit 1
+    fi
+done
+echo "serve-smoke: removed solver flags are rejected"
 
 "$WORK/spamserver" -addr 127.0.0.1:0 -addr-file "$WORK/addr" \
     -graph "$WORK/web.graph" -names "$WORK/web.names" -core "$WORK/web.core" \
@@ -62,6 +83,11 @@ probe "host lookup" "http://$ADDR/v1/host/$HOST"
 probe top "http://$ADDR/v1/top?n=3"
 probe refresh "http://$ADDR/admin/refresh?wait=1" -X POST
 probe status "http://$ADDR/admin/status"
+if ! curl -sS --fail --max-time 10 "http://$ADDR/metrics" | grep -q '^pagerank_solve_iterations '; then
+    echo "serve-smoke: /metrics is missing pagerank_solve_iterations" >&2
+    exit 1
+fi
+echo "serve-smoke: /metrics carries pagerank_solve_iterations"
 
 kill "$SERVER_PID"
 wait "$SERVER_PID" 2>/dev/null || true
