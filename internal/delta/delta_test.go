@@ -412,8 +412,18 @@ func TestApplyParity(t *testing.T) {
 		if !res.Hosts.Graph.Equal(want.Graph) {
 			t.Fatalf("gen %d: CSR arrays differ from scratch rebuild", gen)
 		}
-		if !reflect.DeepEqual(res.Hosts.HostIndex(), want.HostIndex()) {
-			t.Fatalf("gen %d: host indexes differ", gen)
+		// The merged index must agree with the scratch rebuild's (which
+		// NewHostGraph derives from Names) on every name either graph
+		// carries and on every name of the previous generation — a
+		// removed host left behind in the merged index resolves only there.
+		for _, names := range [][]string{res.Hosts.Names, want.Names, h.Names} {
+			for _, name := range names {
+				gx, gok := res.Hosts.NodeByName(name)
+				wx, wok := want.NodeByName(name)
+				if gx != wx || gok != wok {
+					t.Fatalf("gen %d: merged index resolves %q to %d,%v, scratch rebuild to %d,%v", gen, name, gx, gok, wx, wok)
+				}
+			}
 		}
 		h = res.Hosts
 	}

@@ -47,6 +47,9 @@ func ReadText(r io.Reader) (*Graph, error) {
 			if _, err := fmt.Sscanf(text, "n %d", &n); err != nil {
 				return nil, fmt.Errorf("graph: line %d: expected header \"n <nodes>\": %w", line, err)
 			}
+			if n < 0 {
+				return nil, fmt.Errorf("graph: line %d: negative node count %d", line, n)
+			}
 			b = NewBuilder(n)
 			continue
 		}

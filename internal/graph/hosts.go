@@ -56,7 +56,11 @@ type HostGraph struct {
 	Graph *Graph
 	// Names[x] is the host name of node x.
 	Names []string
-	// index maps a host name back to its node ID.
+	// index maps a host name back to its node ID. It is built once at
+	// construction, never exported and never written afterwards, so
+	// every holder of the HostGraph — a serving snapshot included —
+	// reads it through NodeByName without a copy; a delta builds a new
+	// HostGraph with its own index rather than mutating this one.
 	index map[string]NodeID
 }
 
@@ -64,22 +68,6 @@ type HostGraph struct {
 func (h *HostGraph) NodeByName(name string) (NodeID, bool) {
 	id, ok := h.index[name]
 	return id, ok
-}
-
-// HostIndex returns the name→node map of the graph. The internal index
-// is built once at construction; each call returns a fresh copy, so
-// callers may hold or mutate the result without aliasing the graph's
-// own lookup state (the same no-shared-mutable-state rule the
-// sliceexport analyzer enforces for numeric slices). Use NodeByName for
-// single lookups; HostIndex is for callers that need the whole table,
-// e.g. a serving snapshot that must keep resolving names after the
-// HostGraph itself has been replaced.
-func (h *HostGraph) HostIndex() map[string]NodeID {
-	out := make(map[string]NodeID, len(h.index))
-	for name, id := range h.index {
-		out[name] = id
-	}
-	return out
 }
 
 // CollapseToHosts builds the host-level graph from a page-level graph g

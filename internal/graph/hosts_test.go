@@ -66,37 +66,6 @@ func TestCollapseToHostsErrors(t *testing.T) {
 	}
 }
 
-func TestHostIndex(t *testing.T) {
-	g := FromEdges(3, [][2]NodeID{{0, 1}, {1, 2}})
-	h, err := NewHostGraph(g, []string{"a.example", "b.example", "c.example"})
-	if err != nil {
-		t.Fatalf("NewHostGraph: %v", err)
-	}
-	idx := h.HostIndex()
-	if len(idx) != 3 {
-		t.Fatalf("HostIndex has %d entries, want 3", len(idx))
-	}
-	for i, name := range h.Names {
-		if idx[name] != NodeID(i) {
-			t.Errorf("HostIndex[%q] = %d, want %d", name, idx[name], i)
-		}
-	}
-	// The returned map is a copy: mutating it must not corrupt the
-	// graph's own lookup state or a previously returned index.
-	idx2 := h.HostIndex()
-	idx["b.example"] = 99
-	delete(idx, "a.example")
-	if id, ok := h.NodeByName("b.example"); !ok || id != 1 {
-		t.Errorf("NodeByName(b.example) = %d,%v after mutating HostIndex copy, want 1,true", id, ok)
-	}
-	if id, ok := h.NodeByName("a.example"); !ok || id != 0 {
-		t.Errorf("NodeByName(a.example) = %d,%v after deleting from HostIndex copy, want 0,true", id, ok)
-	}
-	if idx2["b.example"] != 1 {
-		t.Errorf("second HostIndex copy sees %d for b.example, want 1", idx2["b.example"])
-	}
-}
-
 func TestNewHostGraph(t *testing.T) {
 	g := FromEdges(2, [][2]NodeID{{0, 1}})
 	if _, err := NewHostGraph(g, []string{"a"}); err == nil {

@@ -205,3 +205,19 @@ func BenchmarkSnapshotLookup(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNewSnapshot times one snapshot build — what every boot,
+// refresh, delta and recovery ends in — on the webgen fixture.
+func BenchmarkNewSnapshot(b *testing.B) {
+	b.Run("100k", func(b *testing.B) {
+		w := webFixture(b)
+		cfg := w.config()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := NewSnapshot(w.hosts, w.est, cfg, 1); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

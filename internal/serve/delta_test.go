@@ -121,6 +121,73 @@ func TestApplyDeltaAdvancesEpoch(t *testing.T) {
 	}
 }
 
+// TestSnapshotResolvesAfterNextGeneration pins the ownership rule that
+// lets a snapshot resolve names through its HostGraph's index instead
+// of a private copy: a delta builds a new HostGraph and never touches
+// the old one. A reader keeps looking hosts up in the held epoch-1
+// snapshot while the delta that removes one host and adds another is
+// applied and published (under -race a write to the old index would be
+// a reported race), and afterwards epoch 1 still answers exactly what
+// it answered before.
+func TestSnapshotResolvesAfterNextGeneration(t *testing.T) {
+	h, st, ref := newDeltaRefresher(t)
+	old := st.Load()
+	before := make(map[string]HostRecord)
+	for _, name := range h.Names {
+		rec, ok := old.Lookup(name)
+		if !ok {
+			t.Fatalf("epoch 1 misses %s", name)
+		}
+		before[name] = rec
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			name := h.Names[i%len(h.Names)]
+			if rec, ok := old.Lookup(name); !ok || rec != before[name] {
+				t.Errorf("epoch 1 Lookup(%s) = %+v,%v during the delta", name, rec, ok)
+				return
+			}
+		}
+	}()
+	err := ref.ApplyDelta(context.Background(), &delta.Batch{Ops: []delta.Op{
+		delta.RemoveHostOp("e.example"),
+		delta.AddHostOp("f.example"),
+		delta.AddEdgeOp("d.example", "f.example"),
+	}})
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("ApplyDelta: %v", err)
+	}
+	cur := st.Load()
+	if cur.Epoch() != 2 {
+		t.Fatalf("epoch %d after delta, want 2", cur.Epoch())
+	}
+	if _, ok := cur.Lookup("e.example"); ok {
+		t.Error("epoch 2 still serves the removed host")
+	}
+	if rec, ok := cur.Lookup("f.example"); !ok || rec.Epoch != 2 {
+		t.Errorf("epoch 2 Lookup(f.example) = %+v,%v", rec, ok)
+	}
+	for name, want := range before {
+		if rec, ok := old.Lookup(name); !ok || rec != want {
+			t.Errorf("held epoch 1 Lookup(%s) = %+v,%v, want its original record %+v", name, rec, ok, want)
+		}
+	}
+	if _, ok := old.Lookup("f.example"); ok {
+		t.Error("held epoch 1 resolves a host added in epoch 2")
+	}
+}
+
 // TestApplyDeltaConflictKeepsSnapshot feeds a conflicting batch and
 // asserts graceful degradation: the error surfaces, the previous
 // snapshot keeps serving, and nothing counts as applied.

@@ -2,12 +2,242 @@ package serve
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"spammass/internal/graph"
 	"spammass/internal/mass"
 	"spammass/internal/pagerank"
+	"spammass/internal/testutil"
+	"spammass/internal/webgen"
 )
+
+// webWorld is the shared 100k-host webgen world with real estimates
+// from its assembled good core: the fixture of the ranking oracle, the
+// /v1/top byte comparison, the NewSnapshot allocation budget and
+// BenchmarkNewSnapshot. About 28 % of its hosts are isolated and share
+// one exact p and M̃, and every host the core does not reach ties at
+// m̃ = 1, so all three rankings carry large exact-tie groups.
+type webWorld struct {
+	hosts *graph.HostGraph
+	est   *mass.Estimates
+	core  []graph.NodeID
+}
+
+var loadWebWorld = sync.OnceValues(func() (*webWorld, error) {
+	h, core, err := testutil.Web(webgen.DefaultConfig(100000))
+	if err != nil {
+		return nil, err
+	}
+	est, err := mass.EstimateFromCore(h.Graph, core, mass.DefaultOptions())
+	if err != nil {
+		return nil, err
+	}
+	return &webWorld{hosts: h, est: est, core: core}, nil
+})
+
+func webFixture(tb testing.TB) *webWorld {
+	tb.Helper()
+	w, err := loadWebWorld()
+	if err != nil {
+		tb.Fatalf("webgen fixture: %v", err)
+	}
+	return w
+}
+
+func (w *webWorld) config() SnapshotConfig {
+	return SnapshotConfig{Detect: mass.DefaultDetectConfig(), Gamma: mass.DefaultOptions().Gamma, Core: w.core}
+}
+
+func (w *webWorld) snapshot(tb testing.TB, epoch int64) *Snapshot {
+	tb.Helper()
+	snap, err := NewSnapshot(w.hosts, w.est, w.config(), epoch)
+	if err != nil {
+		tb.Fatalf("NewSnapshot: %v", err)
+	}
+	return snap
+}
+
+// rankOracle is the ranking as NewSnapshot built it before the bounded
+// selection: materialise every candidate record, full-sort by key
+// descending then host name ascending, keep the first MaxTop. It spells
+// the order out instead of calling rankedBefore so the two can disagree.
+func rankOracle(s *Snapshot, metric string) []HostRecord {
+	key, _ := rankKey(metric)
+	var all []HostRecord
+	for _, rec := range s.records {
+		if metric == MetricRelMass && !rec.Evaluated {
+			continue
+		}
+		all = append(all, rec)
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if ki, kj := key(&all[i]), key(&all[j]); ki != kj {
+			return ki > kj
+		}
+		return all[i].Host < all[j].Host
+	})
+	return all[:min(s.cfg.MaxTop, len(all))]
+}
+
+// assertTopMatchesOracle compares Snapshot.Top with the oracle element
+// for element (every HostRecord field) on all three metrics, at the
+// full precomputed length and at a few prefixes.
+func assertTopMatchesOracle(t *testing.T, snap *Snapshot) {
+	t.Helper()
+	for _, metric := range []string{MetricRelMass, MetricAbsMass, MetricPageRank} {
+		want := rankOracle(snap, metric)
+		for _, n := range []int{len(want) + 5, len(want), len(want) / 2, 1, 0} {
+			got, err := snap.Top(metric, n)
+			if err != nil {
+				t.Fatalf("Top(%s, %d): %v", metric, n, err)
+			}
+			if wantN := min(max(n, 0), len(want)); len(got) != wantN {
+				t.Fatalf("Top(%s, %d) has %d records, oracle %d", metric, n, len(got), wantN)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("Top(%s, %d)[%d] = %+v, oracle %+v", metric, n, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+func TestRankMatchesOracleWebgen(t *testing.T) {
+	snap := webFixture(t).snapshot(t, 1)
+	assertTopMatchesOracle(t, snap)
+	// The fixture must keep exercising what it is here for: a PageRank
+	// tie group larger than the ranking itself, and an examined set that
+	// is a strict, non-empty subset.
+	ties := map[float64]int{}
+	evaluated := 0
+	for _, rec := range snap.records {
+		ties[rec.PageRank]++
+		if rec.Evaluated {
+			evaluated++
+		}
+	}
+	largest := 0
+	for _, c := range ties {
+		largest = max(largest, c)
+	}
+	if largest <= DefaultMaxTop || evaluated == 0 || evaluated == snap.NumHosts() {
+		t.Fatalf("fixture lost its shape: largest exact-p tie %d (want > %d), %d of %d hosts examined",
+			largest, DefaultMaxTop, evaluated, snap.NumHosts())
+	}
+}
+
+// vectorSnapshot builds a snapshot straight from raw p and p' vectors
+// over an edgeless graph, so a test controls every ranking key.
+func vectorSnapshot(t *testing.T, names []string, p, pCore pagerank.Vector, cfg SnapshotConfig) *Snapshot {
+	t.Helper()
+	h, err := graph.NewHostGraph(graph.FromEdges(len(names), nil), names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := NewSnapshot(h, mass.Derive(p, pCore, 0.85), cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// TestRankCutInsideTieGroup puts the MaxTop cut strictly inside a group
+// of hosts with identical scores: two hosts rank above the group, the
+// cut keeps three of its six members, and only the host name decides
+// which three. Node order is scrambled against name order so an
+// ID-order or arrival-order selection fails.
+func TestRankCutInsideTieGroup(t *testing.T) {
+	names := []string{"t4", "low2", "t1", "top2", "t6", "low1", "t3", "top1", "t5", "t2", "low3", "low4"}
+	p := make(pagerank.Vector, len(names))
+	pCore := make(pagerank.Vector, len(names))
+	for x, name := range names {
+		switch {
+		case strings.HasPrefix(name, "top"):
+			p[x], pCore[x] = 0.4, 0.1
+		case strings.HasPrefix(name, "low"):
+			p[x], pCore[x] = 0.1, 0.075
+		default:
+			p[x], pCore[x] = 0.2, 0.1
+		}
+	}
+	cfg := SnapshotConfig{Detect: mass.DetectConfig{RelMassThreshold: 0.5}, MaxTop: 5}
+	snap := vectorSnapshot(t, names, p, pCore, cfg)
+	assertTopMatchesOracle(t, snap)
+	want := []string{"top1", "top2", "t1", "t2", "t3"}
+	for _, metric := range []string{MetricRelMass, MetricAbsMass, MetricPageRank} {
+		if got := topHosts(t, snap, metric, 5); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s top-5 = %v, want %v", metric, got, want)
+		}
+	}
+	for _, maxTop := range []int{1, 3, len(names), len(names) + 5} {
+		cfg.MaxTop = maxTop
+		snap := vectorSnapshot(t, names, p, pCore, cfg)
+		assertTopMatchesOracle(t, snap)
+		if got, want := len(topHosts(t, snap, MetricPageRank, 100)), min(maxTop, len(names)); got != want {
+			t.Errorf("MaxTop=%d: ranking has %d records, want %d", maxTop, got, want)
+		}
+	}
+}
+
+// TestRankEmptyExaminedSet sets ρ above every scaled PageRank: no host
+// is examined, so the relative-mass ranking is empty while the other
+// two still rank everything.
+func TestRankEmptyExaminedSet(t *testing.T) {
+	names := []string{"c", "a", "d", "b"}
+	p := pagerank.Vector{0.1, 0.4, 0.2, 0.3}
+	pCore := pagerank.Vector{0.05, 0.1, 0.2, 0}
+	cfg := SnapshotConfig{Detect: mass.DetectConfig{RelMassThreshold: 0.5, ScaledPageRankThreshold: 1e9}}
+	snap := vectorSnapshot(t, names, p, pCore, cfg)
+	assertTopMatchesOracle(t, snap)
+	if got := topHosts(t, snap, MetricRelMass, 10); len(got) != 0 {
+		t.Errorf("relmass ranking over an empty examined set = %v", got)
+	}
+	if got := topHosts(t, snap, MetricPageRank, 10); fmt.Sprint(got) != "[a b d c]" {
+		t.Errorf("pagerank ranking = %v, want [a b d c]", got)
+	}
+	if got := topHosts(t, snap, MetricAbsMass, 10); fmt.Sprint(got) != "[a b c d]" {
+		t.Errorf("absmass ranking = %v, want [a b c d]", got)
+	}
+}
+
+// TestRankMatchesOracleRandomTies draws 50 seeded estimate vectors
+// whose p and p' each take one of four values, so every ranking is
+// almost all ties, with MaxTop anywhere from 1 to past n and ρ set so
+// that about half the hosts are examined.
+func TestRankMatchesOracleRandomTies(t *testing.T) {
+	values := []float64{0.125, 0.25, 0.5, 1}
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 20 + rng.Intn(300)
+		names := make([]string, n)
+		for i, j := range rng.Perm(n) {
+			names[i] = fmt.Sprintf("h%03d.example", j)
+		}
+		p := make(pagerank.Vector, n)
+		pCore := make(pagerank.Vector, n)
+		for x := range p {
+			p[x] = values[rng.Intn(4)] / float64(n)
+			pCore[x] = values[rng.Intn(4)] / float64(n) / 2
+		}
+		cfg := SnapshotConfig{
+			// Scaled, p is values[i]/(1−c): ρ falls between the second
+			// and third value.
+			Detect: mass.DetectConfig{RelMassThreshold: 0.5, ScaledPageRankThreshold: 0.375 / (1 - 0.85)},
+			MaxTop: 1 + rng.Intn(n+5),
+		}
+		snap := vectorSnapshot(t, names, p, pCore, cfg)
+		assertTopMatchesOracle(t, snap)
+		if t.Failed() {
+			t.Fatalf("seed %d (n=%d, MaxTop=%d)", seed, n, cfg.MaxTop)
+		}
+	}
+}
 
 // tieSnapshot builds a snapshot over hosts whose scores are all equal,
 // with the node↔name assignment given by order. Equal scores force

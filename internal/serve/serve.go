@@ -1,7 +1,7 @@
 // Package serve is the online query layer over the batch detector:
-// it packages one complete detection state — host graph, mass
-// estimates, per-host detection records, and the host-name index —
-// into an immutable Snapshot, publishes snapshots through an atomic
+// it packages one complete detection state — host graph (which owns
+// the host-name index), mass estimates, and per-host detection records
+// — into an immutable Snapshot, publishes snapshots through an atomic
 // double-buffered Store so readers never block, and answers HTTP JSON
 // queries (single host, bounded batch, precomputed rankings) against
 // whichever snapshot is current.
@@ -34,7 +34,6 @@ import (
 
 	"spammass/internal/graph"
 	"spammass/internal/mass"
-	"spammass/internal/obs"
 )
 
 // HostRecord is the JSON answer for one host: the detection row of
@@ -98,14 +97,13 @@ type SnapshotConfig struct {
 // for unsynchronized concurrent use, and nothing in a Snapshot changes
 // after NewSnapshot returns. Records, labels, and rankings are
 // precomputed at build time so the query path is a map lookup plus an
-// indexed read.
+// indexed read. The map is the HostGraph's own; a delta builds a new one.
 type Snapshot struct {
 	epoch    int64
 	builtAt  time.Time
 	hosts    *graph.HostGraph
 	est      *mass.Estimates
 	cfg      SnapshotConfig
-	index    map[string]graph.NodeID
 	records  []HostRecord
 	rankings map[string][]HostRecord
 }
@@ -150,7 +148,6 @@ func NewSnapshot(hosts *graph.HostGraph, est *mass.Estimates, cfg SnapshotConfig
 		hosts:   hosts,
 		est:     est,
 		cfg:     cfg,
-		index:   hosts.HostIndex(),
 		records: make([]HostRecord, n),
 	}
 	for x := 0; x < n; x++ {
@@ -214,24 +211,39 @@ func sortRanked(recs []HostRecord, key func(*HostRecord) float64) {
 // rank returns the top-k records by key in the serving order
 // (rankedBefore). evaluatedOnly restricts the ranking to the examined
 // set T — the relative-mass ranking is meaningless below ρ, where tiny
-// absolute errors blow up m̃ (Section 3.6).
+// absolute errors blow up m̃ (Section 3.6). A heap rooted at the worst
+// kept host holds the k best seen so far and only those are sorted; host
+// names are unique, so the order is total: a full sort's exact k-prefix.
 func (s *Snapshot) rank(k int, evaluatedOnly bool, key func(*HostRecord) float64) []HostRecord {
-	idx := make([]int, 0, len(s.records))
-	for x := range s.records {
-		if evaluatedOnly && !s.records[x].Evaluated {
-			continue
-		}
-		idx = append(idx, x)
-	}
-	sort.Slice(idx, func(i, j int) bool {
-		a, b := &s.records[idx[i]], &s.records[idx[j]]
+	before := func(x, y int) bool {
+		a, b := &s.records[x], &s.records[y]
 		return rankedBefore(key(a), key(b), a.Host, b.Host)
-	})
-	if k > len(idx) {
-		k = len(idx)
 	}
-	out := make([]HostRecord, k)
-	for i, x := range idx[:k] {
+	kept := make([]int, 0, min(k, len(s.records)))
+	for x := range s.records {
+		switch {
+		case evaluatedOnly && !s.records[x].Evaluated:
+		case len(kept) < k:
+			if kept = append(kept, x); len(kept) == k {
+				// Worst first: a slice sorted that way is already a heap.
+				sort.Slice(kept, func(i, j int) bool { return before(kept[j], kept[i]) })
+			}
+		case before(x, kept[0]):
+			kept[0] = x
+			for i, c := 0, 1; c < k; i, c = c, 2*c+1 {
+				if c+1 < k && before(kept[c], kept[c+1]) {
+					c++
+				}
+				if !before(kept[i], kept[c]) {
+					break
+				}
+				kept[i], kept[c] = kept[c], kept[i]
+			}
+		}
+	}
+	sort.Slice(kept, func(i, j int) bool { return before(kept[i], kept[j]) })
+	out := make([]HostRecord, len(kept))
+	for i, x := range kept {
 		out[i] = s.records[x]
 	}
 	return out
@@ -298,7 +310,7 @@ func (s *Snapshot) Core() []graph.NodeID {
 
 // Lookup resolves a host name to its record.
 func (s *Snapshot) Lookup(name string) (HostRecord, bool) {
-	x, ok := s.index[name]
+	x, ok := s.hosts.NodeByName(name)
 	if !ok {
 		return HostRecord{}, false
 	}
@@ -331,16 +343,4 @@ func (s *Snapshot) Top(metric string, n int) ([]HostRecord, error) {
 	out := make([]HostRecord, n)
 	copy(out, ranked[:n])
 	return out, nil
-}
-
-// Summary condenses the snapshot into the RunReport mass section, so a
-// server -report carries the same diagnostics as a batch run.
-func (s *Snapshot) Summary() *obs.MassSummary {
-	candidates := 0
-	for x := range s.records {
-		if s.records[x].Label == obs.LabelSpam {
-			candidates++
-		}
-	}
-	return mass.ReportSummary(s.est, s.cfg.CoreSize, s.cfg.Gamma, s.cfg.Detect, candidates)
 }

@@ -169,6 +169,40 @@ func TestTopEndpoint(t *testing.T) {
 	}
 }
 
+// TestTopEndpointMatchesOracleBytes holds GET /v1/top to the full-sort
+// oracle byte for byte on the webgen fixture: the response body must be
+// exactly the JSON of the oracle's prefix, for every metric, at n from
+// 1 to past MaxTop (clamped).
+func TestTopEndpointMatchesOracleBytes(t *testing.T) {
+	snap := webFixture(t).snapshot(t, 3)
+	st := NewStore()
+	if err := st.Publish(snap); err != nil {
+		t.Fatal(err)
+	}
+	handler := NewServer(st, nil, Config{}).Handler()
+	for _, metric := range []string{MetricRelMass, MetricAbsMass, MetricPageRank} {
+		oracle := rankOracle(snap, metric)
+		if len(oracle) != DefaultMaxTop {
+			t.Fatalf("%s oracle has %d records, want MaxTop=%d", metric, len(oracle), DefaultMaxTop)
+		}
+		for _, n := range []int{1, 100, 1000, 5000} {
+			rr := httptest.NewRecorder()
+			handler.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/top?metric=%s&n=%d", metric, n), nil))
+			if rr.Code != http.StatusOK {
+				t.Fatalf("top %s n=%d: status %d", metric, n, rr.Code)
+			}
+			want, err := json.Marshal(TopResponse{Epoch: 3, Metric: metric, Records: oracle[:min(n, len(oracle))]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want = append(want, '\n'); !bytes.Equal(rr.Body.Bytes(), want) {
+				t.Errorf("top %s n=%d: body (%d bytes) differs from the oracle's JSON (%d bytes)",
+					metric, n, rr.Body.Len(), len(want))
+			}
+		}
+	}
+}
+
 func TestReadyzAndStatus(t *testing.T) {
 	_, st, ts := newTestServer(t, Config{})
 	var ready struct {

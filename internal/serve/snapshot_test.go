@@ -2,8 +2,10 @@ package serve
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"spammass/internal/graph"
 	"spammass/internal/mass"
@@ -145,6 +147,41 @@ func TestSnapshotTopRelMassEvaluatedOnly(t *testing.T) {
 		if !r.Evaluated {
 			t.Errorf("relmass ranking includes unevaluated host %s", r.Host)
 		}
+	}
+}
+
+// TestNewSnapshotAllocBudget is the first line of the bytes-per-host
+// budget: one build may allocate the records table plus a fixed 2 MB
+// (three MaxTop rankings, their selection heaps, the core clone) in at
+// most 64 allocations. Anything that scales with n beyond the records —
+// a copy of the name index, an n-entry sort permutation — breaks it.
+// The counters are process-wide, so the best of three builds is held
+// to the budget.
+func TestNewSnapshotAllocBudget(t *testing.T) {
+	w := webFixture(t)
+	cfg := w.config()
+	const recordSize = uint64(unsafe.Sizeof(HostRecord{}))
+	n := uint64(len(w.hosts.Names))
+	budget := n*recordSize + 2<<20
+	allocated, mallocs := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		_, err := NewSnapshot(w.hosts, w.est, cfg, 1)
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocated = min(allocated, m1.TotalAlloc-m0.TotalAlloc)
+		mallocs = min(mallocs, m1.Mallocs-m0.Mallocs)
+	}
+	t.Logf("NewSnapshot over %d hosts: %d bytes, %d mallocs (budget %d bytes, 64 mallocs)", n, allocated, mallocs, budget)
+	if allocated > budget {
+		t.Errorf("NewSnapshot allocated %d bytes over %d hosts, budget %d (n·%d + 2 MB)",
+			allocated, n, budget, recordSize)
+	}
+	if mallocs > 64 {
+		t.Errorf("NewSnapshot made %d allocations, budget 64", mallocs)
 	}
 }
 

@@ -18,6 +18,12 @@ func SmallWeb() (*graph.HostGraph, []graph.NodeID, error) {
 	// share rounds to zero hosts and one subculture outgrows the web.
 	cfg.CoreEligibleFrac = 0.02
 	cfg.SubcultureMin, cfg.SubcultureMax = 20, 60
+	return Web(cfg)
+}
+
+// Web generates the webgen world cfg describes as a host graph, with
+// its assembled good core.
+func Web(cfg webgen.Config) (*graph.HostGraph, []graph.NodeID, error) {
 	w, err := webgen.Generate(cfg)
 	if err != nil {
 		return nil, nil, err
