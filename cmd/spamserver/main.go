@@ -11,7 +11,7 @@
 //	           [-refresh 15m] [-refresh-timeout 5m]
 //	           [-delta-watch path.delta] [-delta-poll 2s]
 //	           [-wal-dir path] [-compact-every 1m] [-wal-group-commit 0]
-//	           [-ingest-queue 16] [-anytime-every 0] [-anytime-walks 100]
+//	           [-ingest-queue 16]
 //	           [-max-inflight 256] [-timeout 5s] [-max-batch 1000]
 //	           [-addr-file path] [-debug-addr :6060] [-v]
 //	           [-metrics=true] [-tracing=true] [-sample-interval 15s]
@@ -74,9 +74,6 @@
 // cold, so kill -9 at any point loses nothing acknowledged. A full
 // ingest queue (-ingest-queue) answers 429 + Retry-After.
 // -wal-group-commit batches fsyncs across concurrent submitters.
-// -anytime-every N additionally serves anytime Monte-Carlo estimates
-// (incrementally repaired random walks, -anytime-walks per node)
-// between exact warm solves, which then run every N-th batch only.
 package main
 
 import (
@@ -119,8 +116,6 @@ func main() {
 	compactEvery := flag.Duration("compact-every", time.Minute, "fold the applied WAL prefix into a persisted snapshot this often (needs -wal-dir)")
 	groupCommit := flag.Duration("wal-group-commit", 0, "batch WAL fsyncs across submitters arriving within this window (0 = fsync per append)")
 	ingestQueue := flag.Int("ingest-queue", 0, "ingest queue capacity before /admin/delta answers 429 (0 = default)")
-	anytimeEvery := flag.Int("anytime-every", 0, "serve anytime Monte-Carlo estimates, running the exact warm solve only every N-th batch (0 or 1 = every batch exact)")
-	anytimeWalks := flag.Int("anytime-walks", 100, "stored random walks per node for -anytime-every")
 	maxInflight := flag.Int("max-inflight", serve.DefaultMaxInFlight, "concurrent /v1/* requests before shedding with 429")
 	reqTimeout := flag.Duration("timeout", serve.DefaultTimeout, "per-request deadline")
 	maxBatch := flag.Int("max-batch", serve.DefaultMaxBatch, "host limit per POST /v1/batch")
@@ -236,33 +231,11 @@ func main() {
 		Window: *driftWindow, ZThreshold: *driftZ, Obs: octx,
 	})
 
-	// The delta apply path: the plain warm-solve builder, or — with
-	// -anytime-every > 1 — the hybrid builder that serves incrementally
-	// repaired Monte-Carlo estimates between exact solves.
-	applyDelta := serve.NewDeltaBuilder(serve.DeltaBuilderConfig{Solver: solver, Obs: octx})
-	if *anytimeEvery > 1 {
-		any, err := ingest.NewAnytime(ingest.AnytimeConfig{
-			WalksPerNode: *anytimeWalks,
-			ExactEvery:   *anytimeEvery,
-			Seed:         1,
-			Obs:          octx,
-		})
-		if err != nil {
-			die("anytime estimator: %v", err)
-		}
-		applyDelta, err = ingest.NewHybridDeltaBuilder(ingest.HybridBuilderConfig{
-			Solver: solver, Anytime: any, Obs: octx,
-		})
-		if err != nil {
-			die("hybrid builder: %v", err)
-		}
-	}
-
 	var pl *ingest.Pipeline
 	rcfg := serve.RefresherConfig{
 		Interval:   *refresh,
 		Timeout:    *refreshTimeout,
-		ApplyDelta: applyDelta,
+		ApplyDelta: serve.NewDeltaBuilder(serve.DeltaBuilderConfig{Solver: solver, Obs: octx}),
 		DeltaQueue: *ingestQueue,
 		Obs:        octx,
 		Recorder:   recorder,
@@ -292,8 +265,8 @@ func main() {
 	if pl != nil {
 		// Durable boot: last persisted snapshot (or the initial build
 		// when none exists) plus the WAL suffix folded onto it and
-		// solved once, exactly — with or without -anytime-every. kill -9
-		// at any byte offset recovers every acknowledged batch.
+		// solved once, exactly. kill -9 at any byte offset recovers every
+		// acknowledged batch.
 		base, baseSeq, err := pl.Latest(dcfg, 0)
 		if err != nil {
 			startCancel()

@@ -176,7 +176,7 @@ func (p *Pipeline) Recover(ctx context.Context, base *serve.Snapshot, baseSeq ui
 		bsp := octx.Span("delta.apply")
 		bsp.SetAttr("seq", seq)
 		bsp.SetAttr("ops", b.NumOps())
-		_, err := fold.Stage(b)
+		err := fold.Stage(b)
 		bsp.End()
 		if err != nil {
 			skipped++

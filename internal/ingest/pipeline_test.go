@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"spammass/internal/delta"
+	"spammass/internal/mass"
 	"spammass/internal/pagerank"
 	"spammass/internal/serve"
 )
@@ -60,7 +61,9 @@ func assertRecordsMatch(t *testing.T, got, want *serve.Snapshot) {
 // the state a never-crashed server serves — same epoch, same labels,
 // per-host scores within the solver tolerance — whether a mid-sequence
 // compaction left a snapshot to start from or the whole log is replayed
-// onto the initial build.
+// onto the initial build. The recovered (p, p') must also equal a cold
+// solve on the recovered graph: the warm start changes only how fast
+// the solve converges, never what it converges to.
 func TestPipelineCrashRecoveryEquality(t *testing.T) {
 	t.Run("compacted", func(t *testing.T) { crashRecoveryEquality(t, true) })
 	t.Run("whole-log", func(t *testing.T) { crashRecoveryEquality(t, false) })
@@ -141,6 +144,16 @@ func crashRecoveryEquality(t *testing.T, compact bool) {
 		t.Fatalf("recovery applied %d batches, want %d", applied, wantApplied)
 	}
 	assertRecordsMatch(t, recovered, control)
+	cold, err := mass.EstimateFromCore(recovered.HostGraph().Graph, recovered.Core(), mass.DefaultOptions())
+	if err != nil {
+		t.Fatalf("cold solve: %v", err)
+	}
+	got := recovered.Estimates()
+	for x := range cold.P {
+		if math.Abs(got.P[x]-cold.P[x]) > 1e-9 || math.Abs(got.PCore[x]-cold.PCore[x]) > 1e-9 {
+			t.Fatalf("node %d: recovered (p, p') = (%v, %v), cold solve (%v, %v)", x, got.P[x], got.PCore[x], cold.P[x], cold.PCore[x])
+		}
+	}
 
 	// Recovery re-established the checkpoint, so a compaction now
 	// persists the recovered state and drops the replayed suffix.

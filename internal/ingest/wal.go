@@ -8,12 +8,6 @@
 // recovery loads the last snapshot and replays the WAL suffix through
 // the same one-pass merge the live server uses, so a kill -9 at any
 // byte offset loses nothing that was acknowledged.
-//
-// The package also hosts the *anytime* estimation path: an incremental
-// Monte-Carlo walk store (pagerank.IncrementalMC) maintained under
-// edge churn, serving bounded-staleness spam-mass scores between the
-// exact warm solves that remain the authority (Engström & Silvestrov's
-// evolving-link-structure regime).
 package ingest
 
 import (

@@ -46,26 +46,26 @@ func NewDeltaFold(base *Snapshot) *DeltaFold {
 // Stage applies batch in one merge pass. A failing batch — a conflict,
 // or one that leaves no good core (mass estimation is undefined without
 // Ṽ⁺) — leaves the fold untouched: the caller logs it and stages the next.
-func (f *DeltaFold) Stage(batch *delta.Batch) (*delta.Result, error) {
+func (f *DeltaFold) Stage(batch *delta.Batch) error {
 	res, err := delta.Apply(f.hosts, batch)
 	if err != nil {
-		return nil, fmt.Errorf("apply delta: %w", err)
+		return fmt.Errorf("apply delta: %w", err)
 	}
 	core := res.RemapNodes(f.core)
 	if len(core) == 0 {
-		return nil, fmt.Errorf("serve: delta leaves no good core (the previous snapshot carried %d core nodes; the delta path needs SnapshotConfig.Core)", len(f.core))
+		return fmt.Errorf("serve: delta leaves no good core (the previous snapshot carried %d core nodes; the delta path needs SnapshotConfig.Core)", len(f.core))
 	}
 	f.hosts, f.core = res.Hosts, core
 	f.remap = delta.ComposeRemap(f.remap, res.Remap)
 	f.staged++
 	f.stats.Add(res.Stats)
-	return res, nil
+	return nil
 }
 
 // Solve packages the folded graph (at least one batch staged) as the
 // next generation: the base's solved (p, p') are carried through the
-// composed remap (mass.RemapWarmStart) and the estimator re-solves
-// warm-started from them.
+// composed remap (mass.RemapWarmStart), the estimator re-solves
+// warm-started from them, and the staged batches are counted.
 func (f *DeltaFold) Solve(ctx context.Context, cfg DeltaBuilderConfig, epoch int64) (*Snapshot, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -94,12 +94,6 @@ func (f *DeltaFold) Solve(ctx context.Context, cfg DeltaBuilderConfig, epoch int
 		return nil, fmt.Errorf("warm estimate: %w", err)
 	}
 	octx.Logf("serve: delta %s → %d hosts", f.stats, f.hosts.Graph.NumNodes())
-	return f.Snapshot(octx, est, epoch)
-}
-
-// Snapshot packages the folded graph with est — Solve's exact estimates
-// or an anytime estimator's — and counts the staged batches.
-func (f *DeltaFold) Snapshot(octx *obs.Context, est *mass.Estimates, epoch int64) (*Snapshot, error) {
 	octx.Counter("delta.batches_total").Add(int64(f.staged))
 	octx.Counter("delta.applied_edges_total").Add(f.stats.AppliedEdges())
 	octx.Counter("delta.hosts_added_total").Add(int64(f.stats.HostsAdded))
@@ -115,7 +109,7 @@ func (f *DeltaFold) Snapshot(octx *obs.Context, est *mass.Estimates, epoch int64
 func NewDeltaBuilder(cfg DeltaBuilderConfig) DeltaApplyFunc {
 	return func(ctx context.Context, prev *Snapshot, epoch int64, batch *delta.Batch) (*Snapshot, error) {
 		fold := NewDeltaFold(prev)
-		if _, err := fold.Stage(batch); err != nil {
+		if err := fold.Stage(batch); err != nil {
 			return nil, err
 		}
 		return fold.Solve(ctx, cfg, epoch)

@@ -92,7 +92,7 @@ func runFoldEquivalence(t *testing.T, base *Snapshot, steps []foldStep) []int {
 	fold := NewDeltaFold(base)
 	var foldSkipped []int
 	for i, b := range batches {
-		if _, err := fold.Stage(b); err != nil {
+		if err := fold.Stage(b); err != nil {
 			foldSkipped = append(foldSkipped, i)
 		}
 	}
@@ -256,7 +256,7 @@ func TestFoldAllPoison(t *testing.T) {
 func TestFoldSolveHonorsContext(t *testing.T) {
 	base := foldBase(t)
 	fold := NewDeltaFold(base)
-	if _, err := fold.Stage(testutil.ChurnBatch(rand.New(rand.NewSource(1)), base.HostGraph(), "c")); err != nil {
+	if err := fold.Stage(testutil.ChurnBatch(rand.New(rand.NewSource(1)), base.HostGraph(), "c")); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())

@@ -5,9 +5,9 @@
 # ephemeral port, probes /healthz, /readyz, one /v1/host lookup, and
 # /v1/top, forces a synchronous refresh, checks /metrics still carries
 # the solve-iteration gauge, and shuts the server down. It first
-# asserts the removed -solver-layout / -solver-precision flags are
-# rejected loudly. Exits non-zero on any failed probe. Run via
-# `make serve-smoke`.
+# asserts the removed -solver-layout / -solver-precision and
+# -anytime-every / -anytime-walks flags are rejected loudly. Exits
+# non-zero on any failed probe. Run via `make serve-smoke`.
 set -eu
 
 GO=${GO:-go}
@@ -27,10 +27,12 @@ $GO build -o "$WORK/spamserver" ./cmd/spamserver
 echo "serve-smoke: generating 10k-host example graph"
 "$WORK/genweb" -hosts 10000 -out "$WORK/web" >/dev/null
 
-# The blocked layout and the float32 phase are gone, and so are their
-# flags: an operator still passing one gets the flag package's error
-# and a non-zero exit, not a silently different solver.
-for removed in -solver-layout=flat -solver-precision=float64; do
+# The blocked layout, the float32 phase and the Monte-Carlo delta
+# builder are gone, and so are their flags: an operator still passing
+# one gets the flag package's error and a non-zero exit, not a silently
+# different solver.
+for removed in -solver-layout=flat -solver-precision=float64 \
+    -anytime-every=3 -anytime-walks=100; do
     if "$WORK/spamserver" "$removed" -addr 127.0.0.1:0 \
         -graph "$WORK/web.graph" -names "$WORK/web.names" -core "$WORK/web.core" \
         2>"$WORK/removed.log"; then
@@ -43,7 +45,7 @@ for removed in -solver-layout=flat -solver-precision=float64; do
         exit 1
     fi
 done
-echo "serve-smoke: removed solver flags are rejected"
+echo "serve-smoke: removed solver and delta-builder flags are rejected"
 
 "$WORK/spamserver" -addr 127.0.0.1:0 -addr-file "$WORK/addr" \
     -graph "$WORK/web.graph" -names "$WORK/web.names" -core "$WORK/web.core" \
