@@ -50,11 +50,9 @@ fmt-check:
 	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # lint runs spamlint, the repo's own static-analysis suite
-# (internal/analysis): sliceexport, floatcmp, solveerr, spanend,
-# printcall, metricname, plus the flow-sensitive concurrency
-# family on the shared CFG layer: publishfreeze, lockbal, atomicmix,
-# ctxleak. Suppress intentional findings with
-# `// lint:ignore <analyzer> <reason>`.
+# (internal/analysis): sliceexport, floatcmp, metricname, plus spanend
+# and lockbal on the shared CFG layer. Suppress intentional findings
+# with `// lint:ignore <analyzer> <reason>`.
 lint:
 	$(GO) run ./cmd/spamlint ./...
 

@@ -10,10 +10,10 @@
 // returns the surviving diagnostics in deterministic order.
 //
 // The analyzers shipped with the package target bug classes this repo
-// has actually had to fix in review: returned-slice aliasing
-// (sliceexport), exact float comparison (floatcmp), discarded solver
-// convergence errors (solveerr), spans left open on early returns
-// (spanend), and stray printing from library packages (printcall).
+// has actually had to fix or suppress: returned-slice aliasing
+// (sliceexport), exact float comparison (floatcmp), spans left open on
+// early returns (spanend), malformed metric names (metricname), and
+// unbalanced or blocking-held mutexes (lockbal).
 package analysis
 
 import (
@@ -50,7 +50,7 @@ type Pass struct {
 	Info *types.Info
 
 	report func(Diagnostic)
-	// funcs shares CFG/dataflow state (FuncInfo) across the analyzers
+	// funcs shares CFG state (FuncInfo) across the analyzers
 	// run over one package; see Pass.FuncInfo.
 	funcs *funcCache
 }

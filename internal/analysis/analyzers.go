@@ -3,8 +3,5 @@ package analysis
 // All returns every analyzer the suite ships, in the order they are
 // listed by `spamlint -list`.
 func All() []*Analyzer {
-	return []*Analyzer{
-		SliceExport, FloatCmp, SolveErr, SpanEnd, PrintCall, MetricName,
-		PublishFreeze, LockBal, AtomicMix, CtxLeak, SyncRename,
-	}
+	return []*Analyzer{SliceExport, FloatCmp, SpanEnd, MetricName, LockBal}
 }

@@ -7,10 +7,10 @@ import (
 
 // This file is the control-flow half of the shared flow-analysis
 // layer: a per-function control-flow graph built directly from go/ast,
-// precise enough for the concurrency analyzers (lockbal,
-// publishfreeze, ctxleak) and the spanend port. It models branches,
-// loops, labeled break/continue, goto, switch/type-switch/select,
-// panic and return edges, and keeps defer statements in-line so
+// precise enough for the path questions of lockbal and spanend. It
+// models branches, loops, labeled break/continue, goto,
+// switch/type-switch/select, panic and return edges, and keeps defer
+// statements in-line so
 // dataflow transfer functions can interpret registration order.
 //
 // Basic blocks hold "own" nodes only: the controlling condition of a

@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"go/types"
 	"testing"
 )
 
@@ -24,43 +23,6 @@ func parseFuncs(t *testing.T, src string) (*token.FileSet, map[string]*ast.FuncD
 		}
 	}
 	return fset, decls
-}
-
-// typecheckFuncs parses and type-checks src, returning a hand-built
-// Pass plus the declarations by name. src must not import anything.
-func typecheckFuncs(t *testing.T, src string) (*Pass, map[string]*ast.FuncDecl) {
-	t.Helper()
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "test.go", "package p\n"+src, parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}
-	conf := types.Config{}
-	pkg, err := conf.Check("p", fset, []*ast.File{f}, info)
-	if err != nil {
-		t.Fatalf("typecheck: %v", err)
-	}
-	pass := &Pass{
-		Analyzer: &Analyzer{Name: "test"},
-		Fset:     fset,
-		Files:    []*ast.File{f},
-		Pkg:      pkg,
-		Info:     info,
-		report:   func(Diagnostic) {},
-	}
-	decls := map[string]*ast.FuncDecl{}
-	for _, d := range f.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok {
-			decls[fd.Name.Name] = fd
-		}
-	}
-	return pass, decls
 }
 
 // findNode locates the first node of type N in the CFG's blocks,
@@ -313,130 +275,5 @@ func f(a, b chan int) int {
 	}
 	if comms != 2 {
 		t.Errorf("want 2 comm statements marked, got %d", comms)
-	}
-}
-
-func TestReachingDefsKillAndMerge(t *testing.T) {
-	pass, decls := typecheckFuncs(t, `
-func f(c bool) int {
-	x := 1
-	if c {
-		x = 2
-	}
-	return x
-}`)
-	fd := decls["f"]
-	cfg := NewCFG(fd)
-	rd := NewReachingDefs(pass, cfg)
-	var ret *ast.ReturnStmt
-	ast.Inspect(fd, func(n ast.Node) bool {
-		if r, ok := n.(*ast.ReturnStmt); ok {
-			ret = r
-		}
-		return true
-	})
-	var xVar *types.Var
-	for id, obj := range pass.Info.Defs {
-		if id.Name == "x" {
-			xVar = obj.(*types.Var)
-		}
-	}
-	if xVar == nil || ret == nil {
-		t.Fatal("fixture shape changed")
-	}
-	defs := rd.DefsAt(ret, xVar)
-	// Both `x := 1` and `x = 2` may reach the return (the branch merge
-	// keeps both); the entry pseudo-definition must not appear.
-	if len(defs) != 2 {
-		t.Fatalf("want 2 reaching definitions at the return, got %d", len(defs))
-	}
-	if defs[nil] {
-		t.Error("x is defined locally; the entry pseudo-site must not reach")
-	}
-}
-
-func TestReachingDefsRebindKills(t *testing.T) {
-	pass, decls := typecheckFuncs(t, `
-func f() int {
-	x := 1
-	x = 2
-	return x
-}`)
-	fd := decls["f"]
-	rd := NewReachingDefs(pass, NewCFG(fd))
-	var ret *ast.ReturnStmt
-	var first *ast.AssignStmt
-	ast.Inspect(fd, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.ReturnStmt:
-			ret = n
-		case *ast.AssignStmt:
-			if first == nil {
-				first = n
-			}
-		}
-		return true
-	})
-	var xVar *types.Var
-	for id, obj := range pass.Info.Defs {
-		if id.Name == "x" {
-			xVar = obj.(*types.Var)
-		}
-	}
-	defs := rd.DefsAt(ret, xVar)
-	if len(defs) != 1 {
-		t.Fatalf("straight-line rebind must kill the first definition, got %d sites", len(defs))
-	}
-	if defs[first] {
-		t.Error("the killed first definition still reaches the return")
-	}
-}
-
-func TestAliasSetViewsAndCopies(t *testing.T) {
-	pass, decls := typecheckFuncs(t, `
-type cfg struct {
-	Index map[string]int
-	Limit int
-}
-
-func f() {
-	c := &cfg{}
-	view := c.Index
-	chained := view
-	count := c.Limit
-	fresh := clone(c)
-	_ = chained
-	_ = count
-	_ = fresh
-}
-func clone(v *cfg) *cfg { return v }`)
-	fd := decls["f"]
-	// Collect only the locals declared inside f, so clone's parameter
-	// cannot shadow them in the lookup.
-	names := map[string]types.Object{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			if obj := pass.Info.Defs[id]; obj != nil {
-				names[id.Name] = obj
-			}
-		}
-		return true
-	})
-	cObj := names["c"]
-	aliases := AliasSet(pass.Info, fd.Body, cObj)
-	if aliases[cObj] != nil {
-		t.Error("the root object aliases itself with a nil creator")
-	}
-	if _, ok := aliases[names["view"]]; !ok {
-		t.Error("view (c.Index) must alias c")
-	}
-	if _, ok := aliases[names["chained"]]; !ok {
-		t.Error("chained (view) must alias c transitively")
-	}
-	if _, ok := aliases[names["count"]]; ok {
-		t.Error("count copies a basic-typed field; it must NOT alias c")
-	}
-	if _, ok := aliases[names["fresh"]]; ok {
-		t.Error("fresh is a call result; calls break the alias chain")
 	}
 }

@@ -1,17 +1,10 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/token"
-	"go/types"
-)
-
 // This file is the data-flow half of the shared flow-analysis layer: a
-// generic forward worklist solver over the CFG (with optional
-// per-edge refinement, so branch conditions like `sp != nil` or
-// `mu.TryLock()` can specialize the fact on each outgoing edge), a
-// reaching-definitions pass, and the conservative alias-set helper the
-// publishfreeze analyzer uses to follow retained slices and maps.
+// generic forward worklist solver over the CFG, with optional per-edge
+// refinement so branch conditions like `sp != nil` or `mu.TryLock()`
+// can specialize the fact on each outgoing edge. spanend and lockbal
+// are built on it.
 
 // FlowProblem describes one forward dataflow problem over a CFG with
 // fact type F. Facts must be treated as immutable by Transfer and
@@ -76,271 +69,4 @@ func ForwardSolve[F any](cfg *CFG, p FlowProblem[F]) *FlowResult[F] {
 		}
 	}
 	return res
-}
-
-// ---------------------------------------------------------------------
-// Reaching definitions.
-
-// DefSites maps each variable to the set of nodes that may have
-// written it most recently. The special site nil denotes "defined at
-// function entry" (parameters, receivers, captured variables).
-type DefSites map[*types.Var]map[ast.Node]bool
-
-func (d DefSites) clone() DefSites {
-	out := make(DefSites, len(d))
-	for v, sites := range d {
-		c := make(map[ast.Node]bool, len(sites))
-		for s := range sites {
-			c[s] = true
-		}
-		out[v] = c
-	}
-	return out
-}
-
-func (d DefSites) equal(o DefSites) bool {
-	if len(d) != len(o) {
-		return false
-	}
-	for v, sites := range d {
-		os := o[v]
-		if len(sites) != len(os) {
-			return false
-		}
-		for s := range sites {
-			if !os[s] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func (d DefSites) merge(o DefSites) DefSites {
-	out := d.clone()
-	for v, sites := range o {
-		if out[v] == nil {
-			out[v] = map[ast.Node]bool{}
-		}
-		for s := range sites {
-			out[v][s] = true
-		}
-	}
-	return out
-}
-
-// ReachingDefs is the solved reaching-definitions relation for one
-// function: which assignments may provide a variable's current value
-// at each program point.
-type ReachingDefs struct {
-	pass *Pass
-	cfg  *CFG
-	res  *FlowResult[DefSites]
-	// home locates each node in its block.
-	home map[ast.Node]*Block
-}
-
-// NewReachingDefs solves reaching definitions over fi's CFG.
-func NewReachingDefs(pass *Pass, cfg *CFG) *ReachingDefs {
-	rd := &ReachingDefs{pass: pass, cfg: cfg, home: map[ast.Node]*Block{}}
-	for _, b := range cfg.Blocks {
-		for _, n := range b.Nodes {
-			rd.home[n] = b
-		}
-	}
-	rd.res = ForwardSolve(cfg, FlowProblem[DefSites]{
-		Entry: DefSites{},
-		Transfer: func(b *Block, in DefSites) DefSites {
-			out := in.clone()
-			for _, n := range b.Nodes {
-				rd.apply(n, out)
-			}
-			return out
-		},
-		Merge: func(a, b DefSites) DefSites { return a.merge(b) },
-		Equal: func(a, b DefSites) bool { return a.equal(b) },
-	})
-	return rd
-}
-
-// apply folds one node's definitions into sites (in place).
-func (rd *ReachingDefs) apply(n ast.Node, sites DefSites) {
-	kill := func(id *ast.Ident, site ast.Node) {
-		v := rd.defObj(id)
-		if v == nil {
-			return
-		}
-		sites[v] = map[ast.Node]bool{site: true}
-	}
-	switch n := n.(type) {
-	case *ast.AssignStmt:
-		for _, lhs := range n.Lhs {
-			if id, ok := ast.Unparen(lhs).(*ast.Ident); ok && id.Name != "_" {
-				kill(id, n)
-			}
-		}
-	case *ast.DeclStmt:
-		if gd, ok := n.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, id := range vs.Names {
-						kill(id, n)
-					}
-				}
-			}
-		}
-	case *ast.IncDecStmt:
-		if id, ok := ast.Unparen(n.X).(*ast.Ident); ok {
-			kill(id, n)
-		}
-	case *RangeHeader:
-		for _, e := range []ast.Expr{n.R.Key, n.R.Value} {
-			if e == nil {
-				continue
-			}
-			if id, ok := ast.Unparen(e).(*ast.Ident); ok && id.Name != "_" {
-				kill(id, n)
-			}
-		}
-	}
-}
-
-// defObj resolves the variable an identifier writes (definition or
-// plain assignment).
-func (rd *ReachingDefs) defObj(id *ast.Ident) *types.Var {
-	if o, ok := rd.pass.Info.Defs[id].(*types.Var); ok {
-		return o
-	}
-	if o, ok := rd.pass.Info.Uses[id].(*types.Var); ok {
-		return o
-	}
-	return nil
-}
-
-// DefsAt returns the definitions of v that may reach node n (which
-// must appear in some block's node list), before n's own effect.
-// Variables with no recorded definition (parameters, captures) yield
-// the single entry-site nil.
-func (rd *ReachingDefs) DefsAt(n ast.Node, v *types.Var) map[ast.Node]bool {
-	b := rd.home[n]
-	if b == nil {
-		return nil
-	}
-	in, ok := rd.res.In[b]
-	if !ok {
-		return nil // unreachable block
-	}
-	sites := in.clone()
-	for _, m := range b.Nodes {
-		if m == n {
-			break
-		}
-		rd.apply(m, sites)
-	}
-	if s := sites[v]; s != nil {
-		return s
-	}
-	return map[ast.Node]bool{nil: true}
-}
-
-// ---------------------------------------------------------------------
-// Alias sets.
-
-// AliasSet computes the conservative set of local variables that may
-// alias memory reachable from obj inside body: obj itself, plus every
-// variable assigned from an expression that derives a view of an
-// alias (selector, index, slice, dereference, address). Values
-// produced by function calls are treated as fresh (clones break the
-// chain) — that is exactly the copy-before-publish idiom the
-// publishfreeze analyzer wants to encourage. The map also records the
-// assignment node that created each alias.
-func AliasSet(info *types.Info, body *ast.BlockStmt, obj types.Object) map[types.Object]ast.Node {
-	aliases := map[types.Object]ast.Node{obj: nil}
-	for {
-		grew := false
-		ast.Inspect(body, func(n ast.Node) bool {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != len(as.Rhs) {
-				return true
-			}
-			for i, lhs := range as.Lhs {
-				id, ok := ast.Unparen(lhs).(*ast.Ident)
-				if !ok || id.Name == "_" {
-					continue
-				}
-				tgt := info.Defs[id]
-				if tgt == nil {
-					tgt = info.Uses[id]
-				}
-				if tgt == nil {
-					continue
-				}
-				if _, known := aliases[tgt]; known {
-					continue
-				}
-				// A basic-typed copy (n := cfg.Limit) is a value, not a
-				// view — only reference-shaped results alias.
-				if !isRefType(info.TypeOf(as.Rhs[i])) {
-					continue
-				}
-				if root := derivedRoot(as.Rhs[i]); root != nil {
-					src := info.Uses[root]
-					if src == nil {
-						src = info.Defs[root]
-					}
-					if _, isAlias := aliases[src]; isAlias {
-						aliases[tgt] = as
-						grew = true
-					}
-				}
-			}
-			return true
-		})
-		if !grew {
-			return aliases
-		}
-	}
-}
-
-// isRefType reports whether t's underlying type shares memory when
-// copied: pointer, slice, map, or channel.
-func isRefType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	switch t.Underlying().(type) {
-	case *types.Pointer, *types.Slice, *types.Map, *types.Chan:
-		return true
-	}
-	return false
-}
-
-// derivedRoot returns the root identifier of an expression that yields
-// a view of (rather than a copy of) its root: selector, index, slice,
-// dereference, address-of and parenthesis chains. Calls, composite
-// literals and arithmetic return nil — their results are fresh values.
-func derivedRoot(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.UnaryExpr:
-			if x.Op != token.AND {
-				return nil
-			}
-			e = x.X
-		default:
-			return nil
-		}
-	}
 }

@@ -6,8 +6,7 @@ import (
 	"strings"
 )
 
-// FuncInfo bundles the flow-analysis state of one function: its CFG
-// and, built on demand, its reaching-definitions solution. Instances
+// FuncInfo bundles the flow-analysis state of one function. Instances
 // are cached per package (shared across the analyzers of one run)
 // through Pass.FuncInfo, so the CFG of a function is constructed once
 // no matter how many analyzers inspect it.
@@ -18,18 +17,6 @@ type FuncInfo struct {
 	Body *ast.BlockStmt
 	// CFG is the function's control-flow graph.
 	CFG *CFG
-
-	pass     *Pass
-	reaching *ReachingDefs
-}
-
-// Reaching returns the function's reaching-definitions solution,
-// computing it on first use.
-func (fi *FuncInfo) Reaching() *ReachingDefs {
-	if fi.reaching == nil {
-		fi.reaching = NewReachingDefs(fi.pass, fi.CFG)
-	}
-	return fi.reaching
 }
 
 // funcCache shares FuncInfo instances across the analyzers run over
@@ -58,7 +45,7 @@ func (p *Pass) FuncInfo(fn ast.Node) *FuncInfo {
 	case *ast.FuncLit:
 		body = f.Body
 	}
-	fi := &FuncInfo{Fn: fn, Body: body, CFG: NewCFG(fn), pass: p}
+	fi := &FuncInfo{Fn: fn, Body: body, CFG: NewCFG(fn)}
 	p.funcs.infos[fn] = fi
 	return fi
 }

@@ -93,23 +93,6 @@ func rootIdent(e ast.Expr) *ast.Ident {
 	}
 }
 
-// calleeName returns the package path and function name of a call to a
-// package-level function (fmt.Println → "fmt", "Println"), or false.
-func calleeName(info *types.Info, call *ast.CallExpr) (pkgPath, name string, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	obj, isFn := info.Uses[sel.Sel].(*types.Func)
-	if !isFn || obj.Pkg() == nil {
-		return "", "", false
-	}
-	if recv := obj.Type().(*types.Signature).Recv(); recv != nil {
-		return "", "", false
-	}
-	return obj.Pkg().Path(), obj.Name(), true
-}
-
 // isZeroConst reports whether e is a compile-time numeric constant
 // equal to zero.
 func isZeroConst(info *types.Info, e ast.Expr) bool {

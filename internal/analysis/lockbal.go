@@ -23,7 +23,9 @@ import (
 // The analysis is intra-procedural and tracks locks by receiver path
 // ("r.mu", "s.store.mu"); locks reached through map indexing or call
 // results are skipped rather than mis-tracked. `mu.TryLock()` used as
-// a branch condition refines only the true edge to "held".
+// a branch condition refines only the true edge to "held". An explicit
+// Unlock ahead of a deferred one releases the lock but keeps the
+// defer, so the unlock/wait/relock of a group-commit leader is clean.
 var LockBal = &Analyzer{
 	Name: "lockbal",
 	Doc:  "mutex not unlocked on every path, locked twice, or held across a blocking call",
@@ -39,7 +41,17 @@ type lockMode uint8
 const (
 	lockHeld     lockMode = 1 << iota // locked, needs explicit unlock
 	lockDeferred                      // locked, unlock deferred to exit
+	lockReleased                      // not held, unlock still deferred to exit
 )
+
+// locked is the mode after a Lock from mode m: relocking a lock whose
+// unlock is still deferred puts it back under that defer.
+func (m lockMode) locked() lockMode {
+	if m == lockReleased {
+		return lockDeferred
+	}
+	return lockHeld
+}
 
 func (s lockState) clone() lockState {
 	out := make(lockState, len(s))
@@ -63,21 +75,21 @@ func (s lockState) equal(o lockState) bool {
 
 // mergeLockStates joins two paths: a lock held on either side stays
 // held (conservative — the obligation survives), with the deferred bit
-// kept only when both sides deferred.
+// kept only when both sides carry a deferred unlock.
 func mergeLockStates(a, b lockState) lockState {
 	out := make(lockState, len(a)+len(b))
 	for k, v := range a {
 		out[k] = v
 	}
 	for k, v := range b {
-		if prev, ok := out[k]; ok {
-			if prev&lockDeferred != 0 && v&lockDeferred != 0 {
-				out[k] = lockDeferred
-			} else {
-				out[k] = lockHeld
-			}
-		} else {
+		prev, ok := out[k]
+		switch {
+		case !ok || prev == v:
 			out[k] = v
+		case prev&(lockDeferred|lockReleased) != 0 && v&(lockDeferred|lockReleased) != 0:
+			out[k] = lockDeferred
+		default:
+			out[k] = lockHeld
 		}
 	}
 	return out
@@ -254,9 +266,13 @@ func (lb *lockChecker) step(n ast.Node, st lockState, report func(ast.Node, stri
 				if report != nil && st[op.key]&lockHeld != 0 && st[op.key]&lockDeferred == 0 {
 					report(n, "%s is locked twice on this path with no unlock between (self-deadlock)", op.display)
 				}
-				st[op.key] = lockHeld
+				st[op.key] = st[op.key].locked()
 			} else if !op.acquire {
-				delete(st, op.key)
+				if st[op.key]&(lockDeferred|lockReleased) != 0 {
+					st[op.key] = lockReleased
+				} else {
+					delete(st, op.key)
+				}
 			}
 			return
 		}
@@ -294,12 +310,11 @@ func (lb *lockChecker) refineEdge(b *Block, succ int, out lockState) lockState {
 	if !ok || !op.try {
 		return out
 	}
-	refined := out.clone()
-	if succ == 0 {
-		refined[op.key] = lockHeld
-	} else {
-		delete(refined, op.key)
+	if succ != 0 {
+		return out // a failed TryLock changes nothing
 	}
+	refined := out.clone()
+	refined[op.key] = out[op.key].locked()
 	return refined
 }
 
@@ -309,7 +324,7 @@ func (lb *lockChecker) refineEdge(b *Block, succ int, out lockState) lockState {
 // held).
 func (lb *lockChecker) checkBlocking(n ast.Node, st lockState, report func(ast.Node, string, ...any)) {
 	// A deferred unlock still holds the lock until the function exits,
-	// so every tracked key counts here.
+	// so every key counts here except one released ahead of its defer.
 	if report == nil || len(st) == 0 {
 		return
 	}
@@ -318,8 +333,10 @@ func (lb *lockChecker) checkBlocking(n ast.Node, st lockState, report func(ast.N
 		return
 	}
 	keys := make([]string, 0, len(st))
-	for k := range st {
-		keys = append(keys, k)
+	for k, mode := range st {
+		if mode != lockReleased {
+			keys = append(keys, k)
+		}
 	}
 	sort.Strings(keys)
 	for _, k := range keys {

@@ -35,20 +35,11 @@ func (r Rule) applies(path string) bool {
 // every analyzer, scoped to where its invariant is load-bearing.
 func DefaultRules() []Rule {
 	return []Rule{
-		// Aliasing and telemetry invariants hold module-wide.
+		// Aliasing, telemetry and lock-balance invariants hold
+		// module-wide.
 		{Analyzer: SliceExport},
 		{Analyzer: SpanEnd},
-		{Analyzer: SolveErr},
-		// Concurrency-safety family (shared CFG layer): immutability of
-		// published snapshots, lock balance, atomic/plain access mixing,
-		// and context plumbing hold module-wide.
-		{Analyzer: PublishFreeze},
 		{Analyzer: LockBal},
-		{Analyzer: AtomicMix},
-		{Analyzer: CtxLeak},
-		// Atomic-persist durability: temp-file writes renamed into place
-		// must fsync first, wherever files are persisted.
-		{Analyzer: SyncRename},
 		// Exact float comparison is only policed in the numerical core,
 		// where a spurious equality skews M̃ = p − p'.
 		{Analyzer: FloatCmp, Include: []string{
@@ -56,10 +47,6 @@ func DefaultRules() []Rule {
 			"spammass/internal/mass",
 			"spammass/internal/trustrank",
 		}},
-		// Library packages must not print; CLIs and examples may.
-		{Analyzer: PrintCall,
-			Include: []string{"spammass/internal"},
-			Exclude: []string{"spammass/internal/cliobs"}},
 		// Metric names follow the subsystem.name_unit convention
 		// everywhere metrics are created. The obs package itself is
 		// excluded: its Context methods forward caller-supplied names

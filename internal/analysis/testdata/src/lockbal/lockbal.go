@@ -105,6 +105,54 @@ func (c *counter) BranchUnlock(fail bool) error {
 	return nil
 }
 
+// GroupLeader drops a lock whose unlock is deferred, waits without it,
+// and relocks it: the defer still covers every return, and the receive
+// runs with the lock released. Clean.
+func (c *counter) GroupLeader(ch chan int, fail func() bool) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.n < 10 {
+		if fail() {
+			return errFail
+		}
+		c.mu.Unlock()
+		v := <-ch
+		c.mu.Lock()
+		c.n += v
+	}
+	return nil
+}
+
+// TryRelock retakes a released lock with TryLock, falling back to Lock:
+// the defer covers both outcomes. Clean.
+func (c *counter) TryRelock() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.mu.Unlock()
+	if c.mu.TryLock() {
+		c.n++
+		return
+	}
+	c.mu.Lock()
+	c.n++
+}
+
+// RelockNoDefer is the same unlock/relock loop without the defer: both
+// returns leave the mutex held.
+func (c *counter) RelockNoDefer(ch chan int, fail func() bool) error {
+	c.mu.Lock()
+	for c.n < 10 {
+		if fail() {
+			return errFail // want `c\.mu is still locked on this return path`
+		}
+		c.mu.Unlock()
+		v := <-ch
+		c.mu.Lock()
+		c.n += v
+	}
+	return nil // want `c\.mu is still locked on this return path`
+}
+
 // TryLockGuard only holds the lock inside the guarded branch: clean.
 func (c *counter) TryLockGuard() {
 	if c.mu.TryLock() {

@@ -35,8 +35,9 @@ import (
 //
 // Abs and Rel are not stored — mass.Derive rebuilds them from P and
 // PCore, which keeps the file format independent of the derivation
-// details. Files are written temp → Sync → Rename → dir fsync (the
-// syncrename invariant), so a crash leaves either the old snapshot or
+// details. Files are written temp → Sync → Rename → dir fsync (a
+// rename of unsynced data can land before the data does), so a crash
+// leaves either the old snapshot or
 // the new one, never a torn file; the trailing CRC catches anything
 // the filesystem lies about.
 const (

@@ -3,8 +3,8 @@
 // survive process death. Mutation batches are appended to a segmented
 // write-ahead log and fsynced *before* the server acknowledges them; a
 // compactor periodically folds the applied log prefix into a persisted
-// host-graph + estimates snapshot (the atomic temp-write → Sync →
-// Rename discipline the syncrename analyzer enforces); and boot-time
+// host-graph + estimates snapshot (atomic temp-write → Sync → Rename,
+// so a crash never publishes a torn file); and boot-time
 // recovery loads the last snapshot and replays the WAL suffix through
 // the same one-pass merge the live server uses, so a kill -9 at any
 // byte offset loses nothing that was acknowledged.
@@ -406,7 +406,6 @@ func (w *WAL) WaitDurable(seq uint64) error {
 	defer w.smu.Unlock()
 	for w.synced < seq {
 		if w.syncErr != nil {
-			// lint:ignore lockbal the deferred unlock above covers this return; the leader's mid-loop unlock/relock confuses the path analysis
 			return w.syncErr
 		}
 		if !w.syncing {
@@ -434,7 +433,6 @@ func (w *WAL) WaitDurable(seq uint64) error {
 		}
 		w.scond.Wait()
 	}
-	// lint:ignore lockbal the deferred unlock above covers this return; the leader's mid-loop unlock/relock confuses the path analysis
 	return nil
 }
 
