@@ -83,9 +83,11 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDeltaApply -fuzztime=$(FUZZTIME) ./internal/delta/
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./internal/ingest/
 
-# serve-smoke boots cmd/spamserver on an ephemeral port against a
-# generated example graph, curls the health and query endpoints, forces
-# a refresh, and shuts it down.
+# serve-smoke pins spamserver's flag surface (exactly the kept flags,
+# removed ones rejected, flags the role does not read refused), boots it
+# on an ephemeral port against a generated example graph, curls the
+# health and query endpoints, forces a refresh, and shuts it down; then
+# it sends SIGHUP into a 200k-host boot, which must bind and refresh.
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
@@ -97,8 +99,9 @@ delta-smoke:
 
 # shard-smoke boots the 2-shard topology end to end: genweb -shards 2
 # pre-partitions a graph, one spamserver per shard plus a -role=router
-# front, routed lookups/batches/rankings, and a cross-shard delta that
-# must advance the generation fence with no torn view.
+# front, routed lookups/batches/rankings, a cross-shard delta that
+# must advance the generation fence with no torn view, and a SIGHUP the
+# router must survive.
 shard-smoke:
 	sh scripts/shard_smoke.sh
 

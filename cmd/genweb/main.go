@@ -13,7 +13,7 @@
 // generations (Section 3.4 churn: farms abandoned, fresh ones stood up
 // on recycled hosts) and writes each step's mutations as a delta file
 // web.delta.1 … web.delta.N — the feed format of spamserver's
-// /admin/delta endpoint and -delta-watch flag.
+// /admin/delta endpoint.
 //
 // With -churn-stream N the generator writes an ingest soak feed: a
 // deterministic timestamped sequence of N delta batch files spread

@@ -7,15 +7,14 @@
 // Usage:
 //
 //	spamserver -addr :8080 -graph web.graph -names web.names -core web.core
-//	           [-tau 0.98] [-rho 10] [-gamma 0.85] [-damping 0.85]
-//	           [-refresh 15m] [-refresh-timeout 5m]
-//	           [-delta-watch path.delta] [-delta-poll 2s]
 //	           [-wal-dir path] [-compact-every 1m] [-wal-group-commit 0]
-//	           [-ingest-queue 16]
-//	           [-max-inflight 256] [-timeout 5s] [-max-batch 1000]
 //	           [-addr-file path] [-debug-addr :6060] [-v]
-//	           [-metrics=true] [-tracing=true] [-sample-interval 15s]
-//	           [-flight-dir path] [-drift-window 12] [-drift-z 4]
+//	           [-sample-interval 15s] [-flight-dir path]
+//
+// The detector runs at the paper's operating point (c = γ = 0.85,
+// ρ = 10, τ = 0.98; every solve converges to ε = 1e-10), the request
+// path at serve's defaults (256 in flight, 5 s deadline, 1000-host
+// batches).
 //
 // Endpoints: GET /v1/host/{name}, POST /v1/batch, GET /v1/top,
 // GET /healthz, GET /readyz, POST /admin/refresh, POST /admin/delta,
@@ -34,45 +33,47 @@
 //
 //	spamserver -role=router -addr :8080 \
 //	           -shards 'http://s0a:8081,http://s0b:8082;http://s1a:8083' \
-//	           [-hedge-after 100ms] [-probe-interval 1s]
+//	           [-probe-interval 1s]
 //
 // Shards are separated by semicolons, replicas of one shard by
 // commas; shard order must match the partitioner (graph.ShardOf with
-// n = number of shards).
+// n = number of shards). A flag the chosen role does not read is an
+// error, as are -compact-every and -wal-group-commit without -wal-dir.
 //
-// Telemetry is on by default: /metrics serves the registry in
-// Prometheus text format (disable with -metrics=false), every request
-// carries a trace ID echoed in X-Trace-Id/Traceparent response
-// headers, a ring-buffer sampler keeps a day of metric history behind
-// /admin/timeseries, slow and failed requests land in the flight
-// recorder behind /admin/flightrecorder (with -flight-dir, failed
-// refreshes also dump their span tree to disk), and a drift watchdog
-// fingerprints every published epoch, alerting on serve.drift_* and
-// /readyz?verbose when the detector's operating point jumps.
+// Telemetry is always on: /metrics serves the registry in Prometheus
+// text format, every request carries a trace ID echoed in
+// X-Trace-Id/Traceparent response headers, a ring-buffer sampler
+// keeps a day of metric history behind /admin/timeseries, slow and
+// failed requests land in the flight recorder behind
+// /admin/flightrecorder (with -flight-dir, failed refreshes also dump
+// their span tree to disk), and a drift watchdog fingerprints every
+// published epoch, alerting on serve.drift_* and /readyz?verbose when
+// the detector's operating point jumps.
 //
 // Refreshes reload all three input files from disk, so replacing them
 // in place and sending SIGHUP (or POST /admin/refresh) picks up a new
-// crawl without a restart. A refresh that fails — unreadable inputs,
-// solver non-convergence, NaN/Inf in the result — leaves the previous
-// snapshot serving. SIGINT/SIGTERM drain in-flight requests before
-// exit. -addr-file writes the bound address (useful with -addr :0).
+// crawl without a restart; schedule reloads with cron and either. A
+// SIGHUP during boot is held and runs one refresh once the server is
+// up. A refresh that fails — unreadable inputs, solver
+// non-convergence, NaN/Inf in the result — leaves the previous
+// snapshot serving. SIGINT/SIGTERM cancel a boot in progress and
+// drain in-flight requests before exit. -addr-file writes the bound
+// address (useful with -addr :0).
 //
 // Between full refreshes the graph can evolve incrementally: POST a
 // mutation batch in the delta text format to /admin/delta (?wait=1 to
-// apply synchronously), or point -delta-watch at a delta file that a
-// churn source rewrites — the server polls its mtime every -delta-poll
-// and applies the new batch. Each applied batch advances the epoch by
-// one; the estimation warm-starts from the previous snapshot's
-// vectors, so small-churn batches converge in a fraction of a cold
-// rebuild's iterations.
+// apply synchronously). Each applied batch advances the epoch by one;
+// the estimation warm-starts from the previous snapshot's vectors, so
+// small-churn batches converge in a fraction of a cold rebuild's
+// iterations. A full ingest queue (serve.DefaultDeltaQueue batches)
+// answers 429 + Retry-After.
 //
 // With -wal-dir the ingest path becomes durable: every accepted delta
 // batch is fsynced to a segmented write-ahead log before the server
 // acknowledges it, a compactor folds the applied prefix into a
 // persisted snapshot every -compact-every, and on boot the server
 // recovers — last snapshot plus WAL replay — instead of rebuilding
-// cold, so kill -9 at any point loses nothing acknowledged. A full
-// ingest queue (-ingest-queue) answers 429 + Retry-After.
+// cold, so kill -9 at any point loses nothing acknowledged.
 // -wal-group-commit batches fsyncs across concurrent submitters.
 package main
 
@@ -85,11 +86,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
+	"sync"
 	"syscall"
 	"time"
 
 	"spammass/internal/cliobs"
-	"spammass/internal/delta"
 	"spammass/internal/graph"
 	"spammass/internal/ingest"
 	"spammass/internal/mass"
@@ -104,40 +106,33 @@ func main() {
 	graphPath := flag.String("graph", "", "graph file (binary or text format)")
 	namesPath := flag.String("names", "", "host-name file: one name per line")
 	corePath := flag.String("core", "", "good-core file: one node ID per line")
-	tau := flag.Float64("tau", 0.98, "relative mass threshold τ")
-	rho := flag.Float64("rho", 10, "scaled PageRank threshold ρ")
-	gamma := flag.Float64("gamma", 0.85, "core jump scaling ‖w‖ = γ")
-	damping := flag.Float64("damping", 0.85, "damping factor c")
-	refresh := flag.Duration("refresh", 0, "re-estimate from the input files this often (0 = only on SIGHUP / POST /admin/refresh)")
-	refreshTimeout := flag.Duration("refresh-timeout", 0, "abort a refresh attempt after this long (0 = unbounded)")
-	deltaWatch := flag.String("delta-watch", "", "watch this delta file and apply each new batch incrementally")
-	deltaPoll := flag.Duration("delta-poll", 2*time.Second, "poll interval for -delta-watch")
 	walDir := flag.String("wal-dir", "", "durability directory: fsync every delta batch to a WAL here before acknowledging, and recover from it on boot")
 	compactEvery := flag.Duration("compact-every", time.Minute, "fold the applied WAL prefix into a persisted snapshot this often (needs -wal-dir)")
-	groupCommit := flag.Duration("wal-group-commit", 0, "batch WAL fsyncs across submitters arriving within this window (0 = fsync per append)")
-	ingestQueue := flag.Int("ingest-queue", 0, "ingest queue capacity before /admin/delta answers 429 (0 = default)")
-	maxInflight := flag.Int("max-inflight", serve.DefaultMaxInFlight, "concurrent /v1/* requests before shedding with 429")
-	reqTimeout := flag.Duration("timeout", serve.DefaultTimeout, "per-request deadline")
-	maxBatch := flag.Int("max-batch", serve.DefaultMaxBatch, "host limit per POST /v1/batch")
+	groupCommit := flag.Duration("wal-group-commit", 0, "batch WAL fsyncs across submitters arriving within this window (0 = fsync per append; needs -wal-dir)")
 	debugAddr := flag.String("debug-addr", "", "serve /debug/vars and /debug/pprof/ on this address")
 	verbose := flag.Bool("v", false, "log refreshes and solver progress to stderr")
-	metrics := flag.Bool("metrics", true, "serve Prometheus text exposition at GET /metrics")
-	tracing := flag.Bool("tracing", true, "per-request trace IDs, flight recorder, and admin span trees")
 	sampleInterval := flag.Duration("sample-interval", 15*time.Second, "metric history sampling interval for /admin/timeseries (0 disables history)")
 	flightDir := flag.String("flight-dir", "", "write failed-refresh span trees to this directory")
-	driftWindow := flag.Int("drift-window", 12, "trailing epochs the drift watchdog compares against")
-	driftZ := flag.Float64("drift-z", 4, "bounded z-score above which an epoch fingerprint counts as drifted")
 	role := flag.String("role", "serve", "serve (one local snapshot) or router (front a shard topology)")
 	shardsSpec := flag.String("shards", "", "router topology: shards separated by ';', replica URLs within a shard by ','")
-	hedgeAfter := flag.Duration("hedge-after", 100*time.Millisecond, "router: race a second replica when a shard reply is this late (0 disables)")
 	probeInterval := flag.Duration("probe-interval", time.Second, "router: shard health probe period")
 	flag.Parse()
+	// Trap signals before anything slow runs, so a SIGHUP during boot
+	// cannot meet the default action and kill the process.
+	stop, hup := trapSignals()
+	// A flag the chosen role does not read is an error, not ignored.
 	switch *role {
 	case "serve":
+		rejectSet("applies to -role=router", "shards", "probe-interval")
+		if *walDir == "" {
+			rejectSet("needs -wal-dir", "compact-every", "wal-group-commit")
+		}
 		if *graphPath == "" || *namesPath == "" || *corePath == "" {
 			die("missing -graph, -names, or -core")
 		}
 	case "router":
+		rejectSet("applies to -role=serve; the router holds no snapshot, shards own their inputs and WALs",
+			"graph", "names", "core", "wal-dir", "compact-every", "wal-group-commit", "sample-interval", "flight-dir")
 		if *shardsSpec == "" {
 			die("-role=router needs -shards")
 		}
@@ -162,31 +157,17 @@ func main() {
 	}
 
 	if *role == "router" {
-		if *walDir != "" {
-			die("-wal-dir applies to -role=serve; shards own their WALs, the router holds no state")
-		}
-		runRouter(routerOptions{
-			addr:          *addr,
-			addrFile:      *addrFile,
-			shardsSpec:    *shardsSpec,
-			hedgeAfter:    *hedgeAfter,
-			probeInterval: *probeInterval,
-			maxInflight:   *maxInflight,
-			reqTimeout:    *reqTimeout,
-			maxBatch:      *maxBatch,
-			metrics:       *metrics,
-			tracing:       *tracing,
-			octx:          octx,
-		})
+		runRouter(stop, hup, *addr, *addrFile, *shardsSpec, *probeInterval, octx)
 		return
 	}
 
-	dcfg := mass.DetectConfig{RelMassThreshold: *tau, ScaledPageRankThreshold: *rho}
+	dcfg := mass.DefaultDetectConfig()
+	gamma := mass.DefaultOptions().Gamma
 	// Solve telemetry: the latest solve's iteration count as a gauge,
 	// so convergence regressions show up on a dashboard next to
 	// pagerank.iterations_total.
 	solveIters := octx.Gauge("pagerank.solve_iterations")
-	solver := pagerank.Config{Damping: *damping, Epsilon: 1e-10, MaxIter: 1000, Obs: octx,
+	solver := pagerank.Config{Damping: 0.85, Epsilon: 1e-10, MaxIter: 1000, Obs: octx,
 		OnStats: func(st *pagerank.SolveStats) { solveIters.Set(float64(st.Iterations)) }}
 	build := func(ctx context.Context, prev *serve.Snapshot, epoch int64) (*serve.Snapshot, error) {
 		g, _, err := graph.LoadFile(*graphPath, octx)
@@ -205,13 +186,13 @@ func main() {
 		if err != nil {
 			return nil, fmt.Errorf("load core: %w", err)
 		}
-		est, err := mass.EstimateFromCore(g, core, mass.Options{Solver: solver, Gamma: *gamma})
+		est, err := mass.EstimateFromCore(g, core, mass.Options{Solver: solver, Gamma: gamma})
 		if err != nil {
 			return nil, fmt.Errorf("estimate: %w", err)
 		}
 		return serve.NewSnapshot(h, est, serve.SnapshotConfig{
 			Detect:   dcfg,
-			Gamma:    *gamma,
+			Gamma:    gamma,
 			CoreSize: len(core),
 			// Carrying the core lets /admin/delta apply batches on top
 			// of this snapshot with the core remapped, not reloaded.
@@ -223,20 +204,12 @@ func main() {
 	if *sampleInterval > 0 {
 		recorder = obs.NewRecorder(reg, obs.RecorderConfig{Interval: *sampleInterval})
 	}
-	var flight *obs.FlightRecorder
-	if *tracing {
-		flight = obs.NewFlightRecorder(obs.FlightConfig{})
-	}
-	watchdog := serve.NewWatchdog(serve.WatchdogConfig{
-		Window: *driftWindow, ZThreshold: *driftZ, Obs: octx,
-	})
+	flight := obs.NewFlightRecorder(obs.FlightConfig{})
+	watchdog := serve.NewWatchdog(serve.WatchdogConfig{Obs: octx})
 
 	var pl *ingest.Pipeline
 	rcfg := serve.RefresherConfig{
-		Interval:   *refresh,
-		Timeout:    *refreshTimeout,
 		ApplyDelta: serve.NewDeltaBuilder(serve.DeltaBuilderConfig{Solver: solver, Obs: octx}),
-		DeltaQueue: *ingestQueue,
 		Obs:        octx,
 		Recorder:   recorder,
 		Watchdog:   watchdog,
@@ -259,9 +232,16 @@ func main() {
 
 	store := serve.NewStore()
 	ref := serve.NewRefresher(store, build, rcfg)
+	// A SIGHUP that lands during boot leaves a pending trigger, which
+	// the Run loop picks up as one refresh right after boot.
+	go func() {
+		for range hup {
+			octx.Logf("spamserver: SIGHUP, scheduling refresh")
+			ref.Trigger()
+		}
+	}()
 	// Fail fast if the boot cannot produce even one snapshot; after
 	// that, refresh failures only log and the old snapshot keeps serving.
-	startCtx, startCancel := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	if pl != nil {
 		// Durable boot: last persisted snapshot (or the initial build
 		// when none exists) plus the WAL suffix folded onto it and
@@ -269,108 +249,60 @@ func main() {
 		// acknowledged batch.
 		base, baseSeq, err := pl.Latest(dcfg, 0)
 		if err != nil {
-			startCancel()
 			die("loading snapshot: %v", err)
 		}
 		if base == nil {
-			if base, err = build(startCtx, nil, 1); err != nil {
-				startCancel()
+			if base, err = build(stop, nil, 1); err != nil {
 				die("initial snapshot: %v", err)
 			}
 			baseSeq = 0
 		}
-		recovered, replayed, err := pl.Recover(startCtx, base, baseSeq, solver)
+		recovered, replayed, err := pl.Recover(stop, base, baseSeq, solver)
 		if err != nil {
-			startCancel()
 			die("WAL recovery: %v", err)
 		}
 		if err := store.Publish(recovered); err != nil {
-			startCancel()
 			die("publishing recovered snapshot: %v", err)
 		}
 		if replayed > 0 {
 			fmt.Fprintf(os.Stderr, "spamserver: recovered %d WAL batches, serving epoch %d\n", replayed, recovered.Epoch())
 		}
-	} else if err := ref.Refresh(startCtx); err != nil {
-		startCancel()
+	} else if err := ref.Refresh(stop); err != nil {
 		die("initial snapshot: %v", err)
 	}
-	startCancel()
+	if stop.Err() != nil {
+		die("interrupted during boot")
+	}
 
 	srv := serve.NewServer(store, ref, serve.Config{
-		MaxInFlight:    *maxInflight,
-		Timeout:        *reqTimeout,
-		MaxBatch:       *maxBatch,
-		Obs:            octx,
-		Tracing:        *tracing,
-		Flight:         flight,
-		Recorder:       recorder,
-		Watchdog:       watchdog,
-		DisableMetrics: !*metrics,
+		Obs:      octx,
+		Tracing:  true,
+		Flight:   flight,
+		Recorder: recorder,
+		Watchdog: watchdog,
 	})
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		die("listen: %v", err)
-	}
-	if *addrFile != "" {
-		if err := os.WriteFile(*addrFile, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
-			die("write addr file: %v", err)
-		}
-	}
-	fmt.Fprintf(os.Stderr, "spamserver: serving %d hosts (epoch %d) on http://%s\n",
-		store.Load().NumHosts(), store.Epoch(), ln.Addr())
-
-	hs := &http.Server{Handler: srv.Handler()}
-	runCtx, stopRefresher := context.WithCancel(context.Background())
-	refresherDone := make(chan struct{})
+	// The refresher, the recorder and the compactor all stop with the
+	// first SIGINT/SIGTERM, alongside the HTTP drain.
+	var bg sync.WaitGroup
+	bg.Add(1)
 	go func() {
-		defer close(refresherDone)
-		ref.Run(runCtx)
+		defer bg.Done()
+		ref.Run(stop)
 	}()
 	if recorder != nil {
-		go recorder.Run(runCtx)
+		go recorder.Run(stop)
 	}
-	compactorDone := make(chan struct{})
 	if pl != nil {
+		bg.Add(1)
 		go func() {
-			defer close(compactorDone)
-			pl.RunCompactor(runCtx)
+			defer bg.Done()
+			pl.RunCompactor(stop)
 		}()
-	} else {
-		close(compactorDone)
-	}
-	if *deltaWatch != "" {
-		go watchDelta(runCtx, *deltaWatch, *deltaPoll, ref, octx)
 	}
 
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGHUP, syscall.SIGINT, syscall.SIGTERM)
-	shutdownErr := make(chan error, 1)
-	go func() {
-		for sig := range sigs {
-			if sig == syscall.SIGHUP {
-				octx.Logf("spamserver: SIGHUP, scheduling refresh")
-				ref.Trigger()
-				continue
-			}
-			fmt.Fprintf(os.Stderr, "spamserver: %s, draining\n", sig)
-			stopRefresher()
-			ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-			shutdownErr <- hs.Shutdown(ctx)
-			cancel()
-			return
-		}
-	}()
-
-	if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		die("serve: %v", err)
-	}
-	if err := <-shutdownErr; err != nil {
-		die("shutdown: %v", err)
-	}
-	stopRefresher()
-	<-refresherDone
-	<-compactorDone
+	serveHTTP(stop, *addr, *addrFile, srv.Handler(),
+		fmt.Sprintf("serving %d hosts (epoch %d)", store.Load().NumHosts(), store.Epoch()))
+	bg.Wait()
 	if pl != nil {
 		if err := pl.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "spamserver: closing WAL: %v\n", err)
@@ -378,50 +310,72 @@ func main() {
 	}
 }
 
-// watchDelta polls path and enqueues its batch whenever the file
-// changes. A file already present at boot is treated as consumed —
-// the initial snapshot was just built from the full inputs, so an old
-// delta must not be replayed on top of it. Read or submit failures
-// log and leave the marker untouched, so the next poll retries.
-func watchDelta(ctx context.Context, path string, every time.Duration, ref *serve.Refresher, octx *obs.Context) {
-	if every <= 0 {
-		every = 2 * time.Second
-	}
-	type mark struct {
-		mtime time.Time
-		size  int64
-	}
-	var last mark
-	if fi, err := os.Stat(path); err == nil {
-		last = mark{fi.ModTime(), fi.Size()}
-	}
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
+// rejectSet exits with an error naming the first flag in names that
+// was set on the command line.
+func rejectSet(why string, names ...string) {
+	flag.Visit(func(f *flag.Flag) {
+		if slices.Contains(names, f.Name) {
+			die("-%s %s", f.Name, why)
+		}
+	})
+}
+
+// trapSignals registers SIGHUP, SIGINT and SIGTERM for both roles. The
+// returned context is canceled by the first SIGINT or SIGTERM; each
+// SIGHUP leaves one pending value on hup (further ones coalesce) for
+// the role to consume once it is ready, so a SIGHUP is never lost and
+// never fatal.
+func trapSignals() (stop context.Context, hup <-chan struct{}) {
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, syscall.SIGHUP, syscall.SIGINT, syscall.SIGTERM)
+	ctx, cancel := context.WithCancel(context.Background())
+	hups := make(chan struct{}, 1)
+	go func() {
+		for sig := range sigs {
+			if sig == syscall.SIGHUP {
+				select {
+				case hups <- struct{}{}:
+				default:
+				}
+				continue
+			}
+			fmt.Fprintf(os.Stderr, "spamserver: %s, draining\n", sig)
+			cancel()
 			return
-		case <-t.C:
 		}
-		fi, err := os.Stat(path)
-		if err != nil {
-			continue // not written yet, or mid-rename
+	}()
+	return ctx, hups
+}
+
+// serveHTTP is the tail both roles share: listen on addr, write the
+// bound address to addrFile, print a banner describing what is
+// served, and serve h until stop is canceled, then drain in-flight
+// requests for up to 15 s.
+func serveHTTP(stop context.Context, addr, addrFile string, h http.Handler, what string) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		die("listen: %v", err)
+	}
+	if addrFile != "" {
+		if err := os.WriteFile(addrFile, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
+			die("write addr file: %v", err)
 		}
-		cur := mark{fi.ModTime(), fi.Size()}
-		if cur == last {
-			continue
-		}
-		b, err := delta.ReadFile(path)
-		if err != nil {
-			octx.Logf("spamserver: delta watch: %v", err)
-			continue
-		}
-		if err := ref.SubmitDelta(b); err != nil {
-			octx.Logf("spamserver: delta watch: %v", err)
-			continue
-		}
-		octx.Logf("spamserver: delta watch: submitted %d ops from %s", b.NumOps(), path)
-		last = cur
+	}
+	fmt.Fprintf(os.Stderr, "spamserver: %s on http://%s\n", what, ln.Addr())
+
+	hs := &http.Server{Handler: h}
+	shutdownErr := make(chan error, 1)
+	go func() {
+		<-stop.Done()
+		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
+		defer cancel()
+		shutdownErr <- hs.Shutdown(ctx)
+	}()
+	if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+		die("serve: %v", err)
+	}
+	if err := <-shutdownErr; err != nil {
+		die("shutdown: %v", err)
 	}
 }
 

@@ -4,33 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"spammass/internal/obs"
 	"spammass/internal/serve"
 	"spammass/internal/shard"
 )
-
-// routerOptions is the -role=router slice of the flag set.
-type routerOptions struct {
-	addr          string
-	addrFile      string
-	shardsSpec    string
-	hedgeAfter    time.Duration
-	probeInterval time.Duration
-	maxInflight   int
-	reqTimeout    time.Duration
-	maxBatch      int
-	metrics       bool
-	tracing       bool
-	octx          *obs.Context
-}
 
 // parseShards turns "u1,u2;u3" into [[u1 u2] [u3]].
 func parseShards(spec string) ([][]string, error) {
@@ -63,77 +45,46 @@ func parseShards(spec string) ([][]string, error) {
 }
 
 // runRouter is the -role=router main: mount a shard.Router behind the
-// stock serve HTTP layer and run the health-probe loop until drained.
-func runRouter(opts routerOptions) {
-	topo, err := parseShards(opts.shardsSpec)
+// stock serve HTTP layer and run the health-probe loop until stop is
+// canceled. A SIGHUP is logged and ignored: the router holds no
+// snapshot to refresh.
+func runRouter(stop context.Context, hup <-chan struct{}, addr, addrFile, shardsSpec string, probeInterval time.Duration, octx *obs.Context) {
+	topo, err := parseShards(shardsSpec)
 	if err != nil {
 		die("parse -shards: %v", err)
 	}
 	router, err := shard.NewRouter(shard.Config{
 		Shards:        topo,
-		HedgeAfter:    opts.hedgeAfter,
-		ProbeInterval: opts.probeInterval,
-		Obs:           opts.octx,
+		ProbeInterval: probeInterval,
+		Obs:           octx,
 	})
 	if err != nil {
 		die("router: %v", err)
 	}
 	srv := serve.NewServer(nil, nil, serve.Config{
-		MaxInFlight:    opts.maxInflight,
-		Timeout:        opts.reqTimeout,
-		MaxBatch:       opts.maxBatch,
-		Obs:            opts.octx,
-		Tracing:        opts.tracing,
-		DisableMetrics: !opts.metrics,
-		Backend:        router,
+		Obs:     octx,
+		Tracing: true,
+		Backend: router,
 		Routes: map[string]http.HandlerFunc{
 			"POST /admin/delta": router.HandleDelta,
 			"GET /admin/status": router.HandleStatus,
 		},
 	})
-
-	ln, err := net.Listen("tcp", opts.addr)
-	if err != nil {
-		die("listen: %v", err)
-	}
-	if opts.addrFile != "" {
-		if err := os.WriteFile(opts.addrFile, []byte(ln.Addr().String()+"\n"), 0o644); err != nil {
-			die("write addr file: %v", err)
+	go func() {
+		for range hup {
+			fmt.Fprintln(os.Stderr, "spamserver: SIGHUP ignored: the router holds no snapshot to refresh")
 		}
-	}
+	}()
+	probesDone := make(chan struct{})
+	go func() {
+		defer close(probesDone)
+		router.Run(stop)
+	}()
 	replicas := 0
 	for _, urls := range topo {
 		replicas += len(urls)
 	}
-	fmt.Fprintf(os.Stderr, "spamserver: routing %d shards (%d replicas) on http://%s\n",
-		len(topo), replicas, ln.Addr())
-
-	hs := &http.Server{Handler: srv.Handler()}
-	runCtx, stopProbes := context.WithCancel(context.Background())
-	probesDone := make(chan struct{})
-	go func() {
-		defer close(probesDone)
-		router.Run(runCtx)
-	}()
-
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
-	shutdownErr := make(chan error, 1)
-	go func() {
-		sig := <-sigs
-		fmt.Fprintf(os.Stderr, "spamserver: %s, draining\n", sig)
-		stopProbes()
-		ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-		shutdownErr <- hs.Shutdown(ctx)
-		cancel()
-	}()
-
-	if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		die("serve: %v", err)
-	}
-	if err := <-shutdownErr; err != nil {
-		die("shutdown: %v", err)
-	}
-	stopProbes()
+	serveHTTP(stop, addr, addrFile, srv.Handler(),
+		fmt.Sprintf("routing %d shards (%d replicas)", len(topo), replicas))
 	<-probesDone
 }

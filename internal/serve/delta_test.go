@@ -16,6 +16,7 @@ import (
 	"spammass/internal/delta"
 	"spammass/internal/graph"
 	"spammass/internal/mass"
+	"spammass/internal/obs"
 	"spammass/internal/pagerank"
 )
 
@@ -366,6 +367,60 @@ func TestDeltaEndpoint(t *testing.T) {
 	}
 	if status.Epoch != 3 {
 		t.Errorf("status epoch %d, want 3", status.Epoch)
+	}
+}
+
+// TestDeltaBackpressure fills the ingest queue with no Run loop
+// draining it: DefaultDeltaQueue submissions are accepted, the next is
+// shed with 429 + Retry-After, and the status and metric surfaces
+// report the full queue and the one rejection.
+func TestDeltaBackpressure(t *testing.T) {
+	h := testHostGraph(t)
+	st := NewStore()
+	reg := obs.NewRegistry()
+	octx := obs.NewContext(reg, nil)
+	ref := NewRefresher(st, coreBuilder(h, []graph.NodeID{0, 1}, pagerank.DefaultConfig()), RefresherConfig{
+		ApplyDelta: NewDeltaBuilder(DeltaBuilderConfig{Solver: pagerank.DefaultConfig()}),
+		Obs:        octx,
+	})
+	if err := ref.Refresh(context.Background()); err != nil {
+		t.Fatalf("initial refresh: %v", err)
+	}
+	ts := httptest.NewServer(NewServer(st, ref, Config{Obs: octx}).Handler())
+	defer ts.Close()
+	body := deltaText(t, &delta.Batch{Ops: []delta.Op{delta.AddEdgeOp("b.example", "e.example")}})
+	post := func() *http.Response {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/admin/delta", "text/plain", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+	for i := 0; i < DefaultDeltaQueue; i++ {
+		if resp := post(); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submission %d: status %d, want 202", i+1, resp.StatusCode)
+		}
+	}
+	resp := post()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("submission past a full queue: status %d, want 429", resp.StatusCode)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("429 Retry-After %q, want 1", ra)
+	}
+
+	var status StatusResponse
+	if code := getJSON(t, ts.URL+"/admin/status", &status); code != http.StatusOK {
+		t.Fatalf("status endpoint: %d", code)
+	}
+	if status.IngestQueueDepth != DefaultDeltaQueue || status.IngestQueueCap != DefaultDeltaQueue || status.IngestRejected != 1 {
+		t.Fatalf("status queue depth %d, capacity %d, rejected %d; want %d, %d, 1",
+			status.IngestQueueDepth, status.IngestQueueCap, status.IngestRejected, DefaultDeltaQueue, DefaultDeltaQueue)
+	}
+	if got := reg.Counter("serve.ingest_rejected_total").Value(); got != 1 {
+		t.Fatalf("serve.ingest_rejected_total = %d, want 1", got)
 	}
 }
 

@@ -30,8 +30,9 @@ type BuildFunc func(ctx context.Context, prev *Snapshot, epoch int64) (*Snapshot
 // implementation.
 type DeltaApplyFunc func(ctx context.Context, prev *Snapshot, epoch int64, batch *delta.Batch) (*Snapshot, error)
 
-// DefaultDeltaQueue is the SubmitDelta queue capacity when
-// RefresherConfig.DeltaQueue is zero.
+// DefaultDeltaQueue is the SubmitDelta queue capacity. A full queue
+// rejects rather than blocks: with 16 batches awaiting their apply, the
+// next submission fails with ErrIngestBackpressure.
 const DefaultDeltaQueue = 16
 
 // ErrIngestBackpressure reports that the ingest queue is full: applies
@@ -75,19 +76,10 @@ type Journal interface {
 
 // RefresherConfig configures the background refresh loop.
 type RefresherConfig struct {
-	// Interval is the timer-driven refresh period; 0 disables the
-	// timer, leaving SIGHUP / POST /admin/refresh triggers only.
-	Interval time.Duration
-	// Timeout bounds one refresh attempt (build + publish); 0 means
-	// no bound beyond the Run context.
-	Timeout time.Duration
 	// ApplyDelta, if non-nil, enables the incremental refresh path:
 	// POST /admin/delta and SubmitDelta feed mutation batches through
 	// it, each applied batch advancing the epoch by one.
 	ApplyDelta DeltaApplyFunc
-	// DeltaQueue is the SubmitDelta queue capacity; 0 means
-	// DefaultDeltaQueue. A full queue rejects rather than blocks.
-	DeltaQueue int
 	// Journal, if non-nil, makes SubmitDelta durable: every batch is
 	// appended (and fsynced) before it is acknowledged or applied, and
 	// apply/refresh outcomes are reported back for compaction.
@@ -109,9 +101,9 @@ type RefresherConfig struct {
 	FlightDir string
 }
 
-// Refresher drives snapshot turnover: it runs BuildFunc on a timer or
-// on demand, and publishes the result to the Store only when the build
-// succeeded end to end. Any failure — input reload, solver
+// Refresher drives snapshot turnover: it runs BuildFunc on demand and
+// publishes the result to the Store only when the build succeeded end
+// to end. Any failure — input reload, solver
 // non-convergence (pagerank.ErrNotConverged from the estimator),
 // snapshot validation — leaves the previous snapshot serving and is
 // recorded in LastError and the serve.refresh_failures_total counter.
@@ -160,12 +152,8 @@ type refreshError struct{ err error }
 func NewRefresher(store *Store, build BuildFunc, cfg RefresherConfig) *Refresher {
 	r := &Refresher{store: store, build: build, cfg: cfg, trigger: make(chan struct{}, 1)}
 	if cfg.ApplyDelta != nil {
-		q := cfg.DeltaQueue
-		if q <= 0 {
-			q = DefaultDeltaQueue
-		}
-		r.deltaCh = make(chan queuedDelta, q)
-		r.slots = make(chan struct{}, q)
+		r.deltaCh = make(chan queuedDelta, DefaultDeltaQueue)
+		r.slots = make(chan struct{}, DefaultDeltaQueue)
 	}
 	return r
 }
@@ -232,8 +220,8 @@ func (r *Refresher) applyQueued(ctx context.Context, item queuedDelta) error {
 		// snapshot is nevertheless the state that covers this sequence,
 		// because a recovery replay skips deterministic failures the same
 		// way (see ingest.Pipeline.Recover). Transient failures — ctx
-		// canceled at shutdown, a refresh-timeout expiry mid-apply — must
-		// NOT be marked: recovery aborts rather than skips on ctx errors,
+		// canceled at shutdown, a request deadline expiring mid-apply —
+		// must NOT be marked: recovery aborts rather than skips on ctx errors,
 		// so the batch stays in the WAL and is replayed on the next boot
 		// instead of being compacted away unapplied.
 		if snap := r.store.Load(); snap != nil {
@@ -360,17 +348,12 @@ func (r *Refresher) setDepth(d int64) {
 }
 
 // runBuild is the shared build-and-publish body of Refresh and
-// ApplyDelta: serialize, bound by Timeout, run the builder for epoch
+// ApplyDelta: serialize, run the builder for epoch
 // prev+1, publish only on end-to-end success, and record the outcome
 // in metrics and LastError.
 func (r *Refresher) runBuild(ctx context.Context, spanName string, needPrev bool, seq uint64, build BuildFunc) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.cfg.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.cfg.Timeout)
-		defer cancel()
-	}
 	// A synchronous admin request (POST /admin/refresh?wait=1,
 	// /admin/delta?wait=1) carries its own traced obs context; building
 	// under it threads the refresh and solver spans into the request's
@@ -493,21 +476,14 @@ func (r *Refresher) Trigger() {
 }
 
 // Run executes the refresh loop until ctx is canceled: one refresh per
-// Interval tick and one per Trigger. Failures are absorbed — recorded
+// Trigger, and one apply per queued delta batch. Failures are absorbed — recorded
 // via LastError and metrics, old snapshot retained — so a transient
 // bad input cannot take the loop down.
 func (r *Refresher) Run(ctx context.Context) {
-	var tick <-chan time.Time
-	if r.cfg.Interval > 0 {
-		t := time.NewTicker(r.cfg.Interval)
-		defer t.Stop()
-		tick = t.C
-	}
 	for {
 		select {
 		case <-ctx.Done():
 			return
-		case <-tick:
 		case <-r.trigger:
 		case item := <-r.deltaCh: // nil channel when deltas are disabled
 			if err := r.applyQueued(ctx, item); err != nil {

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -161,38 +160,5 @@ func TestRefresherRunTriggerAndCancel(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("Run did not exit on context cancel")
-	}
-}
-
-func TestRefresherTimerDriven(t *testing.T) {
-	h := testHostGraph(t)
-	st := NewStore()
-	ref := NewRefresher(st, estimatorBuilder(h, []graph.NodeID{0, 1}, pagerank.DefaultConfig()),
-		RefresherConfig{Interval: 5 * time.Millisecond})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go ref.Run(ctx)
-	deadline := time.Now().Add(10 * time.Second)
-	for st.Epoch() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("timer produced only epoch %d", st.Epoch())
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestRefreshTimeoutConfig(t *testing.T) {
-	st := NewStore()
-	ref := NewRefresher(st, func(ctx context.Context, prev *Snapshot, epoch int64) (*Snapshot, error) {
-		select {
-		case <-ctx.Done():
-			return nil, fmt.Errorf("build aborted: %w", ctx.Err())
-		case <-time.After(10 * time.Second):
-			return nil, errors.New("timeout never fired")
-		}
-	}, RefresherConfig{Timeout: 10 * time.Millisecond})
-	err := ref.Refresh(context.Background())
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("refresh with 10ms budget returned %v, want deadline exceeded", err)
 	}
 }

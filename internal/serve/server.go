@@ -52,8 +52,6 @@ type Config struct {
 	// /readyz?verbose. (The refresher feeds it; the server only
 	// reads.)
 	Watchdog *Watchdog
-	// DisableMetrics removes the GET /metrics route.
-	DisableMetrics bool
 	// Backend, if non-nil, is where /v1 answers come from instead of
 	// the local store — a shard router, a disk-backed store. When nil,
 	// NewServer wraps its store argument in a StoreBackend.
@@ -167,9 +165,7 @@ func NewServer(store *Store, ref *Refresher, cfg Config) *Server {
 	for pattern, h := range routes {
 		s.mux.HandleFunc(pattern, h)
 	}
-	if !cfg.DisableMetrics {
-		s.mux.Handle("GET /metrics", obs.PrometheusHandler(cfg.Obs.Registry()))
-	}
+	s.mux.Handle("GET /metrics", obs.PrometheusHandler(cfg.Obs.Registry()))
 	return s
 }
 

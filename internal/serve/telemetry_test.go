@@ -208,17 +208,6 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	if !found {
 		t.Fatalf("serve_requests_total not exposed; families: %d", len(fams))
 	}
-
-	// DisableMetrics removes the route.
-	_, _, ts2 := newTestServerObs(t, Config{DisableMetrics: true})
-	resp2, err := http.Get(ts2.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusNotFound {
-		t.Fatalf("disabled /metrics status %d, want 404", resp2.StatusCode)
-	}
 }
 
 // newTestServerObs is newTestServer, sharing the Config's obs context

@@ -57,9 +57,8 @@ func benchTopology(b *testing.B) (*graph.HostGraph, *Router) {
 func BenchmarkRouterLookup(b *testing.B) {
 	h, r := benchTopology(b)
 	handler := serve.NewServer(nil, nil, serve.Config{
-		DisableMetrics: true,
-		Backend:        r,
-		MaxInFlight:    4096,
+		Backend:     r,
+		MaxInFlight: 4096,
 	}).Handler()
 	var next atomic.Int64
 	b.ResetTimer()

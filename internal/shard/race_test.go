@@ -37,8 +37,7 @@ func TestRouterHammer(t *testing.T) {
 	r, _, nodes := bootTopology(t, h, 2, Config{})
 
 	front := serve.NewServer(nil, nil, serve.Config{
-		DisableMetrics: true,
-		Backend:        r,
+		Backend: r,
 		Routes: map[string]http.HandlerFunc{
 			"POST /admin/delta": r.HandleDelta,
 			"GET /admin/status": r.HandleStatus,

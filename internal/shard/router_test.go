@@ -96,7 +96,7 @@ func bootShard(t testing.TB, part *graph.HostGraph) *shardNode {
 		t.Fatal(err)
 	}
 	node := &shardNode{store: st, ref: ref}
-	inner := serve.NewServer(st, ref, serve.Config{DisableMetrics: true}).Handler()
+	inner := serve.NewServer(st, ref, serve.Config{}).Handler()
 	node.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost && r.URL.Path == "/v1/batch" {
 			body, _ := io.ReadAll(r.Body)
@@ -497,8 +497,7 @@ func TestRouterBehindServeHTTP(t *testing.T) {
 	h := harnessHostGraph(t, 60)
 	r, _, _ := bootTopology(t, h, 2, Config{})
 	front := serve.NewServer(nil, nil, serve.Config{
-		DisableMetrics: true,
-		Backend:        r,
+		Backend: r,
 		Routes: map[string]http.HandlerFunc{
 			"POST /admin/delta": r.HandleDelta,
 			"GET /admin/status": r.HandleStatus,

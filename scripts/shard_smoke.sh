@@ -6,8 +6,9 @@
 # probes routed lookups, batches, and rankings, applies a cross-shard
 # delta through the router, and asserts the generation fence advanced
 # with no torn view (every touched shard's floor covers the published
-# epoch, routed records carry post-delta epochs). Exits non-zero on
-# any failed probe. Run via `make shard-smoke`.
+# epoch, routed records carry post-delta epochs), and that a SIGHUP
+# leaves the router routing. Exits non-zero on any failed probe. Run
+# via `make shard-smoke`.
 set -eu
 
 GO=${GO:-go}
@@ -160,6 +161,21 @@ probe "post-delta lookup" "http://$ADDR/v1/host/smoke-added-0.example"
 expect "post-delta epoch" '"epoch":2'
 probe "post-delta readyz" "http://$ADDR/readyz"
 expect "served generation" '"generation":2'
+
+# SIGHUP is not fatal to the router: it logs it and keeps routing.
+kill -HUP "$ROUTER_PID"
+i=0
+until grep -q 'SIGHUP ignored' "$WORK/router.log"; do
+    i=$((i + 1))
+    if [ "$i" -gt 50 ] || ! kill -0 "$ROUTER_PID" 2>/dev/null; then
+        echo "shard-smoke: router did not survive SIGHUP" >&2
+        logs
+        exit 1
+    fi
+    sleep 0.1
+done
+probe "post-SIGHUP lookup" "http://$ADDR/v1/host/$H0"
+expect "routed host after SIGHUP" "\"host\":\"$H0\""
 
 # Drain: the router must exit cleanly on SIGTERM.
 kill "$ROUTER_PID"
