@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-all race vet fmt-check lint lint-json vectorcheck fuzz-smoke serve-smoke delta-smoke obs-smoke shard-smoke ingest-smoke verify clean
+.PHONY: build test bench microbench race vet fmt-check lint lint-json vectorcheck fuzz-smoke serve-smoke delta-smoke obs-smoke shard-smoke ingest-smoke verify clean
 
 build:
 	$(GO) build ./...
@@ -8,30 +8,17 @@ build:
 test:
 	$(GO) test ./...
 
-# bench runs the acceptance benchmarks — the 1M-host solve-to-epsilon
-# pair (Gauss-Southwell vs the Jacobi full sweep, wall clock), the 10k-node
-# mass-estimation sweep, the serving-layer lookup benchmarks (plain,
-# metrics-only, fully instrumented, and the paired telemetry-overhead
-# measurement backing the <=3% budget), the routed lookup/batch
-# benchmarks against their single-node ServeLookup baseline, and the
-# incremental (delta + warm start) refresh against its cold baseline,
-# plus the durable-ingest pair (WAL append throughput in both fsync
-# disciplines, and snapshot-load + WAL-replay recovery) — with
-# -benchmem, and converts the combined output into the
-# machine-readable benchmark summary for this PR.
-BENCH_OUT ?= BENCH_pr10.json
+# bench runs the repository benchmark (bench/, the command
+# BENCHMARK.json declares): end-to-end workloads against real spamserver
+# processes plus the per-layer figures. It is the only harness whose
+# numbers are compared parent against change.
 bench:
-	{ $(GO) test -run='^$$' -bench=1M -benchtime=2x -timeout 1800s ./internal/pagerank/ && \
-	  $(GO) test -run='^$$' -bench=10k -benchmem ./internal/mass/ && \
-	  $(GO) test -run='^$$' -bench='ServeLookup|ServeTelemetryOverhead' -benchmem ./internal/serve/ && \
-	  $(GO) test -run='^$$' -bench='RouterLookup|RouterBatch' -benchmem ./internal/shard/ && \
-	  $(GO) test -run='^$$' -bench=Refresh10k -benchmem ./internal/delta/ && \
-	  $(GO) test -run='^$$' -bench='IngestThroughput|RecoveryReplay' -benchtime=3x -benchmem ./internal/ingest/; } \
-	  | $(GO) run ./cmd/benchjson -o $(BENCH_OUT)
+	$(GO) run ./bench
 
-# bench-all is the full benchmark sweep over every package.
-bench-all:
-	$(GO) test -bench=. -benchmem ./...
+# microbench runs every in-package benchmark body once, so a benchmark
+# that b.Fatals fails the gate; `go test` alone only compiles them.
+microbench:
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # Race-check everything: the solver engine and mass layer are the hot
 # concurrent paths, but obs registries/spans and experiment batching
@@ -121,9 +108,10 @@ obs-smoke:
 	sh scripts/obs_smoke.sh
 
 # verify is the tier-1 gate: vet, gofmt, spamlint, full build, full
-# test suite, the race detector over every package, and the pagerank
-# tests under the vectorcheck debug tag.
-verify: vet fmt-check lint build test race vectorcheck
+# test suite, the race detector over every package, the pagerank
+# tests under the vectorcheck debug tag, and one run of every
+# in-package benchmark.
+verify: vet fmt-check lint build test race vectorcheck microbench
 	@echo "verify: OK"
 
 clean:

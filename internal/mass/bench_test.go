@@ -19,20 +19,10 @@ func benchSetup(n int) (*graph.Graph, []graph.NodeID) {
 	return g, core
 }
 
-func BenchmarkEstimateFromCore(b *testing.B) {
-	g, core := benchSetup(100000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := EstimateFromCore(g, core, DefaultOptions()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkEstimateFromCore10k is the acceptance benchmark for the
-// batched engine: both PageRank solves (p and p') share one adjacency
-// sweep per iteration via Engine.SolveMany. No observability sink is
-// attached, so the instrumented paths stay on their nil no-ops.
+// BenchmarkEstimateFromCore10k times the batched engine: both PageRank
+// solves (p and p') share one adjacency sweep per iteration via
+// Engine.SolveMany. No observability sink is attached, so the
+// instrumented paths stay on their nil no-ops.
 func BenchmarkEstimateFromCore10k(b *testing.B) {
 	g, core := benchSetup(10000)
 	b.ResetTimer()
@@ -69,55 +59,5 @@ func BenchmarkEstimateFromCore10kObs(b *testing.B) {
 	b.StopTimer()
 	if est.SolveStats != nil {
 		b.ReportMetric(est.SolveStats.EdgesPerSecond, "edges/s")
-	}
-}
-
-// BenchmarkRecomputeMany10k measures the batched warm re-estimation
-// path used by the core-size and stability experiments: eight core
-// variants per batch.
-func BenchmarkRecomputeMany10k(b *testing.B) {
-	g, core := benchSetup(10000)
-	es, err := NewEstimator(g, DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer es.Close()
-	est, err := es.EstimateFromCore(core)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cores := make([][]graph.NodeID, 8)
-	for i := range cores {
-		cores[i] = core[:len(core)-i]
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := es.RecomputeMany(est, cores); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDetect(b *testing.B) {
-	g, core := benchSetup(100000)
-	est, err := EstimateFromCore(g, core, DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Detect(est, DefaultDetectConfig())
-	}
-}
-
-func BenchmarkDerive(b *testing.B) {
-	g, core := benchSetup(100000)
-	est, err := EstimateFromCore(g, core, DefaultOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Derive(est.P, est.PCore, est.Damping)
 	}
 }

@@ -32,7 +32,7 @@ func solve1MGraph(b *testing.B) *graph.Graph {
 // algorithms do different amounts of edge work for the same answer:
 // Gauss-Southwell reaches the fixpoint touching a fraction of the
 // edges the Jacobi sweep needs, so compare ns/op, not edges/s. This is
-// the pair ROADMAP item 2(v) decides the default algorithm on; raw
+// the pair ROADMAP's cold-solve algorithm choice is decided on; raw
 // sweep throughput is bench/'s pagerank.sweep_edges_per_s_w1 / _wN.
 // Both produce scores agreeing to L1 ≤ 1e-9 (TestAllAlgorithmsParity,
 // TestGaussSouthwellMatchesJacobi).

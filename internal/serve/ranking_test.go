@@ -18,10 +18,10 @@ import (
 
 // webWorld is the shared 100k-host webgen world with real estimates
 // from its assembled good core: the fixture of the ranking oracle, the
-// /v1/top byte comparison, the NewSnapshot allocation budget and
-// BenchmarkNewSnapshot. About 28 % of its hosts are isolated and share
-// one exact p and M̃, and every host the core does not reach ties at
-// m̃ = 1, so all three rankings carry large exact-tie groups.
+// /v1/top byte comparison and the NewSnapshot allocation budget. About
+// 28 % of its hosts are isolated and share one exact p and M̃, and
+// every host the core does not reach ties at m̃ = 1, so all three
+// rankings carry large exact-tie groups.
 type webWorld struct {
 	hosts *graph.HostGraph
 	est   *mass.Estimates
