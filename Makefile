@@ -52,10 +52,10 @@ lint-json:
 	$(GO) run ./cmd/spamlint -json -o $(LINT_OUT) ./...
 
 # vectorcheck builds the engine with the debug guard that scans every
-# solve result for NaN/±Inf/negative scores, and runs the pagerank
-# tests under it.
+# solve result for NaN/±Inf/negative scores, and runs the pagerank and
+# mass tests and spamserver's cold-solve accuracy test under it.
 vectorcheck:
-	$(GO) test -tags vectorcheck ./internal/pagerank/
+	$(GO) test -tags vectorcheck ./internal/pagerank/ ./internal/mass/ ./cmd/spamserver/
 
 # fuzz-smoke gives each fuzz target a short budget; regressions in the
 # decoders, host collapsing, or mass derivation surface fast.
@@ -108,9 +108,9 @@ obs-smoke:
 	sh scripts/obs_smoke.sh
 
 # verify is the tier-1 gate: vet, gofmt, spamlint, full build, full
-# test suite, the race detector over every package, the pagerank
-# tests under the vectorcheck debug tag, and one run of every
-# in-package benchmark.
+# test suite, the race detector over every package, the pagerank,
+# mass and spamserver tests under the vectorcheck debug tag, and one
+# run of every in-package benchmark.
 verify: vet fmt-check lint build test race vectorcheck microbench
 	@echo "verify: OK"
 

@@ -146,6 +146,9 @@ func pushRun(g *graph.Graph, inv []float64, c float64, x, r []float64, rsum, tol
 	}
 	prevScan := math.Inf(1)
 	prevPushes := int64(0)
+	// The per-push counters stay local until the run ends, so columns
+	// pushed concurrently never write to a shared cache line.
+	var pushes, edges int64
 	for rsum > tol && work < budget {
 		rsum = 0
 		q = q[:0]
@@ -171,11 +174,11 @@ func pushRun(g *graph.Graph, inv []float64, c float64, x, r []float64, rsum, tol
 		// pushes can — hand the iterate back. (Rounds that did no pushes
 		// only lowered the threshold; they carry no progress signal.)
 		// Solver mode has no sweeps to fall back to and keeps pushing.
-		if bail && st.Pushes > prevPushes && rsum > 0.5*prevScan {
+		if bail && pushes > prevPushes && rsum > 0.5*prevScan {
 			break
 		}
 		prevScan = rsum
-		prevPushes = st.Pushes
+		prevPushes = pushes
 		if len(q) == 0 {
 			if thresh <= floor {
 				break // numerically stuck
@@ -190,9 +193,17 @@ func pushRun(g *graph.Graph, inv []float64, c float64, x, r []float64, rsum, tol
 			if math.Abs(d) <= thresh {
 				continue
 			}
+			if x[y]+d < 0 {
+				// From a start above the fixpoint, a negative residual
+				// can exceed x[y] by a rounding error where the true
+				// score is 0. Push only what x[y] holds and keep the
+				// rest in r[y], so x stays non-negative and r exact.
+				d = -x[y]
+			}
 			x[y] += d
-			rsum -= math.Abs(d)
-			r[y] = 0
+			ry := r[y]
+			r[y] -= d
+			rsum += math.Abs(r[y]) - math.Abs(ry)
 			out := g.OutNeighbors(graph.NodeID(y))
 			w := c * d * inv[y]
 			for _, z := range out {
@@ -205,11 +216,13 @@ func pushRun(g *graph.Graph, inv []float64, c float64, x, r []float64, rsum, tol
 				}
 			}
 			work += int64(len(out)) + 1
-			st.EdgesSwept += int64(len(out))
-			st.Pushes++
+			edges += int64(len(out))
+			pushes++
 		}
 		thresh = math.Max(thresh/8, floor)
 	}
+	st.Pushes += pushes
+	st.EdgesSwept += edges
 	st.FinalResidual = rsum
 	st.Converged = rsum <= tol
 }

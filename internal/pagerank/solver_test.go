@@ -74,7 +74,8 @@ func TestFigure2ClosedForm(t *testing.T) {
 // iteration only passes with Vigna's dangling correction applied. The
 // corpus folds the degenerate and dangling-heavy graphs every solver
 // path has to be right on, crossed with batch widths 1–3 (the scalar,
-// two-column, and generic sweep kernels) and cold vs warm starts.
+// two-column, and generic sweep kernels) and cold starts against warm
+// starts from below and from above the fixpoint.
 func TestAllAlgorithmsParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	corpus := []struct {
@@ -123,14 +124,25 @@ func TestAllAlgorithmsParity(t *testing.T) {
 				in, ref = stoch, wantStoch
 			}
 			for k := 1; k <= len(in); k++ {
-				for _, warm := range []bool{false, true} {
+				// Per-column seeds, the delta-refresh shape: 0 is a cold
+				// start, 0.5 a wrong guess from below the fixpoint, 1.5
+				// one from above. The above seed is lifted by half the
+				// uniform column's solution so that hosts a core column
+				// never reaches (true score 0) start positive too: pushes
+				// then carry negative residual down to exactly 0, where
+				// a rounding overshoot would leave a negative score.
+				for _, warm := range []float64{0, 0.5, 1.5} {
 					cfg := DefaultConfig()
 					cfg.Algorithm = algo
-					if warm {
-						// Per-column seeds, the delta-refresh shape: half
-						// the fixpoint, a wrong guess from below.
+					if warm != 0 {
 						for _, p := range ref[:k] {
-							cfg.WarmStarts = append(cfg.WarmStarts, p.Clone().Scale(0.5))
+							seed := p.Clone().Scale(warm)
+							if warm > 1 {
+								for i := range seed {
+									seed[i] += 0.5 * ref[0][i]
+								}
+							}
+							cfg.WarmStarts = append(cfg.WarmStarts, seed)
 						}
 					}
 					got, err := eng.SolveManyConfig(in[:k], cfg)

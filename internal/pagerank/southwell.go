@@ -12,9 +12,12 @@ import (
 // machinery of Engine.Refine promoted to a full solver mode. Instead
 // of sweeping all m edges per iteration it relaxes nodes in residual
 // order until ‖r‖₁ < Epsilon, with the total work bounded by MaxIter
-// full-sweep equivalents. Vectors of a batch are solved sequentially —
-// pushes are inherently single-threaded, and unlike pull sweeps they
-// share no adjacency traversal across columns.
+// full-sweep equivalents. Pushes within a column are inherently
+// sequential, but the columns of a batch share only the read-only
+// graph and inv, so on an engine with a worker pool they are pushed
+// concurrently, one contiguous range of columns per pool chunk. Each
+// column keeps its own iterate, residual and worklist, so its result
+// is bit-identical to a sequential run.
 //
 // Result.Iterations reports worklist scans, the closest analogue of
 // sweeps; Stats.EdgesSwept counts adjacency entries actually touched
@@ -26,11 +29,18 @@ func (e *Engine) solveSouthwell(vs []Vector, cfg Config) ([]*Result, error) {
 	n, k := e.g.NumNodes(), len(vs)
 	g, inv, c := e.g, e.inv, cfg.Damping
 	m := g.NumEdges()
+	// workers is the number of pool chunks run(k, …) makes, i.e. the
+	// columns pushed at once.
+	workers := 1
+	if e.pool != nil {
+		chunk := (k + e.pool.workers - 1) / e.pool.workers
+		workers = (k + chunk - 1) / chunk
+	}
 	start := time.Now()
 	stats := &SolveStats{
 		Algorithm:   AlgoGaussSouthwell,
 		Batch:       k,
-		Workers:     1,
+		Workers:     workers,
 		WarmStarted: cfg.WarmStart != nil || cfg.WarmStarts != nil,
 	}
 	octx := cfg.Obs
@@ -39,7 +49,7 @@ func (e *Engine) solveSouthwell(vs []Vector, cfg Config) ([]*Result, error) {
 		sp.SetAttr("algorithm", cfg.Algorithm.String())
 		sp.SetAttr("batch", k)
 		sp.SetAttr("nodes", n)
-		sp.SetAttr("workers", 1)
+		sp.SetAttr("workers", workers)
 		if tid := octx.TraceID(); tid != "" {
 			sp.SetAttr("trace_id", tid)
 		}
@@ -47,9 +57,10 @@ func (e *Engine) solveSouthwell(vs []Vector, cfg Config) ([]*Result, error) {
 	traced := cfg.Trace != nil || sp != nil || octx.Logging()
 	budget := int64(cfg.MaxIter) * (m + int64(n))
 
-	results := make([]*Result, k)
-	var ncErr *ErrNotConverged
-	for j, v := range vs {
+	xs := make([]Vector, k)
+	sts := make([]RefineStats, k)
+	solveColumn := func(j int) {
+		v := vs[j]
 		var warm Vector
 		switch {
 		case cfg.WarmStarts != nil:
@@ -60,7 +71,7 @@ func (e *Engine) solveSouthwell(vs []Vector, cfg Config) ([]*Result, error) {
 		x := make(Vector, n)
 		r := make([]float64, n)
 		rsum := 0.0
-		st := &RefineStats{}
+		st := &sts[j]
 		var work int64
 		if warm != nil {
 			copy(x, warm)
@@ -85,15 +96,17 @@ func (e *Engine) solveSouthwell(vs []Vector, cfg Config) ([]*Result, error) {
 			work = int64(n)
 		}
 		st.InitialResidual = rsum
-		col := j
-		onScan := func(rs float64) {
-			if col == 0 {
-				// Batches run column-serially, so per-scan residuals of
-				// different columns do not align; the stats carry the
-				// first column's trajectory.
+		// Per-scan telemetry comes from the first column alone: scans of
+		// different columns do not align, and concurrently pushed
+		// columns must not call the Trace hook, the span or the log at
+		// once.
+		var onScan func(float64)
+		if j == 0 {
+			onScan = func(rs float64) {
 				stats.Residuals = append(stats.Residuals, rs)
-			}
-			if traced {
+				if !traced {
+					return
+				}
 				ev := TraceEvent{
 					Algorithm: AlgoGaussSouthwell,
 					Batch:     k,
@@ -112,6 +125,24 @@ func (e *Engine) solveSouthwell(vs []Vector, cfg Config) ([]*Result, error) {
 			}
 		}
 		pushRun(g, inv, c, x, r, rsum, cfg.Epsilon, work, budget, false, onScan, st)
+		xs[j] = x
+	}
+	if workers > 1 {
+		e.pool.run(k, func(_, lo, hi int) {
+			for j := lo; j < hi; j++ {
+				solveColumn(j)
+			}
+		})
+	} else {
+		for j := range vs {
+			solveColumn(j)
+		}
+	}
+
+	results := make([]*Result, k)
+	var ncErr *ErrNotConverged
+	for j := range vs {
+		st := &sts[j]
 		stats.EdgesSwept += st.EdgesSwept
 		if st.Scans > stats.Iterations {
 			stats.Iterations = st.Scans
@@ -121,7 +152,7 @@ func (e *Engine) solveSouthwell(vs []Vector, cfg Config) ([]*Result, error) {
 			iters = 1
 		}
 		results[j] = &Result{
-			Scores:     x,
+			Scores:     xs[j],
 			Iterations: iters,
 			Residual:   st.FinalResidual,
 			Converged:  st.Converged,

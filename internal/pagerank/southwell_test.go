@@ -1,11 +1,13 @@
 package pagerank
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"spammass/internal/graph"
+	"spammass/internal/obs"
 	"spammass/internal/testutil"
 )
 
@@ -84,5 +86,85 @@ func TestGaussSouthwellMatchesJacobi(t *testing.T) {
 			t.Errorf("trial %d: warm restart from the fixpoint did not converge", trial)
 		}
 		eng.Close()
+	}
+}
+
+// TestSouthwellConcurrentColumns runs the column-parallel push path on
+// a graph above parallelThreshold (the -race regression test for it):
+// k = 2 and k = 3 batches on two workers must return bit-identical
+// vectors and the same work as one worker, report the columns actually
+// pushed at once, and call the trace hook, span and log (none of them
+// safe for concurrent use here) from column 0 alone.
+func TestSouthwellConcurrentColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	g := danglingHeavyGraph(rng, 6000)
+	n := g.NumNodes()
+	vs := []Vector{
+		UniformJump(n),
+		ScaledCoreJump(n, []graph.NodeID{1, 3, 7}, 0.9),
+		ScaledCoreJump(n, []graph.NodeID{2}, 0.5),
+	}
+	type run struct {
+		res    []*Result
+		events []TraceEvent
+		logged []string
+		spans  int
+	}
+	solve := func(workers, k int) run {
+		var out run
+		root := obs.NewSpan("test")
+		octx := obs.NewContext(obs.NewRegistry(), root).WithLogf(func(f string, a ...any) {
+			out.logged = append(out.logged, fmt.Sprintf(f, a...))
+		})
+		cfg := Config{Damping: 0.85, Epsilon: 1e-12, MaxIter: 1000, Workers: workers,
+			Algorithm: AlgoGaussSouthwell, Obs: octx,
+			Trace: func(ev TraceEvent) { out.events = append(out.events, ev) }}
+		eng, err := NewEngine(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		if out.res, err = eng.SolveMany(vs[:k]); err != nil {
+			t.Fatalf("workers=%d k=%d: %v", workers, k, err)
+		}
+		root.End()
+		out.spans = len(root.Snapshot().Find("pagerank.solve").Events)
+		return out
+	}
+	for _, k := range []int{2, 3} {
+		seq, par := solve(1, k), solve(2, k)
+		for j := 0; j < k; j++ {
+			a, b := seq.res[j].Scores, par.res[j].Scores
+			for i := range a {
+				if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+					t.Fatalf("k=%d column %d node %d: concurrent %v, sequential %v", k, j, i, b[i], a[i])
+				}
+			}
+			if seq.res[j].Iterations != par.res[j].Iterations {
+				t.Errorf("k=%d column %d: %d scans concurrent, %d sequential", k, j, par.res[j].Iterations, seq.res[j].Iterations)
+			}
+		}
+		ss, ps := seq.res[0].Stats, par.res[0].Stats
+		if ss.EdgesSwept != ps.EdgesSwept {
+			t.Errorf("k=%d: EdgesSwept %d concurrent, %d sequential", k, ps.EdgesSwept, ss.EdgesSwept)
+		}
+		if ss.Workers != 1 || ps.Workers != 2 {
+			t.Errorf("k=%d: Workers = %d sequential, %d concurrent; want 1 and 2", k, ss.Workers, ps.Workers)
+		}
+		// Per-scan telemetry is column 0's trajectory on either path.
+		scans := seq.res[0].Iterations
+		for _, got := range []int{len(ss.Residuals), len(ps.Residuals), len(seq.events), len(par.events), len(par.logged), par.spans} {
+			if got != scans {
+				t.Errorf("k=%d: residuals %d/%d, events %d/%d (sequential/concurrent), log lines %d, span events %d; want column 0's %d scans",
+					k, len(ss.Residuals), len(ps.Residuals), len(seq.events), len(par.events), len(par.logged), par.spans, scans)
+				break
+			}
+		}
+		for i, ev := range par.events {
+			if ev.Iteration != i+1 || math.Float64bits(ev.Residual) != math.Float64bits(ps.Residuals[i]) {
+				t.Errorf("k=%d: event %d is scan %d residual %v, want scan %d residual %v", k, i, ev.Iteration, ev.Residual, i+1, ps.Residuals[i])
+				break
+			}
+		}
 	}
 }

@@ -41,7 +41,9 @@ type TraceEvent struct {
 	Batch int
 	// Iteration counts from 1.
 	Iteration int
-	// Residual is the largest per-vector L1 residual of the iteration.
+	// Residual is the largest per-vector L1 residual of the iteration
+	// (for Gauss-Southwell, which reports each scan of the first column
+	// only, that column's ‖r‖₁).
 	Residual float64
 	// Elapsed is the wall time since the solve started.
 	Elapsed time.Duration
@@ -66,11 +68,13 @@ type SolveStats struct {
 	// Batch is the number of jump vectors solved together.
 	Batch int
 	// Iterations is the number of sweeps executed before the whole
-	// batch converged (or MaxIter was hit). Individual vectors may have
-	// converged earlier; see Result.Iterations.
+	// batch converged (or MaxIter was hit); for Gauss-Southwell it is
+	// the most worklist scans any column ran. Individual vectors may
+	// have converged earlier; see Result.Iterations.
 	Iterations int
 	// Residuals holds the largest per-vector L1 residual after each
-	// iteration, Residuals[i] being iteration i+1.
+	// iteration, Residuals[i] being iteration i+1 (for Gauss-Southwell,
+	// the first column's ‖r‖₁ after each scan).
 	Residuals []float64
 	// WallTime is the total solve duration.
 	WallTime time.Duration
@@ -81,7 +85,8 @@ type SolveStats struct {
 	// EdgesPerSecond is the sweep throughput EdgesSwept / WallTime.
 	EdgesPerSecond float64
 	// Workers is the number of goroutines used for parallel sweeps
-	// (1 when the sweep ran sequentially).
+	// (1 when the sweep ran sequentially); for Gauss-Southwell it is
+	// the number of columns pushed at once.
 	Workers int
 	// WarmStarted reports whether the solve was seeded from a previous
 	// solution (Config.WarmStart or WarmStarts) rather than the jump
