@@ -68,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCollapseToHosts -fuzztime=$(FUZZTIME) ./internal/graph/
 	$(GO) test -run='^$$' -fuzz=FuzzDerive -fuzztime=$(FUZZTIME) ./internal/mass/
 	$(GO) test -run='^$$' -fuzz=FuzzDeltaApply -fuzztime=$(FUZZTIME) ./internal/delta/
+	$(GO) test -run='^$$' -fuzz=FuzzDeltaFold -fuzztime=$(FUZZTIME) ./internal/delta/
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./internal/ingest/
 
 # serve-smoke pins spamserver's flag surface (exactly the kept flags,

@@ -5,7 +5,9 @@
 // graph.HostGraph in one merge pass, producing the next graph
 // generation plus the node remapping that lets downstream consumers
 // (the mass estimator's warm starts, the serving layer's snapshots)
-// carry state forward instead of recomputing from scratch.
+// carry state forward instead of recomputing from scratch. A Fold
+// stages a run of batches against one base graph and merges them once;
+// Apply is the one-batch fold.
 //
 // Semantics are order-independent within a batch: a batch describes
 // the net difference between two graph generations, not a replayed

@@ -488,24 +488,6 @@ func TestStatsString(t *testing.T) {
 	}
 }
 
-// TestComposeRemap: chaining two remaps maps generation 0 onto
-// generation 2, a removal at either step sticks, a nil first step is the
-// identity, and neither input is written.
-func TestComposeRemap(t *testing.T) {
-	first := []int64{0, -1, 1, 2} // node 1 removed
-	then := []int64{-1, 0, 1}     // then node 0 removed; a host created in between would sit past the survivors
-	got := ComposeRemap(first, then)
-	if want := []int64{-1, -1, 0, 1}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("ComposeRemap = %v, want %v", got, want)
-	}
-	if !reflect.DeepEqual(first, []int64{0, -1, 1, 2}) || !reflect.DeepEqual(then, []int64{-1, 0, 1}) {
-		t.Fatalf("inputs modified: %v, %v", first, then)
-	}
-	if got := ComposeRemap(nil, then); !reflect.DeepEqual(got, then) {
-		t.Fatalf("ComposeRemap(nil, then) = %v, want then", got)
-	}
-}
-
 func TestStatsAdd(t *testing.T) {
 	s := Stats{HostsAdded: 1, EdgesRemoved: 2}
 	s.Add(Stats{HostsAdded: 2, HostsRemoved: 3, EdgesAdded: 4, EdgesRemoved: 5})

@@ -95,3 +95,81 @@ func fuzzNameEdges(h *graph.HostGraph) (edges, names []string) {
 	sort.Strings(names)
 	return edges, names
 }
+
+// FuzzDeltaFold holds a Fold to sequential application. The input is
+// split on "=" lines into up to six batches (each gets the text header
+// prepended; ones that do not parse are dropped); they are staged on
+// one Fold and applied once, and separately applied one at a time with
+// failures skipped. Both must accept and reject the same batches with
+// the same errors and per-batch Stats, and end on the same names, CSR
+// and base→final remap.
+func FuzzDeltaFold(f *testing.F) {
+	f.Add("+h new.test\n+e a.test new.test\n=\n-h new.test\n=\n+h new.test\n+e new.test b.test\n")
+	f.Add("-e a.test b.test\n=\n+e a.test b.test\n=\n-e a.test b.test\n=\n+e a.test b.test\n")
+	f.Add("-h a.test\n=\n+h a.test\n+e a.test c.test\n=\n-h a.test\n")
+	f.Add("+e y.test z.test\n=\n+h w.test\n=\n-h y.test\n-h n0.test\n=\n+e w.test z.test\n")
+	f.Add("+h a.test\n=\n-h ghost.test\n=\n-h b.test\n+h b.test\n=\n-h c.test\n")
+	f.Add("+e a.test n1.test\n-e a.test b.test\n=\n-h n1.test\n=\n-e b.test c.test\n+e c.test b.test\n")
+	f.Fuzz(func(t *testing.T, data string) {
+		if len(data) > 1<<14 {
+			return
+		}
+		parts := strings.Split(data, "\n=\n")
+		if len(parts) > 6 {
+			parts = parts[:6]
+		}
+		var batches []*Batch
+		for _, part := range parts {
+			if b, err := ReadText(strings.NewReader("delta 1\n" + part)); err == nil {
+				batches = append(batches, b)
+			}
+		}
+		base := fuzzWorld(t)
+		cur := base
+		remap := make([]int64, base.Graph.NumNodes())
+		for x := range remap {
+			remap[x] = int64(x)
+		}
+		fold := NewFold(base)
+		var sum Stats
+		for i, b := range batches {
+			st, ferr := fold.Stage(b)
+			res, err := Apply(cur, b)
+			if (err == nil) != (ferr == nil) || (err != nil && err.Error() != ferr.Error()) {
+				t.Fatalf("batch %d: sequential error %v, fold error %v", i, err, ferr)
+			}
+			if err != nil {
+				continue
+			}
+			if st != res.Stats {
+				t.Fatalf("batch %d: fold stats %+v, sequential %+v", i, st, res.Stats)
+			}
+			sum.Add(st)
+			for x, y := range remap {
+				if y >= 0 {
+					remap[x] = res.Remap[y]
+				}
+			}
+			cur = res.Hosts
+		}
+		got, err := fold.Apply()
+		if err != nil {
+			t.Fatalf("fold Apply: %v", err)
+		}
+		if err := got.Hosts.Graph.Validate(); err != nil {
+			t.Fatalf("folded graph violates invariants: %v", err)
+		}
+		if !reflect.DeepEqual(got.Hosts.Names, cur.Names) {
+			t.Fatalf("fold names %v, sequential %v", got.Hosts.Names, cur.Names)
+		}
+		if !got.Hosts.Graph.Equal(cur.Graph) {
+			t.Fatal("fold CSR differs from sequential application")
+		}
+		if !reflect.DeepEqual(got.Remap, remap) {
+			t.Fatalf("fold remap %v, sequential %v", got.Remap, remap)
+		}
+		if got.Stats != sum {
+			t.Fatalf("fold stats %+v, sequential sum %+v", got.Stats, sum)
+		}
+	})
+}

@@ -152,12 +152,14 @@ func (p *Pipeline) Latest(detect mass.DetectConfig, maxTop int) (*serve.Snapshot
 }
 
 // Recover folds the WAL suffix beyond baseSeq onto base: each replayed
-// batch is staged (one delta.Apply merge pass, memory ∝ one batch) and
-// the result is solved once, at epoch = base epoch + batches staged. A
-// batch that fails to stage is logged and skipped, as the live Run loop
-// does, so the recovered state equals a never-crashed server's — scores
-// to the solver tolerance, not bit for bit: the warm start differs.
-// Returns the snapshot (base itself if nothing staged) and that count.
+// batch is staged against the base plus the batches before it
+// (O(batch), memory ∝ the net churn of the suffix), and the staged
+// batches are merged in one pass and solved once, at epoch = base epoch
+// + batches staged. A batch that fails to stage is logged and skipped,
+// as the live Run loop does, so the recovered state equals a
+// never-crashed server's — scores to the solver tolerance, not bit for
+// bit: the warm start differs. Returns the snapshot (base itself if
+// nothing staged) and that count.
 func (p *Pipeline) Recover(ctx context.Context, base *serve.Snapshot, baseSeq uint64, solver pagerank.Config) (*serve.Snapshot, int, error) {
 	if base == nil {
 		return nil, 0, fmt.Errorf("ingest: recovery needs a base snapshot")
@@ -173,7 +175,7 @@ func (p *Pipeline) Recover(ctx context.Context, base *serve.Snapshot, baseSeq ui
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		bsp := octx.Span("delta.apply")
+		bsp := octx.Span("delta.stage")
 		bsp.SetAttr("seq", seq)
 		bsp.SetAttr("ops", b.NumOps())
 		err := fold.Stage(b)
@@ -207,8 +209,10 @@ func (p *Pipeline) Recover(ctx context.Context, base *serve.Snapshot, baseSeq ui
 	sp.SetAttr("applied", applied)
 	sp.SetAttr("epoch", cur.Epoch())
 	p.cfg.Obs.Histogram("ingest.recovery_seconds").Observe(time.Since(start).Seconds())
-	p.cfg.Obs.Logf("ingest: recovered to epoch %d (%d batches staged in %s, solved and published in %s, %d skipped)",
-		cur.Epoch(), applied, staged.Round(time.Millisecond), (time.Since(start) - staged).Round(time.Millisecond), skipped)
+	merged := fold.MergeTime()
+	p.cfg.Obs.Logf("ingest: recovered to epoch %d (%d batches staged in %s, merged in %s, solved and published in %s, %d skipped)",
+		cur.Epoch(), applied, staged.Round(time.Millisecond), merged.Round(time.Millisecond),
+		(time.Since(start) - staged - merged).Round(time.Millisecond), skipped)
 	return cur, applied, nil
 }
 

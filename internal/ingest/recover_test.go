@@ -92,7 +92,8 @@ func TestRecoverMatchesSequentialApply(t *testing.T) {
 			// Crash: abandon the journal without Close.
 
 			reg := obs.NewRegistry()
-			pl, err := Open(Config{Dir: dir, Obs: obs.NewContext(reg, nil)})
+			root := obs.NewSpan("test")
+			pl, err := Open(Config{Dir: dir, Obs: obs.NewContext(reg, root)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,6 +105,27 @@ func TestRecoverMatchesSequentialApply(t *testing.T) {
 			if applied != length-wantSkipped || reg.Counter("ingest.recovery_skipped_total").Value() != int64(wantSkipped) {
 				t.Fatalf("applied %d, skipped %d; control applied %d, skipped %d", applied,
 					reg.Counter("ingest.recovery_skipped_total").Value(), length-wantSkipped, wantSkipped)
+			}
+			// One stage span per replayed batch, one merge for the lot.
+			root.End()
+			spans := make(map[string]int)
+			var walk func(*obs.SpanJSON)
+			walk = func(s *obs.SpanJSON) {
+				spans[s.Name]++
+				for _, c := range s.Children {
+					walk(c)
+				}
+			}
+			walk(root.Snapshot())
+			wantMerges := 0
+			if applied > 0 {
+				wantMerges = 1
+			}
+			if m := reg.Counter("delta.merges_total").Value(); m != int64(wantMerges) || spans["delta.merge"] != wantMerges {
+				t.Fatalf("delta.merges_total %d, %d delta.merge spans; want %d", m, spans["delta.merge"], wantMerges)
+			}
+			if spans["delta.stage"] != length {
+				t.Fatalf("%d delta.stage spans for %d replayed batches", spans["delta.stage"], length)
 			}
 			if applied == 0 {
 				if got != base {

@@ -3,9 +3,9 @@ package serve
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"spammass/internal/delta"
-	"spammass/internal/graph"
 	"spammass/internal/mass"
 	"spammass/internal/obs"
 	"spammass/internal/pagerank"
@@ -22,50 +22,65 @@ type DeltaBuilderConfig struct {
 	Obs *obs.Context
 }
 
-// DeltaFold is the delta build in its two stages: Stage applies one
-// mutation batch to the carried host graph, Solve re-estimates once on
-// the graph the staged batches left. p and p' depend only on that graph
+// DeltaFold is the delta build in its two stages: Stage checks one
+// mutation batch against the base graph plus what the fold staged
+// before it, in O(batch), and Solve merges the staged batches into one
+// graph and re-estimates on it once. p and p' depend only on that graph
 // and the core, so the live apply is the one-batch fold and crash
-// recovery folds its whole WAL suffix: k merge passes, one solve.
+// recovery folds its whole WAL suffix: one merge pass, one solve, and
+// memory ∝ the net churn of the suffix until the merge.
 type DeltaFold struct {
-	base  *Snapshot
-	hosts *graph.HostGraph
-	core  []graph.NodeID
-	// remap is the composed monotone base→current node map (-1: the
-	// host was removed along the way); nil until the first Stage.
-	remap  []int64
+	base *Snapshot
+	fold *delta.Fold
+	// core names the base's good-core hosts no staged batch removed; a
+	// batch may not empty it.
+	core   map[string]bool
 	staged int
-	stats  delta.Stats
+	merge  time.Duration
 }
 
 // NewDeltaFold starts a fold on base with nothing staged.
 func NewDeltaFold(base *Snapshot) *DeltaFold {
-	return &DeltaFold{base: base, hosts: base.HostGraph(), core: base.Core()}
+	core := make(map[string]bool)
+	for _, x := range base.Core() {
+		core[base.HostGraph().Names[x]] = true
+	}
+	return &DeltaFold{base: base, fold: delta.NewFold(base.HostGraph()), core: core}
 }
 
-// Stage applies batch in one merge pass. A failing batch — a conflict,
-// or one that leaves no good core (mass estimation is undefined without
-// Ṽ⁺) — leaves the fold untouched: the caller logs it and stages the next.
+// Stage stages batch. A failing batch — a conflict, or one that leaves
+// no good core (mass estimation is undefined without Ṽ⁺) — leaves the
+// fold untouched: the caller logs it and stages the next.
 func (f *DeltaFold) Stage(batch *delta.Batch) error {
-	res, err := delta.Apply(f.hosts, batch)
-	if err != nil {
-		return fmt.Errorf("apply delta: %w", err)
+	if len(f.core) == 0 {
+		return fmt.Errorf("serve: the base snapshot carries no good core; the delta path needs SnapshotConfig.Core")
 	}
-	core := res.RemapNodes(f.core)
-	if len(core) == 0 {
-		return fmt.Errorf("serve: delta leaves no good core (the previous snapshot carried %d core nodes; the delta path needs SnapshotConfig.Core)", len(f.core))
+	// A core name still in f.core resolves to its base host, so removing
+	// the name removes that core host; a re-created name is not core.
+	hit := make(map[string]bool)
+	for _, op := range batch.Ops {
+		if op.Kind == delta.RemoveHost && f.core[op.Src] {
+			hit[op.Src] = true
+		}
 	}
-	f.hosts, f.core = res.Hosts, core
-	f.remap = delta.ComposeRemap(f.remap, res.Remap)
+	if len(hit) == len(f.core) {
+		return fmt.Errorf("serve: delta removes the last %d good-core hosts; mass estimation needs at least one", len(hit))
+	}
+	if _, err := f.fold.Stage(batch); err != nil {
+		return err
+	}
+	for name := range hit {
+		delete(f.core, name)
+	}
 	f.staged++
-	f.stats.Add(res.Stats)
 	return nil
 }
 
 // Solve packages the folded graph (at least one batch staged) as the
-// next generation: the base's solved (p, p') are carried through the
-// composed remap (mass.RemapWarmStart), the estimator re-solves
-// warm-started from them, and the staged batches are counted.
+// next generation: the staged batches are merged in one pass, the
+// base's solved (p, p') are carried through the merge's base→final
+// remap (mass.RemapWarmStart), the estimator re-solves warm-started
+// from them, and the staged batches are counted.
 func (f *DeltaFold) Solve(ctx context.Context, cfg DeltaBuilderConfig, epoch int64) (*Snapshot, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -75,34 +90,48 @@ func (f *DeltaFold) Solve(ctx context.Context, cfg DeltaBuilderConfig, epoch int
 	sp := octx.Span("serve.delta_build")
 	defer sp.End()
 	sp.SetAttr("batches", f.staged)
-	sp.SetAttr("stats", f.stats.String())
+	msp := octx.In(sp).Span("delta.merge")
+	start := time.Now()
+	res, err := f.fold.Apply()
+	f.merge = time.Since(start)
+	msp.End()
+	if err != nil {
+		return nil, err
+	}
+	octx.Counter("delta.merges_total").Inc()
+	sp.SetAttr("stats", res.Stats.String())
+	hosts, core := res.Hosts, res.RemapNodes(f.base.Core())
 	gamma := f.base.Config().Gamma
-	warm, err := mass.RemapWarmStart(f.base.Estimates(), f.remap, f.hosts.Graph.NumNodes(), f.core, gamma)
+	warm, err := mass.RemapWarmStart(f.base.Estimates(), res.Remap, hosts.Graph.NumNodes(), core, gamma)
 	if err != nil {
 		return nil, fmt.Errorf("remap warm start: %w", err)
 	}
 	if cfg.Solver.Obs == nil {
 		cfg.Solver.Obs = octx.In(sp)
 	}
-	es, err := mass.NewEstimator(f.hosts.Graph, mass.Options{Solver: cfg.Solver, Gamma: gamma})
+	es, err := mass.NewEstimator(hosts.Graph, mass.Options{Solver: cfg.Solver, Gamma: gamma})
 	if err != nil {
 		return nil, fmt.Errorf("estimator: %w", err)
 	}
 	defer es.Close()
-	est, err := es.EstimateFromCoreWarm(f.core, warm)
+	est, err := es.EstimateFromCoreWarm(core, warm)
 	if err != nil {
 		return nil, fmt.Errorf("warm estimate: %w", err)
 	}
-	octx.Logf("serve: delta %s → %d hosts", f.stats, f.hosts.Graph.NumNodes())
+	octx.Logf("serve: delta %s → %d hosts", res.Stats, hosts.Graph.NumNodes())
 	octx.Counter("delta.batches_total").Add(int64(f.staged))
-	octx.Counter("delta.applied_edges_total").Add(f.stats.AppliedEdges())
-	octx.Counter("delta.hosts_added_total").Add(int64(f.stats.HostsAdded))
-	octx.Counter("delta.hosts_removed_total").Add(int64(f.stats.HostsRemoved))
+	octx.Counter("delta.applied_edges_total").Add(res.Stats.AppliedEdges())
+	octx.Counter("delta.hosts_added_total").Add(int64(res.Stats.HostsAdded))
+	octx.Counter("delta.hosts_removed_total").Add(int64(res.Stats.HostsRemoved))
 	scfg := f.base.Config()
-	scfg.Core = f.core
-	scfg.CoreSize = len(f.core)
-	return NewSnapshot(f.hosts, est, scfg, epoch)
+	scfg.Core = core
+	scfg.CoreSize = len(core)
+	return NewSnapshot(hosts, est, scfg, epoch)
 }
+
+// MergeTime returns the wall time of Solve's merge pass (zero before
+// Solve), so a caller can split the build's time in its log.
+func (f *DeltaFold) MergeTime() time.Duration { return f.merge }
 
 // NewDeltaBuilder returns the standard DeltaApplyFunc: the one-batch
 // fold. The previous snapshot must carry its core.

@@ -7,11 +7,13 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"spammass/internal/delta"
 	"spammass/internal/graph"
 	"spammass/internal/mass"
+	"spammass/internal/obs"
 	"spammass/internal/pagerank"
 	"spammass/internal/testutil"
 )
@@ -57,17 +59,19 @@ func emptyCoreStep(cur *Snapshot) *delta.Batch {
 // runFoldEquivalence drives steps through the sequential builder (one
 // apply, solve and snapshot per batch, failures logged-and-skipped the
 // way the live loop does) and then the same batches through one fold
-// with a single solve, and holds the fold to the sequential outcome.
-// It returns the indices both paths skipped.
-func runFoldEquivalence(t *testing.T, base *Snapshot, steps []foldStep) []int {
+// with a single solve, and holds the fold to the sequential outcome,
+// including the delta.* counters both paths feed. It returns the
+// indices both paths skipped and the fold's snapshot (nil when nothing
+// staged).
+func runFoldEquivalence(t *testing.T, base *Snapshot, steps []foldStep) ([]int, *Snapshot) {
 	t.Helper()
 	ctx := context.Background()
 	// The 1e-9 below is in the records' scaled n/(1−c) units, 1.3e4× the
 	// solver's own; ε = 1e-14 puts both paths well inside it.
 	solver := pagerank.DefaultConfig()
 	solver.Epsilon = 1e-14
-	cfg := DeltaBuilderConfig{Solver: solver}
-	apply := NewDeltaBuilder(cfg)
+	seqReg, foldReg := obs.NewRegistry(), obs.NewRegistry()
+	apply := NewDeltaBuilder(DeltaBuilderConfig{Solver: solver, Obs: obs.NewContext(seqReg, nil)})
 
 	control := base
 	var batches []*delta.Batch
@@ -103,27 +107,39 @@ func runFoldEquivalence(t *testing.T, base *Snapshot, steps []foldStep) []int {
 		if control != base {
 			t.Fatal("nothing staged but the sequential control advanced")
 		}
-		return seqSkipped
+		return seqSkipped, nil
 	}
-	got, err := fold.Solve(ctx, cfg, base.Epoch()+int64(fold.staged))
+	got, err := fold.Solve(ctx, DeltaBuilderConfig{Solver: solver, Obs: obs.NewContext(foldReg, nil)}, base.Epoch()+int64(fold.staged))
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
 	assertEquivalent(t, got, control)
+	for _, name := range []string{"delta.batches_total", "delta.applied_edges_total", "delta.hosts_added_total", "delta.hosts_removed_total"} {
+		if g, w := foldReg.Counter(name).Value(), seqReg.Counter(name).Value(); g != w {
+			t.Fatalf("%s: fold %d, sequential %d", name, g, w)
+		}
+	}
+	if g, w := foldReg.Counter("delta.merges_total").Value(), seqReg.Counter("delta.merges_total").Value(); g != 1 || w != int64(fold.staged) {
+		t.Fatalf("delta.merges_total: fold %d, sequential %d; want 1 and %d", g, w, fold.staged)
+	}
 
-	// The composed remap is the name match between base and final graph,
+	// The fold's remap is the name match between base and final graph,
 	// except that a name removed along the way stays removed: a re-added
 	// host is a new host, seeded cold like any other.
+	res, err := fold.fold.Apply()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for old, name := range base.HostGraph().Names {
 		want := int64(-1)
 		if x, ok := control.HostGraph().NodeByName(name); ok && !everRemoved[name] {
 			want = int64(x)
 		}
-		if fold.remap[old] != want {
-			t.Fatalf("composed remap[%d] (%s) = %d, want %d", old, name, fold.remap[old], want)
+		if res.Remap[old] != want {
+			t.Fatalf("remap[%d] (%s) = %d, want %d", old, name, res.Remap[old], want)
 		}
 	}
-	return seqSkipped
+	return seqSkipped, got
 }
 
 // assertEquivalent holds got to want: same hosts, graph, core and epoch,
@@ -154,7 +170,7 @@ func assertEquivalent(t *testing.T, got, want *Snapshot) {
 	}
 }
 
-// TestFoldEquivalenceScripted walks one 12-batch sequence through every
+// TestFoldEquivalenceScripted walks one 17-batch sequence through every
 // cross-batch interaction the fold must get right.
 func TestFoldEquivalenceScripted(t *testing.T) {
 	base := foldBase(t)
@@ -171,6 +187,7 @@ func TestFoldEquivalenceScripted(t *testing.T) {
 		}
 	}
 	victim, a, b := pick[0], pick[1], pick[2]
+	coreHost := names[base.Core()[0]]
 	ax, _ := base.HostGraph().NodeByName(a)
 	bx, _ := base.HostGraph().NodeByName(b)
 	if base.HostGraph().Graph.HasEdge(ax, bx) {
@@ -193,10 +210,33 @@ func TestFoldEquivalenceScripted(t *testing.T) {
 		churnStep(rng, "s10"),
 		// …and a conflict inside one.
 		fixedStep(delta.RemoveHostOp(b), delta.AddHostOp(b)),
+		// A host created implicitly by an edge, then one created by +h a
+		// batch later: both take IDs in creation order.
+		fixedStep(delta.AddEdgeOp(a, "implicit.example")),
+		fixedStep(delta.AddHostOp("explicit.example"), delta.AddEdgeOp("explicit.example", "implicit.example")),
+		// The edge added in batch 4 and removed in batch 9 comes back.
+		fixedStep(delta.AddEdgeOp(a, b)),
+		// A core host removed and its name re-added is a new, non-core host.
+		fixedStep(delta.RemoveHostOp(coreHost)),
+		fixedStep(delta.AddHostOp(coreHost), delta.AddEdgeOp(coreHost, a)),
 	}
-	skipped := runFoldEquivalence(t, base, steps)
+	skipped, got := runFoldEquivalence(t, base, steps)
 	if want := []int{2, 7, 11}; !reflect.DeepEqual(skipped, want) {
 		t.Fatalf("skipped batches %v, want %v (a churn batch hit a scripted host?)", skipped, want)
+	}
+	x, ok := got.HostGraph().NodeByName(coreHost)
+	if !ok {
+		t.Fatalf("re-added %s missing", coreHost)
+	}
+	for _, c := range got.Core() {
+		if c == x {
+			t.Fatalf("re-added %s rejoined the core", coreHost)
+		}
+	}
+	ix, _ := got.HostGraph().NodeByName("implicit.example")
+	ex, _ := got.HostGraph().NodeByName("explicit.example")
+	if ex != ix+1 || x <= ex {
+		t.Fatalf("created hosts numbered implicit %d, explicit %d, re-added %d; want creation order", ix, ex, x)
 	}
 }
 
@@ -245,7 +285,7 @@ func TestFoldEquivalenceRandom(t *testing.T) {
 func TestFoldAllPoison(t *testing.T) {
 	base := foldBase(t)
 	poison := fixedStep(delta.AddHostOp(base.HostGraph().Names[0]))
-	skipped := runFoldEquivalence(t, base, []foldStep{poison, emptyCoreStep, poison})
+	skipped, _ := runFoldEquivalence(t, base, []foldStep{poison, emptyCoreStep, poison})
 	if len(skipped) != 3 {
 		t.Fatalf("skipped %v, want all three", skipped)
 	}
@@ -263,5 +303,38 @@ func TestFoldSolveHonorsContext(t *testing.T) {
 	cancel()
 	if _, err := fold.Solve(ctx, DeltaBuilderConfig{Solver: pagerank.DefaultConfig()}, 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Solve under a cancelled context: %v, want context.Canceled", err)
+	}
+}
+
+// TestFoldCorelessBase: a base snapshot that carries no core refuses
+// every batch, and the error says what the delta path needs.
+func TestFoldCorelessBase(t *testing.T) {
+	h, core, err := testutil.SmallWeb()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := NewSnapshot(h, realEstimates(t, h, core), SnapshotConfig{Detect: mass.DefaultDetectConfig(), Gamma: mass.DefaultOptions().Gamma}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = NewDeltaFold(base).Stage(&delta.Batch{Ops: []delta.Op{delta.AddHostOp("new.example")}})
+	if err == nil || !strings.Contains(err.Error(), "SnapshotConfig.Core") {
+		t.Fatalf("Stage on a coreless base: %v, want the SnapshotConfig.Core hint", err)
+	}
+}
+
+// TestFoldEmptiedCore: with a core carried, the batch that would remove
+// its last hosts is refused with its own message, not the missing-core
+// hint, and leaves the fold untouched.
+func TestFoldEmptiedCore(t *testing.T) {
+	base := foldBase(t)
+	fold := NewDeltaFold(base)
+	err := fold.Stage(emptyCoreStep(base))
+	if err == nil || strings.Contains(err.Error(), "SnapshotConfig.Core") ||
+		!strings.Contains(err.Error(), fmt.Sprintf("removes the last %d good-core hosts", len(base.Core()))) {
+		t.Fatalf("Stage emptying the core: %v, want the emptied-core message", err)
+	}
+	if fold.staged != 0 || len(fold.core) != len(base.Core()) {
+		t.Fatalf("refused batch changed the fold: %d staged, %d core hosts left", fold.staged, len(fold.core))
 	}
 }
