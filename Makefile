@@ -53,7 +53,7 @@ lint-json:
 
 # vectorcheck builds the engine with the debug guard that scans every
 # solve result for NaN/±Inf/negative scores, and runs the pagerank and
-# mass tests and spamserver's cold-solve accuracy test under it.
+# mass tests and spamserver's served-accuracy test under it.
 vectorcheck:
 	$(GO) test -tags vectorcheck ./internal/pagerank/ ./internal/mass/ ./cmd/spamserver/
 

@@ -12,10 +12,10 @@
 //	           [-sample-interval 15s] [-flight-dir path]
 //
 // The detector runs at the paper's operating point (c = γ = 0.85,
-// ρ = 10, τ = 0.98; a full refresh pushes to ε = 1e-11 with
-// Gauss-Southwell, a delta build or WAL recovery sweeps to ε = 1e-10
-// with Jacobi), the request path at serve's defaults (256 in flight,
-// 5 s deadline, 1000-host batches).
+// ρ = 10, τ = 0.98; every generation, from a full refresh, a delta
+// build or WAL recovery, is pushed to ε = 1e-11 with Gauss-Southwell),
+// the request path at serve's defaults (256 in flight, 5 s deadline,
+// 1000-host batches).
 //
 // Endpoints: GET /v1/host/{name}, POST /v1/batch, GET /v1/top,
 // GET /healthz, GET /readyz, POST /admin/refresh, POST /admin/delta,
@@ -64,9 +64,9 @@
 // Between full refreshes the graph can evolve incrementally: POST a
 // mutation batch in the delta text format to /admin/delta (?wait=1 to
 // apply synchronously). Each applied batch advances the epoch by one;
-// the estimation warm-starts from the previous snapshot's vectors, so
-// small-churn batches converge in a fraction of a cold rebuild's
-// iterations. A full ingest queue (serve.DefaultDeltaQueue batches)
+// the same push solve warm-starts from the previous snapshot's
+// vectors, so a small-churn batch pushes fewer edges than a cold
+// rebuild. A full ingest queue (serve.DefaultDeltaQueue batches)
 // answers 429 + Retry-After.
 //
 // With -wal-dir the ingest path becomes durable: every accepted delta
@@ -163,12 +163,11 @@ func main() {
 	}
 
 	dcfg := mass.DefaultDetectConfig()
-	gamma := mass.DefaultOptions().Gamma
 	// Solve telemetry: the latest solve's iteration count as a gauge,
 	// so convergence regressions show up on a dashboard next to
 	// pagerank.iterations_total.
 	solveIters := octx.Gauge("pagerank.solve_iterations")
-	solver := sharedSolver()
+	solver := solverConfig()
 	solver.Obs = octx
 	solver.OnStats = func(st *pagerank.SolveStats) { solveIters.Set(float64(st.Iterations)) }
 	build := func(ctx context.Context, prev *serve.Snapshot, epoch int64) (*serve.Snapshot, error) {
@@ -188,18 +187,7 @@ func main() {
 		if err != nil {
 			return nil, fmt.Errorf("load core: %w", err)
 		}
-		est, err := mass.EstimateFromCore(g, core, mass.Options{Solver: coldSolver(solver), Gamma: gamma})
-		if err != nil {
-			return nil, fmt.Errorf("estimate: %w", err)
-		}
-		return serve.NewSnapshot(h, est, serve.SnapshotConfig{
-			Detect:   dcfg,
-			Gamma:    gamma,
-			CoreSize: len(core),
-			// Carrying the core lets /admin/delta apply batches on top
-			// of this snapshot with the core remapped, not reloaded.
-			Core: core,
-		}, epoch)
+		return coldSnapshot(h, core, solver, epoch)
 	}
 
 	var recorder *obs.Recorder
@@ -312,24 +300,35 @@ func main() {
 	}
 }
 
-// sharedSolver is the solve of delta builds and WAL recovery: Jacobi
-// sweeps (after push repair of the warm start) to ε = 1e-10. The full
-// refresh derives its own from it with coldSolver.
-func sharedSolver() pagerank.Config {
-	return pagerank.Config{Damping: 0.85, Epsilon: 1e-10, MaxIter: 1000}
+// solverConfig is the one solve behind every generation the server
+// publishes: Gauss-Southwell pushes p and p′ concurrently to
+// ε = 1e-11, from x = 0 for a full refresh (boot without a WAL, SIGHUP,
+// POST /admin/refresh) and from the remapped previous (p, p′) for a
+// delta build or WAL recovery. ε bounds each algorithm's own residual;
+// 1e-11 is the loosest decade at which the push serves every
+// generation within δ = 1e-7 of the ε = 1e-13 solution
+// (TestServedAccuracy).
+func solverConfig() pagerank.Config {
+	return pagerank.Config{Damping: 0.85, Epsilon: 1e-11, MaxIter: 1000, Algorithm: pagerank.AlgoGaussSouthwell}
 }
 
-// coldSolver derives the full refresh's solve (boot without a WAL, SIGHUP,
-// POST /admin/refresh) from the shared solver config: Gauss-Southwell
-// pushes p and p′ concurrently from x = 0 to ε = 1e-11. That is the
-// loosest decade at which it serves (p, p′, m̃) at least as accurately
-// as Jacobi at the shared 1e-10 (TestColdSolveAccuracy), for about a
-// third of Jacobi's edge work. Delta builds and WAL recovery keep the
-// shared config.
-func coldSolver(shared pagerank.Config) pagerank.Config {
-	shared.Algorithm = pagerank.AlgoGaussSouthwell
-	shared.Epsilon = 1e-11
-	return shared
+// coldSnapshot is the tail of every full refresh: it solves h's
+// (p, p′) from x = 0 with solver and packages them, at the paper's
+// operating point, as the generation at epoch.
+func coldSnapshot(h *graph.HostGraph, core []graph.NodeID, solver pagerank.Config, epoch int64) (*serve.Snapshot, error) {
+	gamma := mass.DefaultOptions().Gamma
+	est, err := mass.EstimateFromCore(h.Graph, core, mass.Options{Solver: solver, Gamma: gamma})
+	if err != nil {
+		return nil, fmt.Errorf("estimate: %w", err)
+	}
+	return serve.NewSnapshot(h, est, serve.SnapshotConfig{
+		Detect:   mass.DefaultDetectConfig(),
+		Gamma:    gamma,
+		CoreSize: len(core),
+		// Carrying the core lets /admin/delta apply batches on top of
+		// this snapshot with the core remapped, not reloaded.
+		Core: core,
+	}, epoch)
 }
 
 // rejectSet exits with an error naming the first flag in names that

@@ -1,54 +1,79 @@
 package main
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"spammass/internal/graph"
 	"spammass/internal/mass"
 	"spammass/internal/pagerank"
+	"spammass/internal/serve"
 	"spammass/internal/testutil"
 	"spammass/internal/webgen"
 )
 
-// TestColdSolveAccuracy pins what a full refresh serves. On the
+// servedDelta is the δ contract (DESIGN.md, "What spamserver runs"):
+// every generation the server publishes serves scaled p, scaled p′ and
+// m̃ within δ of the ε = 1e-13 solution on its own graph, relative with
+// a max(1, ·) denominator. δ may only tighten.
+const servedDelta = 1e-7
+
+// Exact work ceilings of the warm path on the accuracy test's world and
+// stream: SolveStats.EdgesSwept of the (p, p′) push for one warm build
+// and for the 10-batch fold, each the measured count + 5 %. Push
+// columns are bit-identical at any worker count, so the counts do not
+// depend on GOMAXPROCS. A ceiling only comes down.
+const (
+	warmBuildEdgesCeiling = 5_543_413 // measured 5,279,441
+	foldEdgesCeiling      = 7_118_176 // measured 6,779,216
+)
+
+// TestServedAccuracy pins what every generation serves. On the
 // benchmark's 100k-host world (webgen seed 11, its assembled good core)
-// the (p, p′) pair solved with coldSolver must be within 1e-7 of an
-// ε = 1e-13 Jacobi reference in the served units — scaled p, scaled p′
-// and m̃, relative with a max(1, ·) denominator — no further from it
-// than the shared Jacobi config at ε = 1e-10, and must agree with it
-// on every Algorithm 2 label outside a 1e-6 band around ρ and τ.
-// Pushing only to ε = 1e-10 misses the first bound (≈ 4e-7).
-func TestColdSolveAccuracy(t *testing.T) {
+// and a bench-shaped delta stream (testutil.DeltaStream, seed 271) it
+// drives the server's own paths with solverConfig:
+//   - the cold refresh (coldSnapshot);
+//   - a warm build after one batch (serve.NewDeltaBuilder);
+//   - a chain of ten sequential warm builds;
+//   - one serve.DeltaFold that stages the same ten batches and solves
+//     once, which is what WAL recovery runs.
+//
+// Each must serve within servedDelta of an ε = 1e-13 Jacobi reference
+// solved on that case's graph, and agree with it on every Algorithm 2
+// label outside a 1e-6 band around ρ and τ. The push at ε = 1e-10
+// misses the bound in every case (4–6e-7).
+func TestServedAccuracy(t *testing.T) {
 	if testing.Short() {
-		t.Skip("solves a 100k-host world three times")
+		t.Skip("solves a 100k-host world 16 times")
 	}
-	cfg := webgen.DefaultConfig(100_000)
-	cfg.Seed = 11
-	h, core, err := testutil.Web(cfg)
+	wcfg := webgen.DefaultConfig(100_000)
+	wcfg.Seed = 11
+	h, core, err := testutil.Web(wcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gamma := mass.DefaultOptions().Gamma
-	estimate := func(solver pagerank.Config) *mass.Estimates {
-		t.Helper()
-		est, err := mass.EstimateFromCore(h.Graph, core, mass.Options{Solver: solver, Gamma: gamma})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return est
+	batches, err := testutil.DeltaStream(h, 271, 10)
+	if err != nil {
+		t.Fatal(err)
 	}
-	refSolver := sharedSolver()
-	refSolver.Epsilon = 1e-13
-	ref := estimate(refSolver)
+	var last *pagerank.SolveStats
+	solver := solverConfig()
+	solver.OnStats = func(st *pagerank.SolveStats) { last = st }
 
 	dcfg := mass.DefaultDetectConfig()
 	rho, tau := dcfg.ScaledPageRankThreshold, dcfg.RelMassThreshold
-	scale := float64(ref.N()) / (1 - ref.Damping)
 	spam := func(p, rel float64) bool { return p >= rho && rel >= tau }
-	// worst returns est's largest served error against ref and the
-	// number of labels it flips outside the threshold band.
-	worst := func(est *mass.Estimates) (maxErr float64, flips int) {
+	check := func(name string, snap *serve.Snapshot) {
+		t.Helper()
+		hosts, est := snap.HostGraph(), snap.Estimates()
+		refSolver := pagerank.Config{Damping: 0.85, Epsilon: 1e-13, MaxIter: 1000}
+		ref, err := mass.EstimateFromCore(hosts.Graph, snap.Core(), mass.Options{Solver: refSolver, Gamma: snap.Config().Gamma})
+		if err != nil {
+			t.Fatal(err)
+		}
+		scale := float64(ref.N()) / (1 - ref.Damping)
+		maxErr, flips := 0.0, 0
 		for x := 0; x < ref.N(); x++ {
 			wantP, wantRel := ref.P[x]*scale, ref.Rel[x]
 			gotP, gotRel := est.P[x]*scale, est.Rel[x]
@@ -61,27 +86,56 @@ func TestColdSolveAccuracy(t *testing.T) {
 			if spam(gotP, gotRel) != spam(wantP, wantRel) && !near {
 				flips++
 				if flips <= 3 {
-					t.Logf("host %s (node %d): p=%v m̃=%v, reference p=%v m̃=%v",
-						h.Names[x], graph.NodeID(x), gotP, gotRel, wantP, wantRel)
+					t.Logf("%s: host %s (node %d): p=%v m̃=%v, reference p=%v m̃=%v",
+						name, hosts.Names[x], graph.NodeID(x), gotP, gotRel, wantP, wantRel)
 				}
 			}
 		}
-		return maxErr, flips
+		t.Logf("%s: %d hosts, worst served error %.3g, %d edges pushed", name, ref.N(), maxErr, last.EdgesSwept)
+		if maxErr > servedDelta {
+			t.Errorf("%s serves a worst relative error of %.3g, want ≤ %g", name, maxErr, servedDelta)
+		}
+		if flips > 0 {
+			t.Errorf("%s flips %d Algorithm 2 labels outside the threshold band", name, flips)
+		}
+	}
+	ceiling := func(name string, ceil int64) {
+		t.Helper()
+		if last.EdgesSwept > ceil {
+			t.Errorf("%s pushed %d edges, above its ceiling of %d", name, last.EdgesSwept, ceil)
+		}
 	}
 
-	cold := coldSolver(sharedSolver())
-	coldErr, coldFlips := worst(estimate(cold))
-	sharedErr, _ := worst(estimate(sharedSolver()))
-	t.Logf("%d hosts: %v at ε = %g serves a worst error of %.3g, Jacobi at ε = %g %.3g",
-		ref.N(), cold.Algorithm, cold.Epsilon, coldErr, sharedSolver().Epsilon, sharedErr)
-	if coldErr > 1e-7 {
-		t.Errorf("cold solve serves a worst relative error of %.3g, want ≤ 1e-7", coldErr)
+	base, err := coldSnapshot(h, core, solver, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if coldErr > sharedErr {
-		t.Errorf("cold solve serves a worst relative error of %.3g, worse than Jacobi at ε = %g (%.3g)",
-			coldErr, sharedSolver().Epsilon, sharedErr)
+	check("cold refresh", base)
+
+	ctx := context.Background()
+	apply := serve.NewDeltaBuilder(serve.DeltaBuilderConfig{Solver: solver})
+	chain := base
+	for k, b := range batches {
+		if chain, err = apply(ctx, chain, chain.Epoch()+1, b); err != nil {
+			t.Fatalf("batch %d: %v", k+1, err)
+		}
+		if k == 0 {
+			ceiling("warm build after 1 batch", warmBuildEdgesCeiling)
+			check("warm build after 1 batch", chain)
+		}
 	}
-	if coldFlips > 0 {
-		t.Errorf("cold solve flips %d Algorithm 2 labels outside the threshold band", coldFlips)
+	check("chain of 10 warm builds", chain)
+
+	fold := serve.NewDeltaFold(base)
+	for k, b := range batches {
+		if err := fold.Stage(b); err != nil {
+			t.Fatalf("stage batch %d: %v", k+1, err)
+		}
 	}
+	folded, err := fold.Solve(ctx, serve.DeltaBuilderConfig{Solver: solver}, base.Epoch()+int64(len(batches)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ceiling("fold of 10 batches", foldEdgesCeiling)
+	check("fold of 10 batches", folded)
 }

@@ -65,18 +65,11 @@ func RemapWarmStart(prev *Estimates, remap []int64, n int, core []graph.NodeID, 
 
 // EstimateFromCoreWarm is EstimateFromCore seeded from a previous
 // generation's solutions: the batched (p, p') solve starts from
-// warm.P and warm.PCore instead of the jump vectors. A nil warm start
-// falls back to the cold path, so callers can pass through whatever
-// RemapWarmStart gave them.
-//
-// Before the batched solve, each warm vector is repaired in place by
-// localized Gauss-Southwell pushes (pagerank.Engine.Refine): after a
-// small graph delta the warm start's residual is concentrated around
-// the churned edges, and push repair eliminates it with work
-// proportional to the churn. The solve that follows then usually
-// terminates in a single verification sweep — it, not the refiner,
-// remains the convergence authority, so a refine that runs out of
-// budget only costs extra solver iterations, never correctness.
+// warm.P and warm.PCore instead of the jump vectors, on the configured
+// solver, to the configured ε. The solver copies the seeds, so warm is
+// left as the caller passed it. A nil warm start falls back to the
+// cold path, so callers can pass through whatever RemapWarmStart gave
+// them.
 func (es *Estimator) EstimateFromCoreWarm(core []graph.NodeID, warm *WarmStart) (*Estimates, error) {
 	if warm == nil {
 		return es.EstimateFromCore(core)
@@ -98,19 +91,6 @@ func (es *Estimator) EstimateFromCoreWarm(core []graph.NodeID, warm *WarmStart) 
 	jumps := []pagerank.Vector{
 		pagerank.UniformJump(n),
 		coreJump(n, core, es.opts.Gamma),
-	}
-	if es.eng.Config().Algorithm != pagerank.AlgoPowerIteration {
-		tol := es.eng.Config().Epsilon / 2
-		for j, w := range []pagerank.Vector{warm.P, warm.PCore} {
-			rst, err := es.eng.Refine(w, jumps[j], tol)
-			if err != nil {
-				return nil, fmt.Errorf("mass: refine warm start %d: %w", j, err)
-			}
-			if sp != nil {
-				sp.SetAttr(fmt.Sprintf("refine.%d.pushes", j), rst.Pushes)
-				sp.SetAttr(fmt.Sprintf("refine.%d.converged", j), rst.Converged)
-			}
-		}
 	}
 	cfg := es.opts.Solver
 	cfg.WarmStarts = []pagerank.Vector{warm.P, warm.PCore}

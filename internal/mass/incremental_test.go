@@ -1,6 +1,7 @@
 package mass
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"spammass/internal/goodcore"
 	"spammass/internal/graph"
 	"spammass/internal/pagerank"
+	"spammass/internal/testutil"
 	"spammass/internal/webgen"
 )
 
@@ -59,8 +61,8 @@ func churnedWorld(t *testing.T) (old *graph.HostGraph, res *delta.Result, core [
 // computed warm-started from the previous generation's vectors must
 // agree with a cold estimation on the same graph to L1 ≤ 1e-9. (A
 // full generation swap perturbs too much of the PageRank mass for the
-// warm start to save iterations; TestWarmSavesIterationsSmallChurn
-// covers the savings claim at realistic churn rates.)
+// warm start to save work; TestWarmSavesEdgesSmallChurn covers the
+// savings claim at realistic churn rates.)
 func TestWarmMatchesCold(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-host estimation in -short mode")
@@ -148,16 +150,16 @@ func smallChurnBatch(rng *rand.Rand, h *graph.HostGraph, rate float64) *delta.Ba
 	return b.Dedup()
 }
 
-// TestWarmSavesIterationsSmallChurn pins the incremental payoff: at
-// 1% edge churn the warm-started batched solve must need at most half
-// the cold iteration count, with the results still inside the L1
-// agreement bound. The savings come from the Gauss-Southwell push
-// repair inside EstimateFromCoreWarm — the remapped seed alone barely
-// helps at deep tolerances, because the solver's tail iterations are
-// dominated by a slow near-c eigenmode that graph churn excites almost
-// as strongly as a cold start does, while push repair removes the
-// churn-localized residual with work proportional to the churn.
-func TestWarmSavesIterationsSmallChurn(t *testing.T) {
+// TestWarmSavesEdgesSmallChurn pins the incremental payoff under the
+// server's solve — Gauss-Southwell, ε = 1e-11, the columns pushed
+// concurrently, as spamserver's solverConfig sets it: at 1% edge churn
+// the warm-started (p, p') push must touch at most 0.8× the edges of a
+// cold push on the same graph, the pull pass that builds the warm
+// residual included, with the results still inside the L1 agreement
+// bound. A push spends edges only where residual circulates, and the
+// remapped seed leaves residual only around the churn and where its
+// mass flows.
+func TestWarmSavesEdgesSmallChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10k-host estimation in -short mode")
 	}
@@ -174,6 +176,7 @@ func TestWarmSavesIterationsSmallChurn(t *testing.T) {
 		t.Fatalf("host graph: %v", err)
 	}
 	opts := DefaultOptions()
+	opts.Solver = pagerank.Config{Damping: 0.85, Epsilon: 1e-11, MaxIter: 1000, Algorithm: pagerank.AlgoGaussSouthwell}
 	prevEst, err := EstimateFromCore(h.Graph, c.Nodes, opts)
 	if err != nil {
 		t.Fatalf("previous estimate: %v", err)
@@ -204,10 +207,10 @@ func TestWarmSavesIterationsSmallChurn(t *testing.T) {
 	if d := warmEst.P.Clone().Sub(coldEst.P).Norm1(); d > 1e-9 {
 		t.Errorf("warm vs cold p: L1 = %.3e", d)
 	}
-	wi, ci := warmEst.SolveStats.Iterations, coldEst.SolveStats.Iterations
-	t.Logf("1%% churn iterations: warm %d, cold %d (%.1fx)", wi, ci, float64(ci)/float64(wi))
-	if wi*2 > ci {
-		t.Errorf("warm start saved too little: warm %d, cold %d (want ≥2x fewer)", wi, ci)
+	we, ce := warmEst.SolveStats.EdgesSwept, coldEst.SolveStats.EdgesSwept
+	t.Logf("1%% churn edges: warm %d, cold %d (%.3fx)", we, ce, float64(we)/float64(ce))
+	if float64(we) > 0.8*float64(ce) {
+		t.Errorf("warm start saved too little: warm %d edges, cold %d (want ≤ 0.8x)", we, ce)
 	}
 	if warmEst.SolveStats.InitialResidual >= coldEst.SolveStats.InitialResidual {
 		t.Errorf("warm initial residual %.3e not below cold %.3e",
@@ -284,5 +287,37 @@ func TestEstimateFromCoreWarmValidates(t *testing.T) {
 	}
 	if cold.SolveStats.WarmStarted {
 		t.Error("nil warm start marked WarmStarted")
+	}
+}
+
+// TestEstimateFromCoreWarmKeepsWarmStart: the warm start is the
+// caller's, and a root-API caller may hold on to it (to seed another
+// solve, or to diff against the result), so the estimation must leave
+// warm.P and warm.PCore bit-identical on every solver.
+func TestEstimateFromCoreWarmKeepsWarmStart(t *testing.T) {
+	n := 600
+	g := testutil.RandomGraph(rand.New(rand.NewSource(17)), n, 5)
+	core := []graph.NodeID{1, 2, 3, 5, 8, 13}
+	push := DefaultOptions()
+	push.Solver = pagerank.Config{Damping: 0.85, Epsilon: 1e-11, MaxIter: 1000, Algorithm: pagerank.AlgoGaussSouthwell}
+	for _, opts := range []Options{DefaultOptions(), push} {
+		es, err := NewEstimator(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A seed away from the fixpoint, so any in-place repair shows.
+		warm := &WarmStart{P: pagerank.UniformJump(n), PCore: pagerank.ScaledCoreJump(n, core, opts.Gamma)}
+		wantP, wantCore := warm.P.Clone(), warm.PCore.Clone()
+		if _, err := es.EstimateFromCoreWarm(core, warm); err != nil {
+			t.Fatal(err)
+		}
+		es.Close()
+		for i := range wantP {
+			if math.Float64bits(warm.P[i]) != math.Float64bits(wantP[i]) || math.Float64bits(warm.PCore[i]) != math.Float64bits(wantCore[i]) {
+				t.Errorf("%v: warm start changed at node %d: P %v → %v, PCore %v → %v",
+					opts.Solver.Algorithm, i, wantP[i], warm.P[i], wantCore[i], warm.PCore[i])
+				break
+			}
+		}
 	}
 }

@@ -24,12 +24,10 @@ func randomEdgeList(rng *rand.Rand, n, deg int) [][2]graph.NodeID {
 }
 
 // TestRefineFromZeroImproves drives Refine from the worst possible
-// seed. Building a full solution by pushes blows the work budget and
-// the progress cutoff long before ε, so Refine must come back
-// truncated — but with the residual materially reduced and an iterate
-// the solver still converges from, to the right fixpoint. That is the
-// accelerator contract: Refine never owes convergence, only a better
-// seed.
+// seed. Building a full solution by pushes may exhaust the work budget
+// before ε, so Refine owes no convergence — only a residual materially
+// reduced and an iterate the solver still converges from, to the right
+// fixpoint.
 func TestRefineFromZeroImproves(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := testutil.RandomGraph(rng, 500, 5)
@@ -67,9 +65,9 @@ func TestRefineFromZeroImproves(t *testing.T) {
 	}
 }
 
-// TestRefineRepairsPerturbedWarmStart is the intended use: after a
-// small graph change, refining the stale solution leaves the solver a
-// seed it accepts in a single verification sweep.
+// TestRefineRepairsPerturbedWarmStart: after a small graph change,
+// refining the stale solution leaves the solver a seed it finishes
+// from in fewer sweeps than a cold start.
 func TestRefineRepairsPerturbedWarmStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	edges := randomEdgeList(rng, 800, 5)

@@ -68,14 +68,16 @@ const (
 	AlgoJacobi Algorithm = iota
 	AlgoGaussSeidel
 	AlgoPowerIteration
-	// AlgoGaussSouthwell is the frontier-based push solver grown out of
-	// Engine.Refine: instead of sweeping every edge per iteration it
-	// relaxes individual nodes in residual order, so the cost tracks
-	// where the error actually lives. That pays on a cold uniform solve
-	// too: on the 500k-host webgen graph it touches 3.1× fewer edges
-	// than Jacobi for the (p, p′) pair (at ε = 1e-11 against Jacobi's
-	// 1e-10, where it first serves at least Jacobi's accuracy). The
+	// AlgoGaussSouthwell is the frontier-based push solver: instead of
+	// sweeping every edge per iteration it relaxes individual nodes in
+	// residual order, so the cost tracks where the error actually
+	// lives. On the 500k-host webgen graph a cold (p, p′) pair touches
+	// 3.1× fewer edges than Jacobi (at ε = 1e-11 against Jacobi's
+	// 1e-10, where it first serves at least Jacobi's accuracy), and a
+	// warm start after a small graph delta pays only for the pull pass
+	// that builds its residual plus the pushes around the churn. The
 	// columns of a batch are pushed concurrently on the worker pool.
+	// It is the one solver spamserver publishes from, cold or warm.
 	AlgoGaussSouthwell
 )
 
@@ -199,8 +201,7 @@ func PowerIteration(g *graph.Graph, v Vector, cfg Config) (*Result, error) {
 }
 
 // GaussSouthwell solves the linear system with residual-ordered push
-// relaxations (the Engine.Refine machinery run to convergence) instead
-// of full sweeps. Cost is proportional to where the residual lives,
+// relaxations instead of full sweeps. Cost is proportional to where the residual lives,
 // which makes it the solver of choice for localized jump vectors;
 // MaxIter bounds its work in full-sweep equivalents.
 func GaussSouthwell(g *graph.Graph, v Vector, cfg Config) (*Result, error) {

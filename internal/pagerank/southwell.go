@@ -8,16 +8,16 @@ import (
 	"spammass/internal/graph"
 )
 
-// solveSouthwell runs the AlgoGaussSouthwell solver: the push
-// machinery of Engine.Refine promoted to a full solver mode. Instead
-// of sweeping all m edges per iteration it relaxes nodes in residual
-// order until ‖r‖₁ < Epsilon, with the total work bounded by MaxIter
-// full-sweep equivalents. Pushes within a column are inherently
-// sequential, but the columns of a batch share only the read-only
-// graph and inv, so on an engine with a worker pool they are pushed
-// concurrently, one contiguous range of columns per pool chunk. Each
-// column keeps its own iterate, residual and worklist, so its result
-// is bit-identical to a sequential run.
+// solveSouthwell runs the AlgoGaussSouthwell solver. Instead of
+// sweeping all m edges per iteration it relaxes nodes in residual
+// order (pushRun) until ‖r‖₁ < Epsilon, with the total work bounded by
+// MaxIter full-sweep equivalents. A column starts at x = 0, or at a
+// copy of its warm start, which is never written. Pushes within a
+// column are inherently sequential, but the columns of a batch share
+// only the read-only graph and inv, so on an engine with a worker pool
+// they are pushed concurrently, one contiguous range of columns per
+// pool chunk. Each column keeps its own iterate, residual and
+// worklist, so its result is bit-identical to a sequential run.
 //
 // Result.Iterations reports worklist scans, the closest analogue of
 // sweeps; Stats.EdgesSwept counts adjacency entries actually touched
@@ -28,7 +28,6 @@ import (
 func (e *Engine) solveSouthwell(vs []Vector, cfg Config) ([]*Result, error) {
 	n, k := e.g.NumNodes(), len(vs)
 	g, inv, c := e.g, e.inv, cfg.Damping
-	m := g.NumEdges()
 	// workers is the number of pool chunks run(k, …) makes, i.e. the
 	// columns pushed at once.
 	workers := 1
@@ -55,7 +54,6 @@ func (e *Engine) solveSouthwell(vs []Vector, cfg Config) ([]*Result, error) {
 		}
 	}
 	traced := cfg.Trace != nil || sp != nil || octx.Logging()
-	budget := int64(cfg.MaxIter) * (m + int64(n))
 
 	xs := make([]Vector, k)
 	sts := make([]RefineStats, k)
@@ -69,33 +67,8 @@ func (e *Engine) solveSouthwell(vs []Vector, cfg Config) ([]*Result, error) {
 			warm = cfg.WarmStart
 		}
 		x := make(Vector, n)
-		r := make([]float64, n)
-		rsum := 0.0
+		copy(x, warm)
 		st := &sts[j]
-		var work int64
-		if warm != nil {
-			copy(x, warm)
-			for y := 0; y < n; y++ {
-				sum := 0.0
-				for _, z := range g.InNeighbors(graph.NodeID(y)) {
-					sum += x[z] * inv[z]
-				}
-				r[y] = c*sum + (1-c)*v[y] - x[y]
-				rsum += math.Abs(r[y])
-			}
-			work = m + int64(n)
-			st.EdgesSwept = m
-		} else {
-			// Cold start from x = 0: the residual is (1−c)·v exactly,
-			// no sweep required.
-			oneMinusC := 1 - c
-			for y := 0; y < n; y++ {
-				r[y] = oneMinusC * v[y]
-				rsum += math.Abs(r[y])
-			}
-			work = int64(n)
-		}
-		st.InitialResidual = rsum
 		// Per-scan telemetry comes from the first column alone: scans of
 		// different columns do not align, and concurrently pushed
 		// columns must not call the Trace hook, the span or the log at
@@ -124,7 +97,7 @@ func (e *Engine) solveSouthwell(vs []Vector, cfg Config) ([]*Result, error) {
 				}
 			}
 		}
-		pushRun(g, inv, c, x, r, rsum, cfg.Epsilon, work, budget, false, onScan, st)
+		pushRun(g, inv, c, x, v, warm != nil, cfg.Epsilon, cfg.MaxIter, onScan, st)
 		xs[j] = x
 	}
 	if workers > 1 {
@@ -198,4 +171,122 @@ func (e *Engine) solveSouthwell(vs []Vector, cfg Config) ([]*Result, error) {
 		return results, ncErr
 	}
 	return results, nil
+}
+
+// pushRun is the Gauss-Southwell worklist core: it pushes one column x
+// in place toward the solution of x = c·Tᵀx + (1−c)·v until ‖r‖₁ ≤ tol
+// or maxIter full-sweep equivalents (m+n element touches each) are
+// spent. A warm x gets its residual r = c·Tᵀx + (1−c)v − x from one
+// pull pass over the in-edges; a cold x must be 0, whose residual is
+// (1−c)v exactly, with no pass. Then every node whose residual
+// exceeds a threshold is relaxed, relaxations cascade, the threshold
+// tightens and the residual is rescanned. Once the threshold reaches
+// tol/(2n), a drained worklist implies ‖r‖₁ ≤ n·thresh ≤ tol/2. Each
+// scan recomputes ‖r‖₁ exactly, so incremental tracking drift cannot
+// accumulate across rounds.
+//
+// onScan, if non-nil, observes ‖r‖₁ after every rescan. Scans, Pushes,
+// EdgesSwept, InitialResidual, FinalResidual and Converged are
+// recorded in st.
+func pushRun(g *graph.Graph, inv []float64, c float64, x, v Vector, warm bool, tol float64, maxIter int, onScan func(rsum float64), st *RefineStats) {
+	n := len(x)
+	m := g.NumEdges()
+	r := make([]float64, n)
+	rsum := 0.0
+	work := int64(n)
+	if warm {
+		for y := 0; y < n; y++ {
+			sum := 0.0
+			for _, z := range g.InNeighbors(graph.NodeID(y)) {
+				sum += x[z] * inv[z]
+			}
+			r[y] = c*sum + (1-c)*v[y] - x[y]
+			rsum += math.Abs(r[y])
+		}
+		work += m
+		st.EdgesSwept += m
+	} else {
+		for y := 0; y < n; y++ {
+			r[y] = (1 - c) * v[y]
+			rsum += math.Abs(r[y])
+		}
+	}
+	st.InitialResidual = rsum
+	budget := int64(maxIter) * (m + int64(n))
+
+	queued := make([]bool, n)
+	q := make([]int32, 0, 256)
+	floor := tol / float64(2*n)
+	thresh := rsum / float64(2*n)
+	if thresh < floor {
+		thresh = floor
+	}
+	// The per-push counters stay local until the run ends, so columns
+	// pushed concurrently never write to a shared cache line.
+	var pushes, edges int64
+	for rsum > tol && work < budget {
+		rsum = 0
+		q = q[:0]
+		for y := 0; y < n; y++ {
+			a := math.Abs(r[y])
+			rsum += a
+			if a > thresh {
+				queued[y] = true
+				q = append(q, int32(y))
+			}
+		}
+		work += int64(n)
+		st.Scans++
+		if onScan != nil {
+			onScan(rsum)
+		}
+		if rsum <= tol {
+			break
+		}
+		if len(q) == 0 {
+			if thresh <= floor {
+				break // numerically stuck
+			}
+			thresh = math.Max(thresh/8, floor)
+			continue
+		}
+		for head := 0; head < len(q) && rsum > tol && work < budget; head++ {
+			y := q[head]
+			queued[y] = false
+			d := r[y]
+			if math.Abs(d) <= thresh {
+				continue
+			}
+			if x[y]+d < 0 {
+				// From a start above the fixpoint, a negative residual
+				// can exceed x[y] by a rounding error where the true
+				// score is 0. Push only what x[y] holds and keep the
+				// rest in r[y], so x stays non-negative and r exact.
+				d = -x[y]
+			}
+			x[y] += d
+			ry := r[y]
+			r[y] -= d
+			rsum += math.Abs(r[y]) - math.Abs(ry)
+			out := g.OutNeighbors(graph.NodeID(y))
+			w := c * d * inv[y]
+			for _, z := range out {
+				old := r[z]
+				r[z] += w
+				rsum += math.Abs(r[z]) - math.Abs(old)
+				if !queued[z] && math.Abs(r[z]) > thresh {
+					queued[z] = true
+					q = append(q, int32(z))
+				}
+			}
+			work += int64(len(out)) + 1
+			edges += int64(len(out))
+			pushes++
+		}
+		thresh = math.Max(thresh/8, floor)
+	}
+	st.Pushes += pushes
+	st.EdgesSwept += edges
+	st.FinalResidual = rsum
+	st.Converged = rsum <= tol
 }
