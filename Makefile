@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench microbench race vet fmt-check lint lint-json vectorcheck fuzz-smoke serve-smoke delta-smoke obs-smoke shard-smoke ingest-smoke verify clean
+.PHONY: build test bench microbench race vet fmt-check lint lint-json vectorcheck fuzz-smoke serve-smoke pagerank-smoke delta-smoke obs-smoke shard-smoke ingest-smoke verify clean
 
 build:
 	$(GO) build ./...
@@ -78,6 +78,13 @@ fuzz-smoke:
 # it sends SIGHUP into a 200k-host boot, which must bind and refresh.
 serve-smoke:
 	sh scripts/serve_smoke.sh
+
+# pagerank-smoke drives cmd/pagerank end to end on a generated graph:
+# binary and text copies print the same top-10, -core solves, a forced
+# non-convergence prints converged=false and exits 0, and the removed
+# -solver and -walks flags are rejected.
+pagerank-smoke:
+	sh scripts/pagerank_smoke.sh
 
 # delta-smoke exercises the incremental refresh path end to end:
 # generate a graph plus one churn delta, boot spamserver, POST the

@@ -10,8 +10,10 @@
 // Usage:
 //
 //	pagerank -graph web.graph [-core web.core] [-gamma 0.85] [-top 20]
-//	         [-solver jacobi|gauss-seidel|power|montecarlo]
 //	         [-report out.json] [-trace trace.json] [-debug-addr :6060] [-v]
+//
+// Every graph format is solved with the Jacobi iteration of
+// Algorithm 1.
 package main
 
 import (
@@ -20,8 +22,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 
 	"spammass/internal/cliobs"
 	"spammass/internal/diskgraph"
@@ -36,8 +36,6 @@ func main() {
 	gamma := flag.Float64("gamma", 0.85, "core jump scaling ‖w‖ (0 = plain 1/n entries)")
 	damping := flag.Float64("damping", 0.85, "damping factor c")
 	epsilon := flag.Float64("epsilon", 1e-10, "L1 convergence bound")
-	solver := flag.String("solver", "jacobi", "jacobi, gauss-seidel, power, or montecarlo")
-	walks := flag.Int("walks", 500, "walks per node for -solver montecarlo")
 	top := flag.Int("top", 20, "print the top-k nodes by score")
 	all := flag.Bool("all", false, "print every node's score instead of the top-k")
 	var ocfg cliobs.Options
@@ -53,53 +51,23 @@ func main() {
 	}
 	octx := pipe.Ctx
 
-	// Out-of-core graphs are detected by magic and solved streaming.
-	if dg, derr := diskgraph.Open(*graphPath); derr == nil {
-		n := dg.NumNodes()
-		v := pagerank.UniformJump(n)
-		if *corePath != "" {
-			core, err := loadCore(*corePath, n)
-			if err != nil {
-				die("load core: %v", err)
-			}
-			if *gamma > 0 {
-				v = pagerank.ScaledCoreJump(n, core, *gamma)
-			} else {
-				v = pagerank.CoreJump(n, core, 1/float64(n))
-			}
-		}
-		// The command reports convergence itself, so truncated solves
-		// are accepted rather than surfaced as ErrNotConverged.
-		res, err := dg.PageRank(v, pagerank.Config{Damping: *damping, Epsilon: *epsilon, MaxIter: 1000, AllowTruncated: true, Obs: octx})
-		if err != nil {
-			die("solve (disk): %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "out-of-core: converged=%v iterations=%d residual=%.2e\n",
-			res.Converged, res.Iterations, res.Residual)
-		if pipe.Report != nil {
-			pipe.Report.Graph = &obs.GraphInfo{Path: *graphPath, Format: "smdg", Nodes: n, Edges: dg.NumEdges()}
-			pipe.Report.Solves = append(pipe.Report.Solves, obs.SolveSummary{
-				Name:          "pagerank-disk",
-				Algorithm:     "jacobi",
-				Batch:         1,
-				Iterations:    res.Iterations,
-				FinalResidual: res.Residual,
-				Converged:     res.Converged,
-			})
-		}
-		printScores(res.Scores, n, *damping, *top, *all)
-		finish(pipe)
-		return
-	}
-
-	g, ginfo, err := graph.LoadFile(*graphPath, octx)
-	if err != nil {
+	// Out-of-core graphs are detected by magic and solved streaming;
+	// anything else is loaded into memory.
+	var g *graph.Graph
+	var ginfo *obs.GraphInfo
+	dg, err := diskgraph.Open(*graphPath)
+	if err == nil {
+		ginfo = &obs.GraphInfo{Path: *graphPath, Format: "smdg", Nodes: dg.NumNodes(), Edges: dg.NumEdges()}
+	} else if g, ginfo, err = graph.LoadFile(*graphPath, octx); err != nil {
 		die("load graph: %v", err)
 	}
-	n := g.NumNodes()
+	if pipe.Report != nil {
+		pipe.Report.Graph = ginfo
+	}
+	n := ginfo.Nodes
 	v := pagerank.UniformJump(n)
 	if *corePath != "" {
-		core, err := loadCore(*corePath, n)
+		core, err := cliobs.LoadNodeIDs(*corePath, n)
 		if err != nil {
 			die("load core: %v", err)
 		}
@@ -112,42 +80,34 @@ func main() {
 	// AllowTruncated: the command prints converged= itself instead of
 	// failing on a solve that hits MaxIter.
 	cfg := pagerank.Config{Damping: *damping, Epsilon: *epsilon, MaxIter: 1000, AllowTruncated: true, Obs: octx}
-	var scores pagerank.Vector
-	switch *solver {
-	case "jacobi", "gauss-seidel", "power":
-		var res *pagerank.Result
-		switch *solver {
-		case "jacobi":
-			res, err = pagerank.Jacobi(g, v, cfg)
-		case "gauss-seidel":
-			res, err = pagerank.GaussSeidel(g, v, cfg)
-		case "power":
-			res, err = pagerank.PowerIteration(g, v, cfg)
+	var res *pagerank.Result
+	prefix := ""
+	if g == nil {
+		if res, err = dg.PageRank(v, cfg); err != nil {
+			die("solve (disk): %v", err)
 		}
-		if err != nil {
+		prefix = "out-of-core: "
+		if pipe.Report != nil {
+			pipe.Report.Solves = append(pipe.Report.Solves, obs.SolveSummary{
+				Name:          "pagerank-disk",
+				Algorithm:     "jacobi",
+				Batch:         1,
+				Iterations:    res.Iterations,
+				FinalResidual: res.Residual,
+				Converged:     res.Converged,
+			})
+		}
+	} else {
+		if res, err = pagerank.Jacobi(g, v, cfg); err != nil {
 			die("solve: %v", err)
 		}
-		fmt.Fprintf(os.Stderr, "converged=%v iterations=%d residual=%.2e\n",
-			res.Converged, res.Iterations, res.Residual)
 		if pipe.Report != nil {
-			pipe.Report.Solves = append(pipe.Report.Solves, res.Stats.Summary(*solver, res.Converged))
+			pipe.Report.Solves = append(pipe.Report.Solves, res.Stats.Summary("jacobi", res.Converged))
 		}
-		scores = res.Scores
-	case "montecarlo":
-		scores, err = pagerank.MonteCarlo(g, v, pagerank.MonteCarloConfig{
-			Damping: *damping, WalksPerNode: *walks, Seed: 1,
-		})
-		if err != nil {
-			die("solve (montecarlo): %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "montecarlo: %d walks per node\n", *walks)
-	default:
-		die("unknown solver %q", *solver)
 	}
-	if pipe.Report != nil {
-		pipe.Report.Graph = ginfo
-	}
-	printScores(scores, n, *damping, *top, *all)
+	fmt.Fprintf(os.Stderr, "%sconverged=%v iterations=%d residual=%.2e\n",
+		prefix, res.Converged, res.Iterations, res.Residual)
+	printScores(res.Scores, n, *damping, *top, *all)
 	finish(pipe)
 }
 
@@ -179,37 +139,6 @@ func printScores(scores pagerank.Vector, n int, damping float64, top int, all bo
 	for _, x := range order[:top] {
 		fmt.Fprintf(w, "%-12d %12.3f\n", x, scores[x]*scale)
 	}
-}
-
-func loadCore(path string, n int) ([]graph.NodeID, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var core []graph.NodeID
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		id, err := strconv.ParseUint(line, 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("bad node ID %q: %w", line, err)
-		}
-		if int(id) >= n {
-			return nil, fmt.Errorf("core node %d outside graph of %d nodes", id, n)
-		}
-		core = append(core, graph.NodeID(id))
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(core) == 0 {
-		return nil, fmt.Errorf("empty core file %s", path)
-	}
-	return core, nil
 }
 
 func die(format string, args ...any) {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"spammass/internal/baseline"
@@ -295,42 +296,114 @@ type SolverResult struct {
 	MaxDiff    float64 // against Jacobi, after normalization
 }
 
-// RunSolvers cross-validates the three PageRank solvers on the world
-// graph and reports their iteration counts.
+// RunSolvers cross-validates three solvers of Section 2.2 on the world
+// graph and reports their iteration counts: Jacobi (Algorithm 1, on
+// the shared engine) against in-place Gauss-Seidel sweeps and the
+// power iteration of the eigenvector formulation, both run by the
+// single-column loops below.
 func (e *Env) RunSolvers(w io.Writer) ([]SolverResult, error) {
 	section(w, "Ablation: linear PageRank solver comparison")
 	g := e.World.Graph
 	v := pagerank.UniformJump(g.NumNodes())
-	// All three algorithms run on the shared engine: its cached
-	// out-degree and dangling state are algorithm-independent.
-	withAlgo := func(a pagerank.Algorithm) pagerank.Config {
-		cfg := e.Cfg.Solver
-		cfg.Algorithm = a
-		return cfg
-	}
-	eng := e.Engine()
-	ja, err := eng.SolveConfig(v, withAlgo(pagerank.AlgoJacobi))
+	cfg := e.Cfg.Solver
+	cfg.Algorithm = pagerank.AlgoJacobi
+	ja, err := e.Engine().SolveConfig(v, cfg)
 	if err != nil {
 		return nil, err
 	}
-	gs, err := eng.SolveConfig(v, withAlgo(pagerank.AlgoGaussSeidel))
+	cfg = cfg.WithDefaults()
+	gs, gsIters, err := gaussSeidel(g, v, cfg.Damping, cfg.Epsilon, cfg.MaxIter)
 	if err != nil {
 		return nil, err
 	}
-	pw, err := eng.SolveConfig(v, withAlgo(pagerank.AlgoPowerIteration))
+	pw, pwIters, err := powerIteration(g, v, cfg.Damping, cfg.Epsilon, cfg.MaxIter)
 	if err != nil {
 		return nil, err
 	}
 	jn := ja.Scores.Normalized()
 	out := []SolverResult{
 		{Name: "jacobi", Iterations: ja.Iterations},
-		{Name: "gauss-seidel", Iterations: gs.Iterations, MaxDiff: maxAbsDiff(jn, gs.Scores.Normalized())},
-		{Name: "power-iteration", Iterations: pw.Iterations, MaxDiff: maxAbsDiff(jn, pw.Scores.Normalized())},
+		{Name: "gauss-seidel", Iterations: gsIters, MaxDiff: maxAbsDiff(jn, gs.Normalized())},
+		{Name: "power-iteration", Iterations: pwIters, MaxDiff: maxAbsDiff(jn, pw.Normalized())},
 	}
 	for _, r := range out {
 		fmt.Fprintf(w, "%-16s %4d iterations, max normalized diff vs jacobi %.2e\n", r.Name, r.Iterations, r.MaxDiff)
 	}
 	return out, nil
+}
+
+// invOutDegrees returns 1/out(x) per node, 0 for dangling nodes.
+func invOutDegrees(g *graph.Graph) []float64 {
+	inv := make([]float64, g.NumNodes())
+	for x := range inv {
+		if d := g.OutDegree(graph.NodeID(x)); d > 0 {
+			inv[x] = 1 / float64(d)
+		}
+	}
+	return inv
+}
+
+// gaussSeidel solves (I − cTᵀ)p = (1−c)v with in-place sweeps in node
+// order, each using the scores already updated in the same sweep,
+// until the sweep's L1 step falls below eps. It returns the scores and
+// the number of sweeps.
+func gaussSeidel(g *graph.Graph, v pagerank.Vector, c, eps float64, maxIter int) (pagerank.Vector, int, error) {
+	inv := invOutDegrees(g)
+	p := v.Clone()
+	for it := 1; it <= maxIter; it++ {
+		step := 0.0
+		for y := range p {
+			sum := 0.0
+			for _, x := range g.InNeighbors(graph.NodeID(y)) {
+				sum += p[x] * inv[x]
+			}
+			nv := c*sum + (1-c)*v[y]
+			step += math.Abs(nv - p[y])
+			p[y] = nv
+		}
+		if step < eps {
+			return p, it, nil
+		}
+	}
+	return nil, maxIter, fmt.Errorf("experiments: gauss-seidel did not converge in %d iterations", maxIter)
+}
+
+// powerIteration iterates the augmented chain T″ = cT′ + (1−c)·1·vᵀ,
+// T′ = T + dvᵀ, of Section 2.2 from p = v (‖v‖₁ = 1): each step
+// reinjects the mass c·dᵀp sitting on dangling nodes through v. Its
+// fixpoint is the stationary distribution, which satisfies
+// p = cTᵀp + (c·dᵀp + 1−c)·v. The function returns it divided by
+// (c·dᵀp + 1−c)/(1−c) (Vigna's pseudorank rescale): the solution of
+// (I − cTᵀ)p = (1−c)v, so its raw scores compare with Jacobi's.
+func powerIteration(g *graph.Graph, v pagerank.Vector, c, eps float64, maxIter int) (pagerank.Vector, int, error) {
+	inv := invOutDegrees(g)
+	danglingMass := func(p pagerank.Vector) float64 {
+		d := 0.0
+		for x, w := range inv {
+			if w == 0 {
+				d += p[x]
+			}
+		}
+		return d
+	}
+	cur, next := v.Clone(), make(pagerank.Vector, len(v))
+	for it := 1; it <= maxIter; it++ {
+		coef := (1 - c) + c*danglingMass(cur)
+		step := 0.0
+		for y := range next {
+			sum := 0.0
+			for _, x := range g.InNeighbors(graph.NodeID(y)) {
+				sum += cur[x] * inv[x]
+			}
+			next[y] = c*sum + coef*v[y]
+			step += math.Abs(next[y] - cur[y])
+		}
+		cur, next = next, cur
+		if step < eps {
+			return cur.Scale((1 - c) / ((1 - c) + c*danglingMass(cur))), it, nil
+		}
+	}
+	return nil, maxIter, fmt.Errorf("experiments: power iteration did not converge in %d iterations", maxIter)
 }
 
 func maxAbsDiff(a, b pagerank.Vector) float64 {

@@ -152,7 +152,10 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 	}
 	n := int(n64)
 	g := &Graph{n: n}
-	g.outStart = make([]int64, n+1)
+	// The header's node count is untrusted: preallocate at most 1<<20
+	// offsets and grow past that as degrees arrive, so a corrupt count
+	// fails on the truncated input before its offsets are allocated.
+	g.outStart = make([]int64, 1, min(n, 1<<20)+1)
 	for x := 0; x < n; x++ {
 		deg, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -177,7 +180,7 @@ func ReadBinary(r io.Reader) (*Graph, error) {
 			g.outAdj = append(g.outAdj, NodeID(y))
 			prev = y
 		}
-		g.outStart[x+1] = g.outStart[x] + int64(deg)
+		g.outStart = append(g.outStart, g.outStart[x]+int64(deg))
 	}
 	g.inStart, g.inAdj = reverseCSR(g.outStart, g.outAdj, n)
 	if err := g.Validate(); err != nil {

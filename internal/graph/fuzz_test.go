@@ -22,6 +22,10 @@ func FuzzReadBinary(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte("SMGR"))
 	f.Add([]byte("SMGR\x01\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
+	// A header claiming 3,489,660,927 nodes followed by 8 bytes: the
+	// decoder must fail on the truncation without first allocating
+	// 26 GiB of offsets for the claimed count.
+	f.Add([]byte("SMGR\x01\xff\xff\xff\xff\f\xf7\r\xff\xff\xff\xff\xff\xee"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := ReadBinary(bytes.NewReader(data))

@@ -467,8 +467,8 @@ func TestMassInvariantsProperty(t *testing.T) {
 	}
 }
 
-// TestAlgorithmChoiceEquivalent: Gauss-Seidel estimation reaches the
-// same fixpoint as Jacobi.
+// TestAlgorithmChoiceEquivalent: estimation with the served push
+// reaches the same fixpoint as Jacobi.
 func TestAlgorithmChoiceEquivalent(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	g := testutil.RandomGraph(rng, 800, 5)
@@ -477,14 +477,14 @@ func TestAlgorithmChoiceEquivalent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gsCfg := pagerank.DefaultConfig()
-	gsCfg.Algorithm = pagerank.AlgoGaussSeidel
-	gs, err := EstimateFromCore(g, core, Options{Solver: gsCfg, Gamma: 0.85})
+	pushCfg := pagerank.DefaultConfig()
+	pushCfg.Algorithm = pagerank.AlgoGaussSouthwell
+	push, err := EstimateFromCore(g, core, Options{Solver: pushCfg, Gamma: 0.85})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := testutil.MaxAbsDiff(ja.Abs, gs.Abs); d > 1e-9 {
-		t.Errorf("Jacobi and Gauss-Seidel estimates differ by %v", d)
+	if d := testutil.MaxAbsDiff(ja.Abs, push.Abs); d > 1e-9 {
+		t.Errorf("Jacobi and Gauss-Southwell estimates differ by %v", d)
 	}
 	bad := pagerank.DefaultConfig()
 	bad.Algorithm = pagerank.Algorithm(99)

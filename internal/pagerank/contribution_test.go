@@ -47,7 +47,7 @@ func TestTheorem2WalkOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			oracle, bound := WalkContribution(g, graph.NodeID(x), v, c, 1e-10)
+			oracle, bound := walkContribution(g, graph.NodeID(x), v, c, 1e-10)
 			if d := testutil.MaxAbsDiff(qx, oracle); d > bound+1e-9 {
 				t.Errorf("trial %d node %d: linear vs walk oracle differ by %v (truncation bound %v)", trial, x, d, bound)
 			}
@@ -64,7 +64,7 @@ func TestWalkOracleExactOnDAG(t *testing.T) {
 		n := g.NumNodes()
 		v := UniformJump(n)
 		p := PR(g, v, DefaultConfig())
-		oracle, _ := WalkPageRank(g, v, c, 0) // tol 0: enumerate all (finite) walks
+		oracle, _ := walkPageRank(g, v, c, 0) // tol 0: enumerate all (finite) walks
 		if d := testutil.MaxAbsDiff(p, oracle); d > 1e-10 {
 			t.Errorf("trial %d: PageRank vs exact walk sum differ by %v", trial, d)
 		}
@@ -198,4 +198,64 @@ func TestLinkContribution(t *testing.T) {
 	if _, err := LinkContribution(f.Graph, f.X, f.G0, v, DefaultConfig()); err == nil {
 		t.Error("LinkContribution accepted a nonexistent edge")
 	}
+}
+
+// walkContribution computes the contribution vector qˣ of node x by
+// explicitly enumerating walks, following the definition in Section 3.2
+// verbatim: q_y^W = c^|W|·π(W)·(1−c)·v_x for each walk W from x to y,
+// plus the virtual zero-length circuit Z_x contributing (1−c)·v_x to x
+// itself.
+//
+// Walk prefixes whose per-step weight falls below tol are pruned. The
+// second return value is a rigorous upper bound on the total mass lost
+// to pruning: a subtree entered with weight s contributes at most
+// s/(1−c) in total (the level sums decay geometrically with ratio c),
+// so each pruned family of branches loses at most deg·step/(1−c).
+//
+// This is exponential in the worst case and exists purely as a test
+// oracle for Theorem 2 on small graphs. tol must be positive for
+// cyclic graphs; on DAGs tol = 0 enumerates every walk exactly.
+func walkContribution(g *graph.Graph, x graph.NodeID, v Vector, c, tol float64) (q Vector, errBound float64) {
+	q = make(Vector, g.NumNodes())
+	base := (1 - c) * v[x]
+	if base == 0 {
+		return q, 0
+	}
+	// Virtual circuit Z_x of length zero and weight 1.
+	q[x] += base
+
+	// Depth-first enumeration of walks; "weight" carries
+	// c^k·π(W)·(1−c)·v_x for the walk so far.
+	var dfs func(node graph.NodeID, weight float64)
+	dfs = func(node graph.NodeID, weight float64) {
+		out := g.OutNeighbors(node)
+		if len(out) == 0 {
+			return
+		}
+		step := weight * c / float64(len(out))
+		if step < tol {
+			errBound += float64(len(out)) * step / (1 - c)
+			return
+		}
+		for _, y := range out {
+			q[y] += step
+			dfs(y, step)
+		}
+	}
+	dfs(x, base)
+	return q, errBound
+}
+
+// walkPageRank computes the full PageRank vector via Theorem 1 by
+// summing the walk-enumerated contributions of every node, returning
+// the accumulated truncation bound. Like walkContribution, it is a
+// small-graph test oracle.
+func walkPageRank(g *graph.Graph, v Vector, c, tol float64) (p Vector, errBound float64) {
+	p = make(Vector, g.NumNodes())
+	for x := 0; x < g.NumNodes(); x++ {
+		qx, e := walkContribution(g, graph.NodeID(x), v, c, tol)
+		p.Add(qx)
+		errBound += e
+	}
+	return p, errBound
 }

@@ -14,21 +14,20 @@ import (
 const parallelThreshold = 4096
 
 // Engine is a reusable PageRank solver bound to one graph. It computes
-// the inverse out-degrees and the dangling-node list once at
-// construction instead of on every solve, keeps one persistent worker
-// pool alive across iterations and solves, and offers batched solves
-// (SolveMany) that sweep the in-neighbor lists once per iteration for
-// several jump vectors at a time.
+// the inverse out-degrees once at construction instead of on every
+// solve, keeps one persistent worker pool alive across iterations and
+// solves, and offers batched solves (SolveMany) that sweep the
+// in-neighbor lists once per iteration for several jump vectors at a
+// time.
 //
 // An Engine is safe for concurrent use; solves are serialized
 // internally. Call Close when done to release the worker pool (a
 // finalizer eventually releases it otherwise, so forgetting Close
 // cannot leak goroutines permanently).
 type Engine struct {
-	g        *graph.Graph
-	cfg      Config
-	inv      []float64      // 1/out(x), 0 for dangling nodes
-	dangling []graph.NodeID // nodes with no out-links
+	g   *graph.Graph
+	cfg Config
+	inv []float64 // 1/out(x), 0 for dangling nodes
 
 	mu      sync.Mutex
 	pool    *workerPool
@@ -52,8 +51,6 @@ func NewEngine(g *graph.Graph, cfg Config) (*Engine, error) {
 	for x := 0; x < n; x++ {
 		if d := g.OutDegree(graph.NodeID(x)); d > 0 {
 			e.inv[x] = 1 / float64(d)
-		} else {
-			e.dangling = append(e.dangling, graph.NodeID(x))
 		}
 	}
 	if cfg.Workers > 1 && n >= parallelThreshold {
@@ -130,11 +127,6 @@ func (e *Engine) SolveManyConfig(vs []Vector, cfg Config) ([]*Result, error) {
 		if len(v) != n {
 			return nil, fmt.Errorf("pagerank: jump vector %d has length %d, want %d", j, len(v), n)
 		}
-		if cfg.Algorithm == AlgoPowerIteration {
-			if s := v.Sum(); s < 1-1e-9 || s > 1+1e-9 {
-				return nil, fmt.Errorf("pagerank: power iteration needs a stochastic jump vector, got ‖v‖=%v (vector %d)", s, j)
-			}
-		}
 	}
 	if cfg.WarmStart != nil && len(cfg.WarmStart) != n {
 		return nil, fmt.Errorf("pagerank: warm start has length %d, want %d", len(cfg.WarmStart), n)
@@ -196,25 +188,6 @@ func (e *Engine) solveBatch(vs []Vector, cfg Config) ([]*Result, error) {
 	default:
 		copy(cur, jump)
 	}
-	if cfg.Algorithm == AlgoPowerIteration && warmStarted {
-		// Power iteration operates on probability distributions (the
-		// results are rescaled to the linear solution afterwards), so a
-		// warm start — typically a previous linear-scale result — is
-		// normalized back onto the simplex to remain a near-fixpoint.
-		for j := 0; j < k; j++ {
-			s := 0.0
-			for i := 0; i < n; i++ {
-				s += cur[i*k+j]
-			}
-			if s > 0 {
-				invS := 1 / s
-				for i := 0; i < n; i++ {
-					cur[i*k+j] *= invS
-				}
-			}
-		}
-	}
-
 	workers := 1
 	if e.pool != nil && n >= parallelThreshold {
 		workers = e.pool.workers
@@ -245,10 +218,8 @@ func (e *Engine) solveBatch(vs []Vector, cfg Config) ([]*Result, error) {
 	traced := cfg.Trace != nil || sp != nil || octx.Logging()
 	m := e.g.NumEdges()
 	c := cfg.Damping
-	resid := make([]float64, k)    // per-vector residual of the last iteration
-	jumpCoef := make([]float64, k) // per-vector jump coefficient of the sweep
-	dsum := make([]float64, k)     // per-vector dangling mass (power iteration)
-	firstIter := make([]int, k)    // iteration at which each vector first converged
+	resid := make([]float64, k) // per-vector residual of the last iteration
+	firstIter := make([]int, k) // iteration at which each vector first converged
 	converged := make([]bool, k)
 	left := k // vectors that have not yet met Epsilon
 
@@ -291,25 +262,8 @@ func (e *Engine) solveBatch(vs []Vector, cfg Config) ([]*Result, error) {
 	it := 0
 	for left > 0 && it < cfg.MaxIter {
 		it++
-		for j := 0; j < k; j++ {
-			jumpCoef[j] = 1 - c
-		}
-		if cfg.Algorithm == AlgoPowerIteration {
-			// Reinject the random-walk mass lost at dangling nodes as
-			// c·dᵀp·v, folded into the sweep's jump coefficient.
-			danglingSums(e.dangling, cur, k, dsum)
-			for j := 0; j < k; j++ {
-				jumpCoef[j] += c * dsum[j]
-			}
-		}
-
-		if cfg.Algorithm == AlgoGaussSeidel {
-			e.sweepGaussSeidel(cur, jump, k, c, resid)
-		} else { // Jacobi and power iteration: out-of-place pull sweep
-			e.sweepPull(cur, next, jump, jumpCoef, k, c, workers, resid)
-			cur, next = next, cur
-		}
-
+		e.sweepPull(cur, next, jump, k, c, workers, resid)
+		cur, next = next, cur
 		if record(it) < cfg.Epsilon {
 			break
 		}
@@ -338,33 +292,11 @@ func (e *Engine) solveBatch(vs []Vector, cfg Config) ([]*Result, error) {
 	// next solve's buffer reuse.
 	e.cur, e.next = cur, next
 
-	// Power iteration converges to the stationary distribution of the
-	// augmented dangling-reinjected chain, which differs from the
-	// linear-system solution exactly by the scale factor below (Vigna's
-	// "strongly preferable" pseudorank correction): with D = dᵀp the
-	// stationary fixpoint satisfies p = cTᵀp + (c·D + 1−c)·v, so
-	// dividing by (c·D + 1−c)/(1−c) yields the solution of
-	// (I − cTᵀ)x = (1−c)v. Rescaling here makes every algorithm return
-	// the same vector: downstream consumers (mass.Derive, the serve
-	// snapshots) never see a formulation-dependent scale.
-	var scale []float64
-	if cfg.Algorithm == AlgoPowerIteration {
-		danglingSums(e.dangling, cur, k, dsum)
-		scale = make([]float64, k)
-		for j := range scale {
-			scale[j] = (1 - c) / ((1 - c) + c*dsum[j])
-		}
-	}
-
 	results := make([]*Result, k)
 	for j := 0; j < k; j++ {
 		scores := make(Vector, n)
-		s := 1.0
-		if scale != nil {
-			s = scale[j]
-		}
 		for i := 0; i < n; i++ {
-			scores[i] = cur[i*k+j] * s
+			scores[i] = cur[i*k+j]
 		}
 		iters := firstIter[j]
 		if iters == 0 {
@@ -401,32 +333,18 @@ func (e *Engine) solveBatch(vs []Vector, cfg Config) ([]*Result, error) {
 	return results, nil
 }
 
-// danglingSums accumulates, per batch column, the score mass sitting
-// on dangling nodes: dᵀp in the notation of Section 2.2.
-func danglingSums(dangling []graph.NodeID, cur []float64, k int, dsum []float64) {
-	for j := range dsum {
-		dsum[j] = 0
-	}
-	for _, d := range dangling {
-		base := int(d) * k
-		for j := 0; j < k; j++ {
-			dsum[j] += cur[base+j]
-		}
-	}
-}
-
-// sweepPull computes next ← c·Tᵀcur + jumpCoef·v for every vector of
+// sweepPull computes next ← c·Tᵀcur + (1−c)·v for every vector of
 // the batch with one pass over the in-neighbor lists, and accumulates
 // the per-vector L1 residual ‖next − cur‖₁ into resid. Pull-style
 // sweeps write each next[y] from exactly one goroutine, so no locking
 // is needed.
-func (e *Engine) sweepPull(cur, next, jump, jumpCoef []float64, k int, c float64, workers int, resid []float64) {
+func (e *Engine) sweepPull(cur, next, jump []float64, k int, c float64, workers int, resid []float64) {
 	n := e.g.NumNodes()
 	if workers <= 1 {
 		for j := 0; j < k; j++ {
 			resid[j] = 0
 		}
-		e.pullRange(cur, next, jump, jumpCoef, k, c, 0, n, resid)
+		e.pullRange(cur, next, jump, k, c, 0, n, resid)
 		return
 	}
 	partial := e.partial[:workers*k]
@@ -434,7 +352,7 @@ func (e *Engine) sweepPull(cur, next, jump, jumpCoef []float64, k int, c float64
 		partial[i] = 0
 	}
 	e.pool.run(n, func(chunk, lo, hi int) {
-		e.pullRange(cur, next, jump, jumpCoef, k, c, lo, hi, partial[chunk*k:(chunk+1)*k])
+		e.pullRange(cur, next, jump, k, c, lo, hi, partial[chunk*k:(chunk+1)*k])
 	})
 	for j := 0; j < k; j++ {
 		resid[j] = 0
@@ -446,12 +364,13 @@ func (e *Engine) sweepPull(cur, next, jump, jumpCoef []float64, k int, c float64
 
 // pullRange is the sweep kernel over nodes [lo, hi); acc accumulates
 // the per-vector L1 residual of the range.
-func (e *Engine) pullRange(cur, next, jump, jumpCoef []float64, k int, c float64, lo, hi int, acc []float64) {
+func (e *Engine) pullRange(cur, next, jump []float64, k int, c float64, lo, hi int, acc []float64) {
 	g, inv := e.g, e.inv
+	coef := 1 - c
 	if k == 1 {
 		// Scalar fast path: identical memory behavior to a classic
 		// single-vector sweep, with the residual fused in.
-		coef, a := jumpCoef[0], acc[0]
+		a := acc[0]
 		for y := lo; y < hi; y++ {
 			sum := 0.0
 			for _, x := range g.InNeighbors(graph.NodeID(y)) {
@@ -472,7 +391,6 @@ func (e *Engine) pullRange(cur, next, jump, jumpCoef []float64, k int, c float64
 		// Two-column fast path: EstimateFromCore's (p, p') pair is the
 		// most common batch. Keeping both running sums in registers
 		// makes the shared sweep cost barely more than a scalar one.
-		coef0, coef1 := jumpCoef[0], jumpCoef[1]
 		a0, a1 := acc[0], acc[1]
 		for y := lo; y < hi; y++ {
 			sum0, sum1 := 0.0, 0.0
@@ -483,8 +401,8 @@ func (e *Engine) pullRange(cur, next, jump, jumpCoef []float64, k int, c float64
 				sum1 += cur[base+1] * w
 			}
 			base := y * 2
-			nv0 := c*sum0 + coef0*jump[base]
-			nv1 := c*sum1 + coef1*jump[base+1]
+			nv0 := c*sum0 + coef*jump[base]
+			nv1 := c*sum1 + coef*jump[base+1]
 			next[base] = nv0
 			next[base+1] = nv1
 			d0 := nv0 - cur[base]
@@ -515,66 +433,13 @@ func (e *Engine) pullRange(cur, next, jump, jumpCoef []float64, k int, c float64
 		}
 		base := y * k
 		for j := 0; j < k; j++ {
-			nv := c*sums[j] + jumpCoef[j]*jump[base+j]
+			nv := c*sums[j] + coef*jump[base+j]
 			next[base+j] = nv
 			d := nv - cur[base+j]
 			if d < 0 {
 				d = -d
 			}
 			acc[j] += d
-		}
-	}
-}
-
-// sweepGaussSeidel runs one in-place sweep per vector of the batch,
-// using already-updated scores within the iteration. It is inherently
-// sequential but still shares the single adjacency traversal.
-func (e *Engine) sweepGaussSeidel(p, jump []float64, k int, c float64, resid []float64) {
-	g, inv := e.g, e.inv
-	n := g.NumNodes()
-	oneMinusC := 1 - c
-	for j := 0; j < k; j++ {
-		resid[j] = 0
-	}
-	if k == 1 {
-		delta := 0.0
-		for y := 0; y < n; y++ {
-			sum := 0.0
-			for _, x := range g.InNeighbors(graph.NodeID(y)) {
-				sum += p[x] * inv[x]
-			}
-			nv := c*sum + oneMinusC*jump[y]
-			d := nv - p[y]
-			if d < 0 {
-				d = -d
-			}
-			delta += d
-			p[y] = nv
-		}
-		resid[0] = delta
-		return
-	}
-	sums := make([]float64, k)
-	for y := 0; y < n; y++ {
-		for j := range sums {
-			sums[j] = 0
-		}
-		for _, x := range g.InNeighbors(graph.NodeID(y)) {
-			w := inv[x]
-			base := int(x) * k
-			for j := 0; j < k; j++ {
-				sums[j] += p[base+j] * w
-			}
-		}
-		base := y * k
-		for j := 0; j < k; j++ {
-			nv := c*sums[j] + oneMinusC*jump[base+j]
-			d := nv - p[base+j]
-			if d < 0 {
-				d = -d
-			}
-			resid[j] += d
-			p[base+j] = nv
 		}
 	}
 }

@@ -45,8 +45,6 @@ type RefineStats struct {
 // No server or library path calls Refine: delta builds and recovery
 // pass their warm start to SolveManyConfig. Its last caller is the
 // bench layer trace, and the bench seam (ROADMAP item 6) deletes it.
-// Power iteration solves a different (dangling-reinjected) system, so
-// engines configured with AlgoPowerIteration reject Refine.
 func (e *Engine) Refine(x, v Vector, tol float64) (*RefineStats, error) {
 	n := e.g.NumNodes()
 	if len(x) != n {
@@ -57,9 +55,6 @@ func (e *Engine) Refine(x, v Vector, tol float64) (*RefineStats, error) {
 	}
 	if !(tol > 0) || math.IsInf(tol, 0) {
 		return nil, fmt.Errorf("pagerank: refine tolerance %v, want a positive finite value", tol)
-	}
-	if e.cfg.Algorithm == AlgoPowerIteration {
-		return nil, fmt.Errorf("pagerank: refine solves the linear system; the engine is configured for power iteration")
 	}
 
 	e.mu.Lock()

@@ -151,17 +151,6 @@ func TestRefineValidation(t *testing.T) {
 	if _, err := eng.Refine(x, v, 1e-9); err == nil {
 		t.Error("closed engine accepted refine")
 	}
-
-	cfg := DefaultConfig()
-	cfg.Algorithm = AlgoPowerIteration
-	peng, err := NewEngine(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer peng.Close()
-	if _, err := peng.Refine(x, v, 1e-9); err == nil {
-		t.Error("power-iteration engine accepted refine")
-	}
 }
 
 // TestWarmStartsPerVector covers the per-column warm starts of a

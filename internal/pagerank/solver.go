@@ -32,13 +32,10 @@ type Config struct {
 	// column. Its length must equal the batch width. Setting both
 	// WarmStart and WarmStarts is a configuration error.
 	WarmStarts []Vector
-	// Algorithm selects the solver: AlgoJacobi (default),
-	// AlgoGaussSeidel, AlgoPowerIteration, or AlgoGaussSouthwell. All
-	// return the linear-system solution of (I − cTᵀ)p = (1−c)v (power
-	// iteration's eigenvector is rescaled to it, see the Engine docs);
-	// Gauss-Seidel usually needs ~40% fewer iterations but cannot be
-	// parallelized, and Gauss-Southwell does work proportional to where
-	// the residual lives rather than sweeping every edge.
+	// Algorithm selects the solver: AlgoJacobi (default, Algorithm 1)
+	// or AlgoGaussSouthwell. Both return the solution of
+	// (I − cTᵀ)p = (1−c)v; Gauss-Southwell does work proportional to
+	// where the residual lives rather than sweeping every edge.
 	Algorithm Algorithm
 	// AllowTruncated accepts solves that hit MaxIter without meeting
 	// Epsilon: the Result is returned with Converged == false and a
@@ -63,11 +60,10 @@ type Config struct {
 // Algorithm names a linear PageRank solver.
 type Algorithm int
 
-// Solver algorithms.
+// Solver algorithms. AlgoJacobi is Algorithm 1 of the paper and the
+// reference every accuracy test compares against.
 const (
 	AlgoJacobi Algorithm = iota
-	AlgoGaussSeidel
-	AlgoPowerIteration
 	// AlgoGaussSouthwell is the frontier-based push solver: instead of
 	// sweeping every edge per iteration it relaxes individual nodes in
 	// residual order, so the cost tracks where the error actually
@@ -85,10 +81,6 @@ func (a Algorithm) String() string {
 	switch a {
 	case AlgoJacobi:
 		return "jacobi"
-	case AlgoGaussSeidel:
-		return "gauss-seidel"
-	case AlgoPowerIteration:
-		return "power-iteration"
 	case AlgoGaussSouthwell:
 		return "gauss-southwell"
 	}
@@ -133,7 +125,7 @@ func (cfg Config) validate() error {
 		return fmt.Errorf("pagerank: MaxIter %d must be positive", cfg.MaxIter)
 	}
 	switch cfg.Algorithm {
-	case AlgoJacobi, AlgoGaussSeidel, AlgoPowerIteration, AlgoGaussSouthwell:
+	case AlgoJacobi, AlgoGaussSouthwell:
 	default:
 		return fmt.Errorf("pagerank: unknown algorithm %d", int(cfg.Algorithm))
 	}
@@ -145,7 +137,7 @@ type Result struct {
 	Scores     Vector
 	Iterations int
 	// Residual is the convergence measure Epsilon bounds: the last
-	// sweep's step ‖p[i] − p[i−1]‖₁ for the sweep solvers, the system
+	// sweep's step ‖p[i] − p[i−1]‖₁ for Jacobi, the system
 	// residual ‖c·Tᵀp + (1−c)v − p‖₁ for Gauss-Southwell.
 	Residual float64
 	// Converged reports whether Residual < Epsilon within MaxIter.
@@ -157,10 +149,10 @@ type Result struct {
 	Stats *SolveStats
 }
 
-// solveOnce builds a throwaway engine for one solve. The engine free
-// functions below are thin compatibility wrappers over Engine; code
-// performing repeated solves on one graph should hold an Engine (or a
-// mass.Estimator) instead to reuse the cached graph state and pool.
+// solveOnce builds a throwaway engine for one solve. Jacobi and PR
+// below are thin wrappers over it; code performing repeated solves on
+// one graph should hold an Engine (or a mass.Estimator) instead to
+// reuse the cached graph state and pool.
 func solveOnce(g *graph.Graph, v Vector, cfg Config) (*Result, error) {
 	eng, err := NewEngine(g, cfg)
 	if err != nil {
@@ -175,44 +167,6 @@ func solveOnce(g *graph.Graph, v Vector, cfg Config) (*Result, error) {
 // The jump vector v may be non-uniform and unnormalized.
 func Jacobi(g *graph.Graph, v Vector, cfg Config) (*Result, error) {
 	cfg.Algorithm = AlgoJacobi
-	return solveOnce(g, v, cfg)
-}
-
-// GaussSeidel solves the same linear system with in-place sweeps, which
-// use already-updated scores within an iteration and typically converge
-// in fewer iterations than Jacobi (Section 2.2 notes linear solvers such
-// as Jacobi or Gauss-Seidel are regularly faster than eigensolvers).
-func GaussSeidel(g *graph.Graph, v Vector, cfg Config) (*Result, error) {
-	cfg.Algorithm = AlgoGaussSeidel
-	return solveOnce(g, v, cfg)
-}
-
-// PowerIteration iterates the augmented chain T” = cT' + (1−c)·1·vᵀ
-// with T' = T + dvᵀ (Section 2.2): the classical eigenvector PageRank.
-// The jump vector v must be a proper distribution (‖v‖₁ = 1). The
-// paper shows the stationary eigenvector equals the linear-system
-// solution up to a scale; the solver applies that correction (Vigna's
-// pseudorank rescaling, see Engine) so the returned scores are the
-// solution of (I − cTᵀ)p = (1−c)v — identical across all algorithms,
-// not just up to normalization.
-func PowerIteration(g *graph.Graph, v Vector, cfg Config) (*Result, error) {
-	cfg.Algorithm = AlgoPowerIteration
-	return solveOnce(g, v, cfg)
-}
-
-// GaussSouthwell solves the linear system with residual-ordered push
-// relaxations instead of full sweeps. Cost is proportional to where the residual lives,
-// which makes it the solver of choice for localized jump vectors;
-// MaxIter bounds its work in full-sweep equivalents.
-func GaussSouthwell(g *graph.Graph, v Vector, cfg Config) (*Result, error) {
-	cfg.Algorithm = AlgoGaussSouthwell
-	return solveOnce(g, v, cfg)
-}
-
-// Solve dispatches to the configured linear solver. It is what the
-// higher layers (mass estimation, TrustRank) call, so the algorithm
-// choice is a single configuration knob.
-func Solve(g *graph.Graph, v Vector, cfg Config) (*Result, error) {
 	return solveOnce(g, v, cfg)
 }
 

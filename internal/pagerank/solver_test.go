@@ -69,10 +69,9 @@ func TestFigure2ClosedForm(t *testing.T) {
 }
 
 // TestAllAlgorithmsParity is the fidelity bound of the solver tier:
-// every algorithm returns the vector the Jacobi sweep of Algorithm 1
-// returns, to L1 ≤ 1e-9 — raw scores, not normalized ones, so power
-// iteration only passes with Vigna's dangling correction applied. The
-// corpus folds the degenerate and dangling-heavy graphs every solver
+// batched Jacobi and the served push return the vector the one-column
+// cold Jacobi sweep of Algorithm 1 returns, to L1 ≤ 1e-9 — raw scores,
+// not normalized ones. The corpus folds the degenerate and dangling-heavy graphs every solver
 // path has to be right on, crossed with batch widths 1–3 (the scalar,
 // two-column, and generic sweep kernels) and cold starts against warm
 // starts from below and from above the fixpoint.
@@ -96,34 +95,20 @@ func TestAllAlgorithmsParity(t *testing.T) {
 			vs[1] = ScaledCoreJump(n, []graph.NodeID{1, 3, 7}, 0.9)
 			vs[2] = ScaledCoreJump(n, []graph.NodeID{2}, 0.5)
 		}
-		// Power iteration needs stochastic jump vectors; it is held to
-		// the Jacobi solution of the same normalized inputs.
-		stoch := make([]Vector, len(vs))
-		for j, v := range vs {
-			stoch[j] = v.Normalized()
-		}
 		eng, err := NewEngine(g, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		reference := func(in []Vector) []Vector {
-			out := make([]Vector, len(in))
-			for j, v := range in {
-				res, err := eng.Solve(v) // Jacobi, cold, one vector at a time
-				if err != nil {
-					t.Fatalf("%s: reference vector %d: %v", tc.name, j, err)
-				}
-				out[j] = res.Scores
+		ref := make([]Vector, len(vs))
+		for j, v := range vs {
+			res, err := eng.Solve(v) // Jacobi, cold, one vector at a time
+			if err != nil {
+				t.Fatalf("%s: reference vector %d: %v", tc.name, j, err)
 			}
-			return out
+			ref[j] = res.Scores
 		}
-		want, wantStoch := reference(vs), reference(stoch)
-		for _, algo := range []Algorithm{AlgoJacobi, AlgoGaussSeidel, AlgoPowerIteration, AlgoGaussSouthwell} {
-			in, ref := vs, want
-			if algo == AlgoPowerIteration {
-				in, ref = stoch, wantStoch
-			}
-			for k := 1; k <= len(in); k++ {
+		for _, algo := range []Algorithm{AlgoJacobi, AlgoGaussSouthwell} {
+			for k := 1; k <= len(vs); k++ {
 				// Per-column seeds, the delta-refresh shape: 0 is a cold
 				// start, 0.5 a wrong guess from below the fixpoint, 1.5
 				// one from above. The above seed is lifted by half the
@@ -145,7 +130,7 @@ func TestAllAlgorithmsParity(t *testing.T) {
 							cfg.WarmStarts = append(cfg.WarmStarts, seed)
 						}
 					}
-					got, err := eng.SolveManyConfig(in[:k], cfg)
+					got, err := eng.SolveManyConfig(vs[:k], cfg)
 					if err != nil {
 						t.Fatalf("%s %v k=%d warm=%v: %v", tc.name, algo, k, warm, err)
 					}
@@ -161,33 +146,30 @@ func TestAllAlgorithmsParity(t *testing.T) {
 	}
 }
 
-// TestEdgesSweptFullSweeps pins the telemetry invariant: every
-// full-sweep algorithm traverses all m in-edges per iteration, so a
-// solve forced through a fixed number of iterations reports
-// EdgesSwept = Iterations · m.
+// TestEdgesSweptFullSweeps pins the telemetry invariant: a Jacobi
+// sweep traverses all m in-edges per iteration, so a solve forced
+// through a fixed number of iterations reports EdgesSwept =
+// Iterations · m.
 func TestEdgesSweptFullSweeps(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	g := danglingHeavyGraph(rng, 600)
 	v := UniformJump(g.NumNodes())
 	const iters = 7
 	want := int64(iters) * g.NumEdges()
-	for _, algo := range []Algorithm{AlgoJacobi, AlgoGaussSeidel, AlgoPowerIteration} {
-		res, err := Solve(g, v, Config{
-			Damping:        0.85,
-			Epsilon:        1e-300, // unreachable: force exactly MaxIter sweeps
-			MaxIter:        iters,
-			Algorithm:      algo,
-			AllowTruncated: true,
-		})
-		if err != nil {
-			t.Fatalf("%v: %v", algo, err)
-		}
-		if res.Stats.EdgesSwept != want {
-			t.Errorf("%v: EdgesSwept = %d, want %d", algo, res.Stats.EdgesSwept, want)
-		}
-		if res.Stats.Iterations != iters {
-			t.Errorf("%v: Iterations = %d, want %d", algo, res.Stats.Iterations, iters)
-		}
+	res, err := Jacobi(g, v, Config{
+		Damping:        0.85,
+		Epsilon:        1e-300, // unreachable: force exactly MaxIter sweeps
+		MaxIter:        iters,
+		AllowTruncated: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.EdgesSwept != want {
+		t.Errorf("EdgesSwept = %d, want %d", res.Stats.EdgesSwept, want)
+	}
+	if res.Stats.Iterations != iters {
+		t.Errorf("Iterations = %d, want %d", res.Stats.Iterations, iters)
 	}
 }
 
@@ -247,13 +229,6 @@ func TestNoInlinkScore(t *testing.T) {
 		if !testutil.AlmostEqual(s[x], 1, 1e-9) {
 			t.Errorf("scaled score of inlink-free node %d = %v, want 1", x, s[x])
 		}
-	}
-}
-
-func TestPowerIterationRequiresStochasticJump(t *testing.T) {
-	g := graph.FromEdges(2, [][2]graph.NodeID{{0, 1}})
-	if _, err := PowerIteration(g, Vector{0.2, 0.2}, DefaultConfig()); err == nil {
-		t.Error("PowerIteration accepted unnormalized jump vector")
 	}
 }
 
@@ -322,23 +297,6 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 	if d := testutil.MaxAbsDiff(seq.Scores, par.Scores); d > 1e-12 {
 		t.Errorf("parallel and sequential Jacobi differ by %v", d)
-	}
-}
-
-func TestGaussSeidelFasterThanJacobi(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	g := testutil.RandomGraph(rng, 3000, 5)
-	v := UniformJump(g.NumNodes())
-	ja, err := Jacobi(g, v, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gs, err := GaussSeidel(g, v, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gs.Iterations > ja.Iterations {
-		t.Errorf("Gauss-Seidel took %d iterations, Jacobi %d; expected GS ≤ Jacobi", gs.Iterations, ja.Iterations)
 	}
 }
 

@@ -38,7 +38,7 @@ func TestGaussSouthwellMatchesJacobi(t *testing.T) {
 			ScaledCoreJump(n, []graph.NodeID{1, 5, 9}, 0.8),
 		}
 		jcfg := DefaultConfig()
-		ref, err := Solve(g, vs[0], jcfg)
+		ref, err := Jacobi(g, vs[0], jcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestGaussSouthwellMatchesJacobi(t *testing.T) {
 		if d := l1Diff(ref.Scores, got[0].Scores); d > 1e-9 {
 			t.Errorf("trial %d: Gauss-Southwell vs Jacobi L1 diff %v", trial, d)
 		}
-		ref1, err := Solve(g, vs[1], jcfg)
+		ref1, err := Jacobi(g, vs[1], jcfg)
 		if err != nil {
 			t.Fatal(err)
 		}

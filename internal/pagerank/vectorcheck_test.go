@@ -11,9 +11,7 @@ import (
 )
 
 // Under -tags vectorcheck a poisoned jump vector must be caught at the
-// engine boundary instead of propagating NaN scores downstream. Jacobi
-// is used because power iteration's stochastic-sum validation would
-// reject the vector before the solve even starts.
+// engine boundary instead of propagating NaN scores downstream.
 func TestVectorCheckCatchesPoisonedJump(t *testing.T) {
 	if !vectorCheckEnabled {
 		t.Fatal("test built without the vectorcheck tag")

@@ -321,20 +321,6 @@ func TrainContentClassifier(feats []ContentFeatures, labels []bool) (*ContentCla
 	return content.Train(feats, labels, content.DefaultTrainConfig())
 }
 
-// MonteCarloPageRank estimates PageRank by random-walk simulation —
-// an independent solver family useful for cross-validation and for
-// sampling contributions on graphs too large for repeated algebraic
-// solves.
-func MonteCarloPageRank(g *Graph, cfg pagerank.MonteCarloConfig) (Vector, error) {
-	return pagerank.MonteCarlo(g, pagerank.UniformJump(g.NumNodes()), cfg)
-}
-
-// MonteCarloConfig tunes the random-walk estimator.
-type MonteCarloConfig = pagerank.MonteCarloConfig
-
-// DefaultMonteCarloConfig returns the default simulation settings.
-func DefaultMonteCarloConfig() MonteCarloConfig { return pagerank.DefaultMonteCarloConfig() }
-
 // DiskGraph is an on-disk graph for out-of-core PageRank: only the
 // out-degree array and score vectors stay in memory while the
 // adjacency streams from disk once per iteration.

@@ -197,23 +197,12 @@ func ExampleDetect() {
 	// node 3 relative mass 1.00
 }
 
-func TestFacadeMonteCarloAndDiskGraph(t *testing.T) {
+func TestFacadeDiskGraph(t *testing.T) {
 	g := buildFarmGraph()
 	exact, err := spammass.PageRank(g, spammass.DefaultSolverConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	mc, err := spammass.MonteCarloPageRank(g, spammass.MonteCarloConfig{
-		Damping: 0.85, WalksPerNode: 5000, Seed: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The farm target (node 3) dominates in both.
-	if mc[3] < 0.5*exact.Scores[3] || mc[3] > 1.5*exact.Scores[3] {
-		t.Errorf("Monte Carlo p_3 = %v vs exact %v", mc[3], exact.Scores[3])
-	}
-
 	path := t.TempDir() + "/g.smdg"
 	if err := spammass.BuildDiskGraph(path, g); err != nil {
 		t.Fatal(err)
@@ -348,9 +337,6 @@ func TestFacadeDegreeOutliersAndContent(t *testing.T) {
 	}
 	if clf.SpamProbability(feats[1]) <= clf.SpamProbability(feats[0]) {
 		t.Error("classifier does not separate the training points")
-	}
-	if spammass.DefaultMonteCarloConfig().WalksPerNode <= 0 {
-		t.Error("default Monte Carlo config broken")
 	}
 }
 
