@@ -58,7 +58,8 @@ vectorcheck:
 	$(GO) test -tags vectorcheck ./internal/pagerank/ ./internal/mass/ ./cmd/spamserver/
 
 # fuzz-smoke gives each fuzz target a short budget; regressions in the
-# decoders, host collapsing, or mass derivation surface fast.
+# decoders, host collapsing, mass derivation, or the /v1 JSON encoder
+# and batch decoder surface fast.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadBinary -fuzztime=$(FUZZTIME) ./internal/graph/
@@ -70,6 +71,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDeltaApply -fuzztime=$(FUZZTIME) ./internal/delta/
 	$(GO) test -run='^$$' -fuzz=FuzzDeltaFold -fuzztime=$(FUZZTIME) ./internal/delta/
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./internal/ingest/
+	$(GO) test -run='^$$' -fuzz=FuzzHostRecordJSON -fuzztime=$(FUZZTIME) ./internal/serve/
+	$(GO) test -run='^$$' -fuzz=FuzzBatchRequest -fuzztime=$(FUZZTIME) ./internal/serve/
 
 # serve-smoke pins spamserver's flag surface (exactly the kept flags,
 # removed ones rejected, flags the role does not read refused), boots it

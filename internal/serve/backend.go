@@ -66,13 +66,15 @@ func (b *StoreBackend) Batch(ctx context.Context, names []string) (*BatchRespons
 		return nil, ErrNoSnapshot
 	}
 	resp := &BatchResponse{Epoch: snap.Epoch(), Records: make([]*HostRecord, len(names))}
+	// One backing array for the hits instead of one allocation each.
+	hits := make([]HostRecord, len(names))
 	for i, name := range names {
 		if i%256 == 255 && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
 		if rec, ok := snap.Lookup(name); ok {
-			cp := rec
-			resp.Records[i] = &cp
+			hits[i] = rec
+			resp.Records[i] = &hits[i]
 		} else {
 			resp.Misses++
 		}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -239,7 +240,8 @@ func traceHeaders(w http.ResponseWriter, sw *statusWriter) string {
 // recorder. The hot path never builds a live span tree: the trace ID
 // is two PRNG draws, and a single-span trace is synthesized only
 // after the fact for the rare request that qualifies — the 3%
-// telemetry budget of a ~7µs lookup leaves no room for more.
+// telemetry budget of a lookup the handler answers in a few
+// microseconds leaves no room for more.
 func (s *Server) limited(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		select {
@@ -367,10 +369,13 @@ func (s *Server) handleHost(w http.ResponseWriter, r *http.Request) {
 	}
 	if !ok {
 		s.misses.Inc()
-		writeJSON(w, http.StatusNotFound, errorBody{Error: "unknown host"})
+		writeBody(w, http.StatusNotFound, missBody)
 		return
 	}
-	writeJSON(w, http.StatusOK, &rec)
+	buf := getBuf()
+	defer putBuf(buf)
+	*buf = append(appendRecord((*buf)[:0], &rec), '\n')
+	writeBody(w, http.StatusOK, *buf)
 }
 
 // BatchRequest is the POST /v1/batch body.
@@ -387,28 +392,39 @@ type BatchResponse struct {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req BatchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<20))
-	if err := dec.Decode(&req); err != nil {
+	buf := getBuf()
+	defer putBuf(buf)
+	body := bytes.NewBuffer((*buf)[:0])
+	_, readErr := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxBatchBody))
+	*buf = body.Bytes()
+	hosts, err := decodeBatchRequest(*buf, readErr)
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeJSON(w, http.StatusRequestEntityTooLarge,
+				errorBody{Error: "request body exceeds limit of " + strconv.Itoa(maxBatchBody) + " bytes"})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad request body: " + err.Error()})
 		return
 	}
-	if len(req.Hosts) == 0 {
+	if len(hosts) == 0 {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "empty hosts list"})
 		return
 	}
-	if len(req.Hosts) > s.cfg.MaxBatch {
+	if len(hosts) > s.cfg.MaxBatch {
 		writeJSON(w, http.StatusRequestEntityTooLarge,
-			errorBody{Error: "batch of " + strconv.Itoa(len(req.Hosts)) + " exceeds limit " + strconv.Itoa(s.cfg.MaxBatch)})
+			errorBody{Error: "batch of " + strconv.Itoa(len(hosts)) + " exceeds limit " + strconv.Itoa(s.cfg.MaxBatch)})
 		return
 	}
-	resp, err := s.backend.Batch(r.Context(), req.Hosts)
+	resp, err := s.backend.Batch(r.Context(), hosts)
 	if err != nil {
 		backendError(w, err)
 		return
 	}
 	s.misses.Add(int64(resp.Misses))
-	writeJSON(w, http.StatusOK, resp)
+	*buf = appendBatch((*buf)[:0], resp)
+	writeBody(w, http.StatusOK, *buf)
 }
 
 // TopResponse answers GET /v1/top.
@@ -419,7 +435,8 @@ type TopResponse struct {
 }
 
 func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
-	metric := r.URL.Query().Get("metric")
+	query := r.URL.Query()
+	metric := query.Get("metric")
 	if metric == "" {
 		metric = MetricRelMass
 	}
@@ -429,7 +446,7 @@ func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n := 50
-	if raw := r.URL.Query().Get("n"); raw != "" {
+	if raw := query.Get("n"); raw != "" {
 		v, err := strconv.Atoi(raw)
 		if err != nil || v < 0 {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad n parameter"})
@@ -442,7 +459,10 @@ func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
 		backendError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	buf := getBuf()
+	defer putBuf(buf)
+	*buf = appendTop((*buf)[:0], resp)
+	writeBody(w, http.StatusOK, *buf)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
