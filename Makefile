@@ -84,8 +84,10 @@ serve-smoke:
 
 # pagerank-smoke drives cmd/pagerank end to end on a generated graph:
 # binary and text copies print the same top-10, -core solves, a forced
-# non-convergence prints converged=false and exits 0, and the removed
-# -solver and -walks flags are rejected.
+# non-convergence prints converged=false and exits 0, the removed
+# -solver and -walks flags are rejected, and pagerank, spammass and
+# experiments all reject the removed -report, -trace, -metrics-out and
+# -debug-addr sinks while spammass -v still streams residuals.
 pagerank-smoke:
 	sh scripts/pagerank_smoke.sh
 

@@ -5,8 +5,7 @@
 // Usage:
 //
 //	experiments [-hosts n] [-seed s] [-run list] [-rho r] [-gamma g]
-//	            [-md-report out.md] [-report out.json] [-trace t.json]
-//	            [-debug-addr :6060] [-v]
+//	            [-sample f] [-csv dir] [-md-report out.md] [-v]
 //
 // -run selects experiments by name (comma separated) from:
 //
@@ -26,10 +25,8 @@ import (
 	"strings"
 	"time"
 
-	"spammass/internal/cliobs"
 	"spammass/internal/eval"
 	"spammass/internal/experiments"
-	"spammass/internal/mass"
 	"spammass/internal/obs"
 	"spammass/internal/stats"
 )
@@ -43,15 +40,12 @@ func main() {
 	sampleFrac := flag.Float64("sample", 0.4, "evaluation sample fraction of T")
 	csvDir := flag.String("csv", "", "also write figure data as CSV files into this directory")
 	reportPath := flag.String("md-report", "", "write a markdown reproduction report to this file")
-	var ocfg cliobs.Options
-	ocfg.Register(flag.CommandLine)
+	verbose := flag.Bool("v", false, "print per-iteration solver residual traces to stderr")
 	flag.Parse()
-
-	pipe, err := cliobs.Start("experiments", ocfg, os.Args[1:])
-	if err != nil {
-		die("observability: %v", err)
+	var octx *obs.Context
+	if *verbose {
+		octx = obs.NewContext(nil, nil).WithLogf(obs.StderrLogf(os.Stderr))
 	}
-	octx := pipe.Ctx
 
 	cfg := experiments.DefaultConfig()
 	cfg.Hosts = *hosts
@@ -72,16 +66,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiment %s: %v\n", name, err)
 		os.Exit(1)
 	}
-	// runExp scopes one experiment: its work gets a span of its own,
-	// and the context is re-rooted there so every solver span started
-	// while it runs (through the shared estimator) nests under it.
 	runExp := func(name string, f func() error) {
-		sp := octx.Span("experiment." + name)
-		prev := octx.SetRoot(sp)
-		err := f()
-		octx.SetRoot(prev)
-		sp.End()
-		if err != nil {
+		if err := f(); err != nil {
 			fail(name, err)
 		}
 	}
@@ -125,9 +111,6 @@ func main() {
 		}
 	}
 	if !needEnv {
-		if err := pipe.Close(); err != nil {
-			die("observability: %v", err)
-		}
 		return
 	}
 
@@ -236,26 +219,6 @@ func main() {
 		}
 		fmt.Fprintf(out, "wrote reproduction report to %s\n", *reportPath)
 	}
-	if pipe.Report != nil {
-		pipe.Report.Graph = &obs.GraphInfo{
-			Format: "synthetic",
-			Nodes:  env.World.Graph.NumNodes(),
-			Edges:  int64(env.World.Graph.NumEdges()),
-		}
-		if stats := env.Est.SolveStats; stats != nil {
-			pipe.Report.Solves = append(pipe.Report.Solves, stats.Summary("estimate", true))
-		}
-		dcfg := mass.DetectConfig{RelMassThreshold: 0.98, ScaledPageRankThreshold: cfg.Rho}
-		pipe.Report.Mass = mass.ReportSummary(env.Est, len(env.Core.Nodes), cfg.Gamma, dcfg, len(mass.Detect(env.Est, dcfg)))
-	}
-	if err := pipe.Close(); err != nil {
-		die("observability: %v", err)
-	}
-}
-
-func die(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(1)
 }
 
 // writeCSVs dumps the figure data (groups, precision curves, mass

@@ -9,8 +9,8 @@
 //
 // Usage:
 //
-//	pagerank -graph web.graph [-core web.core] [-gamma 0.85] [-top 20]
-//	         [-report out.json] [-trace trace.json] [-debug-addr :6060] [-v]
+//	pagerank -graph web.graph [-core web.core] [-gamma 0.85]
+//	         [-damping 0.85] [-epsilon 1e-10] [-top 20 | -all] [-v]
 //
 // Every graph format is solved with the Jacobi iteration of
 // Algorithm 1.
@@ -38,33 +38,28 @@ func main() {
 	epsilon := flag.Float64("epsilon", 1e-10, "L1 convergence bound")
 	top := flag.Int("top", 20, "print the top-k nodes by score")
 	all := flag.Bool("all", false, "print every node's score instead of the top-k")
-	var ocfg cliobs.Options
-	ocfg.Register(flag.CommandLine)
+	verbose := flag.Bool("v", false, "print per-iteration solver residual traces to stderr")
 	flag.Parse()
 	if *graphPath == "" {
 		die("missing -graph")
 	}
-
-	pipe, err := cliobs.Start("pagerank", ocfg, os.Args[1:])
-	if err != nil {
-		die("observability: %v", err)
+	var octx *obs.Context
+	if *verbose {
+		octx = obs.NewContext(nil, nil).WithLogf(obs.StderrLogf(os.Stderr))
 	}
-	octx := pipe.Ctx
 
 	// Out-of-core graphs are detected by magic and solved streaming;
 	// anything else is loaded into memory.
 	var g *graph.Graph
-	var ginfo *obs.GraphInfo
+	var n int
 	dg, err := diskgraph.Open(*graphPath)
 	if err == nil {
-		ginfo = &obs.GraphInfo{Path: *graphPath, Format: "smdg", Nodes: dg.NumNodes(), Edges: dg.NumEdges()}
-	} else if g, ginfo, err = graph.LoadFile(*graphPath, octx); err != nil {
+		n = dg.NumNodes()
+	} else if g, _, err = graph.LoadFile(*graphPath, octx); err != nil {
 		die("load graph: %v", err)
+	} else {
+		n = g.NumNodes()
 	}
-	if pipe.Report != nil {
-		pipe.Report.Graph = ginfo
-	}
-	n := ginfo.Nodes
 	v := pagerank.UniformJump(n)
 	if *corePath != "" {
 		core, err := cliobs.LoadNodeIDs(*corePath, n)
@@ -87,34 +82,12 @@ func main() {
 			die("solve (disk): %v", err)
 		}
 		prefix = "out-of-core: "
-		if pipe.Report != nil {
-			pipe.Report.Solves = append(pipe.Report.Solves, obs.SolveSummary{
-				Name:          "pagerank-disk",
-				Algorithm:     "jacobi",
-				Batch:         1,
-				Iterations:    res.Iterations,
-				FinalResidual: res.Residual,
-				Converged:     res.Converged,
-			})
-		}
-	} else {
-		if res, err = pagerank.Jacobi(g, v, cfg); err != nil {
-			die("solve: %v", err)
-		}
-		if pipe.Report != nil {
-			pipe.Report.Solves = append(pipe.Report.Solves, res.Stats.Summary("jacobi", res.Converged))
-		}
+	} else if res, err = pagerank.Jacobi(g, v, cfg); err != nil {
+		die("solve: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "%sconverged=%v iterations=%d residual=%.2e\n",
 		prefix, res.Converged, res.Iterations, res.Residual)
 	printScores(res.Scores, n, *damping, *top, *all)
-	finish(pipe)
-}
-
-func finish(pipe *cliobs.Pipeline) {
-	if err := pipe.Close(); err != nil {
-		die("observability: %v", err)
-	}
 }
 
 func printScores(scores pagerank.Vector, n int, damping float64, top int, all bool) {

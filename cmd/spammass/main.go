@@ -5,19 +5,17 @@
 // Usage:
 //
 //	spammass -graph web.graph -core web.core [-names web.names]
-//	         [-tau 0.98] [-rho 10] [-gamma 0.85] [-top 50] [-explain k]
-//	         [-json] [-host a.com,b.com] [-report out.json]
-//	         [-trace trace.json] [-debug-addr :6060] [-v]
+//	         [-tau 0.98] [-rho 10] [-gamma 0.85] [-damping 0.85]
+//	         [-top 50] [-explain k] [-json] [-host a.com,b.com] [-v]
 //
 // With -explain k, the boosting structure behind the top k candidates
 // is extracted (reverse PageRank contributions) and allied candidates
 // are grouped. With -host, only the named hosts' detection records are
 // printed (one JSON object per line, requires -names) — the offline
 // twin of spamserver's GET /v1/host endpoint. -json switches the output to one detection record per
-// line (node, host, p, p', M̃, m̃, label) for every node above ρ;
-// -report writes a machine-readable RunReport of the whole run and
-// -trace the span trace alone, while -debug-addr serves expvar metrics
-// and pprof profiles live during the run.
+// line (node, host, p, p', M̃, m̃, label) for every node above ρ.
+// -v streams the solver's per-iteration residuals and a solve summary
+// to stderr.
 package main
 
 import (
@@ -55,8 +53,7 @@ func main() {
 	explain := flag.Int("explain", 0, "for the top-k candidates, extract the boosting structure behind them")
 	jsonOut := flag.Bool("json", false, "emit detection records as JSON lines instead of a table")
 	hostQuery := flag.String("host", "", "comma-separated host names: print their detection records as JSON lines and exit (requires -names)")
-	var ocfg cliobs.Options
-	ocfg.Register(flag.CommandLine)
+	verbose := flag.Bool("v", false, "print per-iteration solver residual traces to stderr")
 	flag.Parse()
 	if *graphPath == "" || *corePath == "" {
 		die("missing -graph or -core")
@@ -65,13 +62,12 @@ func main() {
 		die("-host requires -names")
 	}
 
-	pipe, err := cliobs.Start("spammass", ocfg, os.Args[1:])
-	if err != nil {
-		die("observability: %v", err)
+	var octx *obs.Context
+	if *verbose {
+		octx = obs.NewContext(nil, nil).WithLogf(obs.StderrLogf(os.Stderr))
 	}
-	octx := pipe.Ctx
 
-	g, ginfo, err := graph.LoadFile(*graphPath, octx)
+	g, _, err := graph.LoadFile(*graphPath, octx)
 	if err != nil {
 		die("load graph: %v", err)
 	}
@@ -102,7 +98,7 @@ func main() {
 	if err != nil {
 		die("estimate: %v", err)
 	}
-	if ocfg.Verbose {
+	if *verbose {
 		if stats := est.SolveStats; stats != nil {
 			fmt.Fprintf(os.Stderr, "solve: %s\n", stats)
 		}
@@ -133,23 +129,12 @@ func main() {
 		if err := w.Flush(); err != nil {
 			die("write: %v", err)
 		}
-		if err := pipe.Close(); err != nil {
-			die("observability: %v", err)
-		}
 		return
 	}
 
-	cands := mass.DetectWith(est, dcfg, octx)
+	cands := mass.Detect(est, dcfg)
 	fmt.Fprintf(os.Stderr, "%d spam candidates (tau=%.2f, rho=%.1f, core %d hosts)\n",
 		len(cands), *tau, *rho, len(core))
-
-	if pipe.Report != nil {
-		pipe.Report.Graph = ginfo
-		pipe.Report.Solves = append(pipe.Report.Solves,
-			est.SolveStats.Summary("estimate", true))
-		pipe.Report.Mass = mass.ReportSummary(est, len(core), *gamma, dcfg, len(cands))
-		pipe.Report.Detections = truncate(mass.Records(est, dcfg, names), *top)
-	}
 
 	w := bufio.NewWriter(os.Stdout)
 	if *jsonOut {
@@ -165,9 +150,6 @@ func main() {
 	}
 	if err := w.Flush(); err != nil {
 		die("write: %v", err)
-	}
-	if err := pipe.Close(); err != nil {
-		die("observability: %v", err)
 	}
 }
 

@@ -170,7 +170,7 @@ func main() {
 	solver := solverConfig()
 	solver.Obs = octx
 	solver.OnStats = func(st *pagerank.SolveStats) { solveIters.Set(float64(st.Iterations)) }
-	build := func(ctx context.Context, prev *serve.Snapshot, epoch int64) (*serve.Snapshot, error) {
+	load := func(epoch int64) (*serve.Snapshot, error) {
 		g, _, err := graph.LoadFile(*graphPath, octx)
 		if err != nil {
 			return nil, fmt.Errorf("load graph: %w", err)
@@ -189,6 +189,35 @@ func main() {
 		}
 		return coldSnapshot(h, core, solver, epoch)
 	}
+	// build is every full refresh, the boot included, so both boots
+	// publish through the refresher and its telemetry. A durable
+	// server's boot (prev == nil with a WAL) is its recovery: the last
+	// persisted snapshot (or the initial build when none exists) plus
+	// the WAL suffix folded onto it and solved once, exactly. kill -9
+	// at any byte offset recovers every acknowledged batch.
+	var pl *ingest.Pipeline
+	build := func(ctx context.Context, prev *serve.Snapshot, epoch int64) (*serve.Snapshot, error) {
+		if prev != nil || pl == nil {
+			return load(epoch)
+		}
+		base, baseSeq, err := pl.Latest(dcfg, 0)
+		if err != nil {
+			return nil, fmt.Errorf("loading snapshot: %w", err)
+		}
+		if base == nil {
+			if base, err = load(epoch); err != nil {
+				return nil, err
+			}
+		}
+		recovered, replayed, err := pl.Recover(ctx, base, baseSeq, solver)
+		if err != nil {
+			return nil, fmt.Errorf("WAL recovery: %w", err)
+		}
+		if replayed > 0 {
+			fmt.Fprintf(os.Stderr, "spamserver: recovered %d WAL batches, serving epoch %d\n", replayed, recovered.Epoch())
+		}
+		return recovered, nil
+	}
 
 	var recorder *obs.Recorder
 	if *sampleInterval > 0 {
@@ -197,7 +226,6 @@ func main() {
 	flight := obs.NewFlightRecorder(obs.FlightConfig{})
 	watchdog := serve.NewWatchdog(serve.WatchdogConfig{Obs: octx})
 
-	var pl *ingest.Pipeline
 	rcfg := serve.RefresherConfig{
 		ApplyDelta: serve.NewDeltaBuilder(serve.DeltaBuilderConfig{Solver: solver, Obs: octx}),
 		Obs:        octx,
@@ -232,32 +260,7 @@ func main() {
 	}()
 	// Fail fast if the boot cannot produce even one snapshot; after
 	// that, refresh failures only log and the old snapshot keeps serving.
-	if pl != nil {
-		// Durable boot: last persisted snapshot (or the initial build
-		// when none exists) plus the WAL suffix folded onto it and
-		// solved once, exactly. kill -9 at any byte offset recovers every
-		// acknowledged batch.
-		base, baseSeq, err := pl.Latest(dcfg, 0)
-		if err != nil {
-			die("loading snapshot: %v", err)
-		}
-		if base == nil {
-			if base, err = build(stop, nil, 1); err != nil {
-				die("initial snapshot: %v", err)
-			}
-			baseSeq = 0
-		}
-		recovered, replayed, err := pl.Recover(stop, base, baseSeq, solver)
-		if err != nil {
-			die("WAL recovery: %v", err)
-		}
-		if err := store.Publish(recovered); err != nil {
-			die("publishing recovered snapshot: %v", err)
-		}
-		if replayed > 0 {
-			fmt.Fprintf(os.Stderr, "spamserver: recovered %d WAL batches, serving epoch %d\n", replayed, recovered.Epoch())
-		}
-	} else if err := ref.Refresh(stop); err != nil {
+	if err := ref.Refresh(stop); err != nil {
 		die("initial snapshot: %v", err)
 	}
 	if stop.Err() != nil {

@@ -1,146 +1,17 @@
-// Package cliobs wires the observability flags shared by the CLIs
-// (-report, -trace, -debug-addr, -v) to one obs pipeline: a metrics
-// registry, a root span for the run, an optional stderr line logger,
-// and an optional pprof/expvar debug endpoint. Each command registers
-// the flags, Starts a pipeline, threads Pipeline.Ctx through the
-// libraries, fills the report's domain sections, and Closes.
+// Package cliobs holds the input-file loaders the commands share: a
+// line reader for name files and a validated node-ID reader for core
+// and seed files.
 package cliobs
 
 import (
 	"bufio"
-	"context"
-	"errors"
-	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"spammass/internal/graph"
-	"spammass/internal/obs"
 )
-
-// Options holds the shared observability flag values.
-type Options struct {
-	// Report is the -report path: a JSON RunReport of the run.
-	Report string
-	// Trace is the -trace path: the JSON span trace alone.
-	Trace string
-	// DebugAddr is the -debug-addr listen address for /debug/vars and
-	// /debug/pprof/.
-	DebugAddr string
-	// MetricsOut is the -metrics-out path: the run's final metrics in
-	// Prometheus text format, for pushing into file-based collectors
-	// (node_exporter textfile directory) from batch jobs.
-	MetricsOut string
-	// Verbose is -v: per-iteration solver residuals on stderr.
-	Verbose bool
-}
-
-// Register installs the shared observability flags on fs.
-func (o *Options) Register(fs *flag.FlagSet) {
-	fs.StringVar(&o.Report, "report", "", "write a JSON run report (graph, solves, mass, metrics, trace) to this file")
-	fs.StringVar(&o.Trace, "trace", "", "write the JSON span trace to this file")
-	fs.StringVar(&o.DebugAddr, "debug-addr", "", "serve /debug/vars and /debug/pprof/ on this address while running")
-	fs.StringVar(&o.MetricsOut, "metrics-out", "", "write final metrics in Prometheus text format to this file")
-	fs.BoolVar(&o.Verbose, "v", false, "print per-iteration solver residual traces to stderr")
-}
-
-// Pipeline owns the observability sinks of one CLI run.
-type Pipeline struct {
-	// Ctx is threaded through the pipeline (pagerank.Config.Obs and
-	// friends). It is nil when no sink was requested, keeping the
-	// instrumented code on its no-op path.
-	Ctx *obs.Context
-	// Report is non-nil when -report was given. The CLI fills the
-	// domain sections (Graph, Solves, Mass, Detections) before Close;
-	// metrics and trace are captured by Close itself.
-	Report *obs.RunReport
-
-	opts Options
-	reg  *obs.Registry
-	root *obs.Span
-	dbg  *obs.DebugServer
-}
-
-// Start builds the pipeline for the named tool from parsed options.
-// args go into the report verbatim (pass os.Args[1:]).
-func Start(tool string, o Options, args []string) (*Pipeline, error) {
-	p := &Pipeline{opts: o}
-	if o.Report != "" || o.DebugAddr != "" || o.MetricsOut != "" {
-		p.reg = obs.NewRegistry()
-	}
-	if o.Report != "" || o.Trace != "" {
-		p.root = obs.NewSpan(tool)
-	}
-	if p.reg != nil || p.root != nil || o.Verbose {
-		p.Ctx = obs.NewContext(p.reg, p.root)
-		if o.Verbose {
-			p.Ctx = p.Ctx.WithLogf(obs.StderrLogf(os.Stderr))
-		}
-	}
-	if o.Report != "" {
-		p.Report = obs.NewRunReport(tool, args)
-	}
-	if o.DebugAddr != "" {
-		dbg, err := obs.StartDebug(o.DebugAddr, p.reg)
-		if err != nil {
-			return nil, err
-		}
-		p.dbg = dbg
-		fmt.Fprintf(os.Stderr, "debug endpoint: http://%s/debug/vars http://%s/debug/pprof/\n", dbg.Addr(), dbg.Addr())
-	}
-	return p, nil
-}
-
-// Root returns the run's root span, or nil when neither -report nor
-// -trace was requested.
-func (p *Pipeline) Root() *obs.Span {
-	if p == nil {
-		return nil
-	}
-	return p.root
-}
-
-// Close ends the root span, writes the report and trace files, and
-// stops the debug server. Safe on a nil pipeline; returns the first
-// error encountered.
-func (p *Pipeline) Close() error {
-	if p == nil {
-		return nil
-	}
-	p.root.End()
-	var firstErr error
-	if p.Report != nil {
-		p.Report.Finish(p.reg, p.root)
-		if err := writeTo(p.opts.Report, p.Report.Write); err != nil {
-			firstErr = err
-		}
-	}
-	if p.opts.Trace != "" && p.root != nil {
-		err := writeTo(p.opts.Trace, func(w io.Writer) error { return obs.WriteTrace(w, p.root) })
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if p.opts.MetricsOut != "" && p.reg != nil {
-		err := writeTo(p.opts.MetricsOut, func(w io.Writer) error { return p.reg.WritePrometheus(w) })
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	// Drain in-flight debug scrapes briefly, then force-close; a
-	// deadline here is not an error — the port is already released and
-	// lingering connections were torn down by Shutdown's fallback.
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	if err := p.dbg.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
-}
 
 // LoadLines reads path into one string per line, whitespace-trimmed.
 // It is the shared line-file loader of the CLIs (names, labels).
@@ -185,16 +56,4 @@ func LoadNodeIDs(path string, n int) ([]graph.NodeID, error) {
 		return nil, fmt.Errorf("no node IDs in %s", path)
 	}
 	return ids, nil
-}
-
-func writeTo(path string, fill func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fill(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -1,144 +1,67 @@
 package cliobs
 
 import (
-	"encoding/json"
-	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
-	"spammass/internal/obs"
+	"spammass/internal/graph"
 )
 
-func TestRegisterFlags(t *testing.T) {
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	var o Options
-	o.Register(fs)
-	if err := fs.Parse([]string{"-report", "r.json", "-trace", "t.json", "-debug-addr", ":0", "-v"}); err != nil {
+// writeFile puts content into a fresh file under t's temp dir.
+func writeFile(t *testing.T, content string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "in")
+	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if o.Report != "r.json" || o.Trace != "t.json" || o.DebugAddr != ":0" || !o.Verbose {
-		t.Fatalf("parsed options: %+v", o)
+	return path
+}
+
+func TestLoadLinesTrims(t *testing.T) {
+	got, err := LoadLines(writeFile(t, "  a.com\t\nb.com \r\n\n c.com"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"a.com", "b.com", "", "c.com"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("LoadLines = %q, want %q", got, want)
 	}
 }
 
-func TestStartNoSinks(t *testing.T) {
-	p, err := Start("tool", Options{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Ctx != nil {
-		t.Fatal("no sinks requested but context is non-nil; instrumentation would leave its no-op path")
-	}
-	if p.Report != nil || p.Root() != nil {
-		t.Fatalf("unexpected sinks: %+v", p)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
+func TestLoadLinesMissingFile(t *testing.T) {
+	if _, err := LoadLines(filepath.Join(t.TempDir(), "absent")); err == nil {
+		t.Fatal("LoadLines of a missing file succeeded")
 	}
 }
 
-func TestStartReportAndTrace(t *testing.T) {
-	dir := t.TempDir()
-	o := Options{
-		Report: filepath.Join(dir, "report.json"),
-		Trace:  filepath.Join(dir, "trace.json"),
-	}
-	p, err := Start("tool", o, []string{"-x", "1"})
+func TestLoadNodeIDs(t *testing.T) {
+	got, err := LoadNodeIDs(writeFile(t, "# good core\n 3 \n\n0\n  # indented comment\n\t7\n"), 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Ctx == nil || p.Report == nil || p.Root() == nil {
-		t.Fatal("report run must carry context, report, and root span")
-	}
-	sp := p.Ctx.Span("stage")
-	p.Ctx.Counter("c").Add(3)
-	sp.End()
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	raw, err := os.ReadFile(o.Report)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep obs.RunReport
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		t.Fatalf("report is not valid JSON: %v", err)
-	}
-	if rep.Tool != "tool" || len(rep.Args) != 2 {
-		t.Fatalf("report header: %+v", rep)
-	}
-	if rep.Metrics == nil || rep.Metrics.Counters["c"] != 3 {
-		t.Fatalf("report metrics: %+v", rep.Metrics)
-	}
-	if rep.Trace == nil || rep.Trace.Find("stage") == nil {
-		t.Fatalf("report trace misses the stage span: %+v", rep.Trace)
-	}
-
-	raw, err = os.ReadFile(o.Trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tr obs.SpanJSON
-	if err := json.Unmarshal(raw, &tr); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	if tr.Name != "tool" || tr.Find("stage") == nil {
-		t.Fatalf("trace tree: %+v", tr)
+	if want := []graph.NodeID{3, 0, 7}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("LoadNodeIDs = %v, want %v", got, want)
 	}
 }
 
-func TestStartMetricsOut(t *testing.T) {
-	dir := t.TempDir()
-	o := Options{MetricsOut: filepath.Join(dir, "metrics.prom")}
-	p, err := Start("tool", o, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Ctx == nil {
-		t.Fatal("-metrics-out alone must still create a registry-backed context")
-	}
-	if p.Report != nil || p.Root() != nil {
-		t.Fatal("-metrics-out alone must not create report or root span")
-	}
-	p.Ctx.Counter("tool.items_total").Add(7)
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	f, err := os.Open(o.MetricsOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	fams, err := obs.ParsePrometheus(f)
-	if err != nil {
-		t.Fatalf("metrics file does not parse as Prometheus text: %v", err)
-	}
-	found := false
-	for _, fam := range fams {
-		if fam.Name == "tool_items_total" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("metrics file misses tool_items_total: %+v", fams)
-	}
-}
-
-func TestStartVerboseOnly(t *testing.T) {
-	p, err := Start("tool", Options{Verbose: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Ctx == nil || !p.Ctx.Logging() {
-		t.Fatal("verbose run must carry a logging context")
-	}
-	if p.Report != nil || p.Root() != nil {
-		t.Fatal("verbose alone must not create report or root span")
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
+func TestLoadNodeIDsRejects(t *testing.T) {
+	for _, tc := range []struct {
+		name, content, want string
+	}{
+		{"non-numeric", "1\nhost.com\n", `bad node ID "host.com"`},
+		{"negative", "-1\n", `bad node ID "-1"`},
+		{"id equals n", "0\n8\n", "node 8 outside graph of 8 nodes"},
+		{"id above n", "100\n", "node 100 outside graph of 8 nodes"},
+		{"empty file", "", "no node IDs in"},
+		{"comments only", "# nothing\n\n", "no node IDs in"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := LoadNodeIDs(writeFile(t, tc.content), 8)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("LoadNodeIDs(%q) error = %v, want it to mention %q", tc.content, err, tc.want)
+			}
+		})
 	}
 }

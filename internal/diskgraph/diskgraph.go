@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"spammass/internal/graph"
 	"spammass/internal/obs"
@@ -214,7 +213,6 @@ func (dg *DiskGraph) PageRank(v pagerank.Vector, cfg pagerank.Config) (*pagerank
 		sp.SetAttr("path", dg.path)
 	}
 	cr := &obs.CountingReader{R: f}
-	sweepHist := octx.Histogram("diskgraph.sweep_seconds")
 
 	cur := v.Clone()
 	if cfg.WarmStart != nil {
@@ -231,11 +229,9 @@ func (dg *DiskGraph) PageRank(v pagerank.Vector, cfg pagerank.Config) (*pagerank
 			return nil, fmt.Errorf("diskgraph: seek: %w", err)
 		}
 		br.Reset(cr)
-		sweepStart := time.Now()
 		if err := dg.sweep(br, cur, next, cfg.Damping, v); err != nil {
 			return nil, err
 		}
-		sweepHist.Observe(time.Since(sweepStart).Seconds())
 		res.Residual = next.Diff1(cur)
 		res.Iterations = it
 		cur, next = next, cur
@@ -245,10 +241,6 @@ func (dg *DiskGraph) PageRank(v pagerank.Vector, cfg pagerank.Config) (*pagerank
 		}
 	}
 	res.Scores = cur
-	if octx != nil {
-		octx.Counter("diskgraph.bytes_read_total").Add(cr.N)
-		octx.Counter("diskgraph.sweeps_total").Add(int64(res.Iterations))
-	}
 	if sp != nil {
 		sp.SetAttr("iterations", res.Iterations)
 		sp.SetAttr("residual", res.Residual)

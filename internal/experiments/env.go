@@ -1,15 +1,14 @@
 // Package experiments regenerates every table and figure of the
 // paper's evaluation (Section 4) on the synthetic host graph, plus the
 // ablations DESIGN.md calls out. Each experiment is a method on Env;
-// the cmd/experiments binary and the root bench suite both drive these
-// methods, at full and reduced scale respectively.
+// the cmd/experiments binary drives these methods at full scale, the
+// package's tests at reduced scale.
 package experiments
 
 import (
 	"fmt"
 	"io"
 	"sort"
-	"time"
 
 	"spammass/internal/eval"
 	"spammass/internal/goodcore"
@@ -87,7 +86,6 @@ func NewEnv(cfg Config) (*Env, error) {
 	defer octx.SetRoot(prev)
 
 	gen := octx.Span("experiments.generate_world")
-	genStart := time.Now()
 	wcfg := webgen.DefaultConfig(cfg.Hosts)
 	wcfg.Seed = cfg.Seed
 	world, err := webgen.Generate(wcfg)
@@ -101,7 +99,6 @@ func NewEnv(cfg Config) (*Env, error) {
 		gen.SetAttr("seed", cfg.Seed)
 	}
 	gen.End()
-	octx.Histogram("experiments.generate_seconds").Observe(time.Since(genStart).Seconds())
 
 	asm := octx.Span("experiments.assemble_core")
 	core, err := goodcore.Assemble(world.Names, world.DirectoryMembers)

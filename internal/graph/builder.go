@@ -29,10 +29,6 @@ func NewBuilder(n int) *Builder {
 // NumNodes returns the number of nodes the built graph will have.
 func (b *Builder) NumNodes() int { return b.n }
 
-// NumPendingEdges returns the number of edges added so far, before
-// duplicate collapsing.
-func (b *Builder) NumPendingEdges() int { return len(b.src) }
-
 // Grow extends the node ID space to at least n nodes.
 func (b *Builder) Grow(n int) {
 	if n > b.n {

@@ -3,9 +3,6 @@ package graph
 import (
 	"fmt"
 	"strings"
-	"time"
-
-	"spammass/internal/obs"
 )
 
 // HostOf extracts the host-name part of a URL: everything between the
@@ -75,16 +72,6 @@ func (h *HostGraph) NodeByName(name string) (NodeID, bool) {
 // two different hosts are collapsed into a single directed edge, and
 // intra-host links disappear (they would be self-links at host level).
 func CollapseToHosts(g *Graph, pageURLs []string) (*HostGraph, error) {
-	return CollapseToHostsWith(g, pageURLs, nil)
-}
-
-// CollapseToHostsWith is CollapseToHosts with observability: the
-// collapse is recorded as a "graph.collapse" span with page/host/edge
-// counts, and the graph.collapse_seconds histogram is updated.
-func CollapseToHostsWith(g *Graph, pageURLs []string, octx *obs.Context) (*HostGraph, error) {
-	sp := octx.Span("graph.collapse")
-	defer sp.End()
-	start := time.Now()
 	if len(pageURLs) != g.NumNodes() {
 		return nil, fmt.Errorf("graph: %d URLs for %d pages", len(pageURLs), g.NumNodes())
 	}
@@ -109,14 +96,7 @@ func CollapseToHostsWith(g *Graph, pageURLs []string, octx *obs.Context) (*HostG
 		b.AddEdge(pageHost[x], pageHost[y]) // self-links dropped by AddEdge
 		return true
 	})
-	hg := &HostGraph{Graph: b.Build(), Names: names, index: index}
-	if sp != nil {
-		sp.SetAttr("pages", g.NumNodes())
-		sp.SetAttr("hosts", hg.Graph.NumNodes())
-		sp.SetAttr("edges", hg.Graph.NumEdges())
-	}
-	octx.Histogram("graph.collapse_seconds").Observe(time.Since(start).Seconds())
-	return hg, nil
+	return &HostGraph{Graph: b.Build(), Names: names, index: index}, nil
 }
 
 // NewHostGraph wraps an existing host-level graph with a name table.

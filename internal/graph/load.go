@@ -62,21 +62,3 @@ func LoadFile(path string, octx *obs.Context) (*Graph, *obs.GraphInfo, error) {
 	}
 	return g, info, nil
 }
-
-// BuildWith is Builder.Build with observability: the sort/dedup/CSR
-// freeze is recorded as a "graph.build" span with node and edge
-// counts, and the graph.build_seconds histogram is updated.
-func (b *Builder) BuildWith(octx *obs.Context) *Graph {
-	sp := octx.Span("graph.build")
-	defer sp.End()
-	start := time.Now()
-	pending := b.NumPendingEdges()
-	g := b.Build()
-	if sp != nil {
-		sp.SetAttr("nodes", g.NumNodes())
-		sp.SetAttr("edges", g.NumEdges())
-		sp.SetAttr("pending_edges", pending)
-	}
-	octx.Histogram("graph.build_seconds").Observe(time.Since(start).Seconds())
-	return g
-}

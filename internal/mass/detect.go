@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"spammass/internal/graph"
-	"spammass/internal/obs"
 )
 
 // DetectConfig holds the two thresholds of Algorithm 2.
@@ -42,17 +41,6 @@ type Candidate struct {
 // scaled PageRank ≥ ρ and m̃_x ≥ τ is returned as a spam candidate,
 // sorted by decreasing relative mass (ties by decreasing PageRank).
 func Detect(e *Estimates, cfg DetectConfig) []Candidate {
-	return DetectWith(e, cfg, nil)
-}
-
-// DetectWith is Detect with observability: the thresholding pass is
-// recorded as a "mass.threshold" span carrying τ, ρ, |T| and the
-// candidate count, and the mass.candidates counter is updated. A nil
-// octx makes it identical to Detect.
-func DetectWith(e *Estimates, cfg DetectConfig, octx *obs.Context) []Candidate {
-	sp := octx.Span("mass.threshold")
-	defer sp.End()
-	var examined int
 	var out []Candidate
 	for x := 0; x < e.N(); x++ {
 		id := graph.NodeID(x)
@@ -60,7 +48,6 @@ func DetectWith(e *Estimates, cfg DetectConfig, octx *obs.Context) []Candidate {
 		if spr < cfg.ScaledPageRankThreshold {
 			continue
 		}
-		examined++
 		if e.Rel[x] >= cfg.RelMassThreshold {
 			out = append(out, Candidate{Node: id, ScaledPageRank: spr, RelMass: e.Rel[x]})
 		}
@@ -76,13 +63,6 @@ func DetectWith(e *Estimates, cfg DetectConfig, octx *obs.Context) []Candidate {
 		}
 		return out[i].Node < out[j].Node
 	})
-	if sp != nil {
-		sp.SetAttr("tau", cfg.RelMassThreshold)
-		sp.SetAttr("rho", cfg.ScaledPageRankThreshold)
-		sp.SetAttr("nodes_above_rho", examined)
-		sp.SetAttr("candidates", len(out))
-	}
-	octx.Counter("mass.candidates_total").Add(int64(len(out)))
 	return out
 }
 

@@ -39,9 +39,8 @@ type Fingerprint struct {
 }
 
 // FingerprintOf extracts the epoch fingerprint from estimates under
-// the detection thresholds in dcfg. It shares the |T| / deciles
-// definitions with ReportSummary and the candidate rule with Detect,
-// so a fingerprint can never disagree with the report.
+// the detection thresholds in dcfg. It shares the candidate rule with
+// Detect, so a fingerprint can never disagree with the candidate list.
 func FingerprintOf(e *Estimates, dcfg DetectConfig) *Fingerprint {
 	f := &Fingerprint{Nodes: e.N()}
 	var rel []float64

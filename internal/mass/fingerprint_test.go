@@ -60,17 +60,6 @@ func TestFingerprintOf(t *testing.T) {
 	if got := len(Detect(e, dcfg)); got != f.Candidates {
 		t.Fatalf("Detect found %d candidates, fingerprint says %d", got, f.Candidates)
 	}
-	// |T| and deciles must agree with ReportSummary.
-	s := ReportSummary(e, 1, 0.1, dcfg, f.Candidates)
-	if s.NodesAboveRho != f.NodesAboveRho {
-		t.Fatalf("ReportSummary |T| = %d, fingerprint %d", s.NodesAboveRho, f.NodesAboveRho)
-	}
-	for i := range s.RelMassDeciles {
-		// lint:ignore floatcmp both sides are computed by the identical Deciles pass
-		if s.RelMassDeciles[i] != f.RelMassDeciles[i] {
-			t.Fatalf("decile %d disagrees with ReportSummary: %v vs %v", i, f.RelMassDeciles[i], s.RelMassDeciles[i])
-		}
-	}
 }
 
 func TestFingerprintDims(t *testing.T) {

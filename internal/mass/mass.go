@@ -255,7 +255,6 @@ func (es *Estimator) RecomputeMany(prev *Estimates, cores [][]graph.NodeID) ([]*
 		out[i].SolveStats = r.Stats
 	}
 	dsp.End()
-	octx.Counter("mass.recomputes_total").Add(int64(len(cores)))
 	return out, nil
 }
 
@@ -491,45 +490,7 @@ func (e *Estimates) RelMassOrNaN(x graph.NodeID) float64 {
 	return e.Rel[x]
 }
 
-// ReportSummary condenses the estimates plus an Algorithm 2 run into
-// the RunReport mass section: γ and the jump/vector norms of the
-// Section 3.5 scaling diagnostic, the threshold counts, and the
-// spam-mass distribution deciles over the examined set T (nodes with
-// scaled PageRank ≥ ρ).
-func ReportSummary(e *Estimates, coreSize int, gamma float64, dcfg DetectConfig, candidates int) *obs.MassSummary {
-	s := &obs.MassSummary{
-		Gamma:      gamma,
-		CoreSize:   coreSize,
-		PNorm:      e.P.Norm1(),
-		PCoreNorm:  e.PCore.Norm1(),
-		Tau:        dcfg.RelMassThreshold,
-		Rho:        dcfg.ScaledPageRankThreshold,
-		Candidates: candidates,
-	}
-	// ‖w‖ = γ by construction; an unscaled core (γ = 0) uses 1/n per
-	// core node (Definition 3).
-	s.JumpNorm = gamma
-	if gamma == 0 && e.N() > 0 {
-		s.JumpNorm = float64(coreSize) / float64(e.N())
-	}
-	var rel, abs []float64
-	for x := 0; x < e.N(); x++ {
-		id := graph.NodeID(x)
-		if e.ScaledPageRank(id) < dcfg.ScaledPageRankThreshold {
-			continue
-		}
-		rel = append(rel, e.Rel[x])
-		abs = append(abs, e.ScaledAbsMass(id))
-	}
-	s.NodesAboveRho = len(rel)
-	sort.Float64s(rel)
-	sort.Float64s(abs)
-	s.RelMassDeciles = obs.Deciles(rel)
-	s.AbsMassDeciles = obs.Deciles(abs)
-	return s
-}
-
-// RecordFor renders one node's detection outcome as a report row,
+// RecordFor renders one node's detection outcome as a detection record,
 // labeled per Algorithm 2: spam when the node crosses both thresholds
 // (scaled PageRank ≥ ρ and m̃ ≥ τ), good otherwise — including nodes
 // below ρ, which Algorithm 2 never examines and therefore never labels
@@ -553,10 +514,9 @@ func RecordFor(e *Estimates, x graph.NodeID, dcfg DetectConfig, name string) obs
 }
 
 // Records renders the detection outcome of every node in T (scaled
-// PageRank ≥ ρ) as report rows, sorted by decreasing relative mass,
+// PageRank ≥ ρ) as detection records, sorted by decreasing relative mass,
 // labeled per Algorithm 2. names, when non-nil, supplies the host
-// names. This is the row source of both RunReport.Detections and the
-// spammass -json output.
+// names. This is the row source of the spammass -json output.
 func Records(e *Estimates, dcfg DetectConfig, names []string) []obs.DetectionRecord {
 	var out []obs.DetectionRecord
 	for x := 0; x < e.N(); x++ {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"expvar"
 	"fmt"
 	"net"
@@ -13,8 +12,8 @@ import (
 // DebugServer serves the runtime-introspection endpoints while a run
 // is in flight: /debug/vars (expvar, including a published Registry),
 // /metrics (Prometheus text exposition of the same registry), and
-// /debug/pprof/ (CPU, heap, goroutine, … profiles). It is the
-// -debug-addr endpoint of the CLIs.
+// /debug/pprof/ (CPU, heap, goroutine, … profiles). It is
+// spamserver's -debug-addr endpoint.
 type DebugServer struct {
 	ln  net.Listener
 	srv *http.Server
@@ -53,32 +52,10 @@ func (d *DebugServer) Addr() string {
 }
 
 // Close stops the server immediately, aborting in-flight requests and
-// releasing the listener (and therefore the port). Use Shutdown to
-// drain in-flight scrapes first.
+// releasing the listener (and therefore the port).
 func (d *DebugServer) Close() error {
 	if d == nil {
 		return nil
 	}
 	return d.srv.Close()
-}
-
-// Shutdown stops the server gracefully: the listener is closed right
-// away (the port is free for reuse when Shutdown returns), then
-// in-flight requests — a pprof profile capture can run for seconds —
-// are drained until done or ctx expires, whichever comes first. On a
-// deadline the remaining connections are torn down via Close so the
-// server never outlives the call.
-func (d *DebugServer) Shutdown(ctx context.Context) error {
-	if d == nil {
-		return nil
-	}
-	err := d.srv.Shutdown(ctx)
-	if err != nil {
-		// Shutdown stopped waiting (ctx expired) without closing the
-		// lingering connections; Close tears them down.
-		if cerr := d.srv.Close(); cerr != nil && cerr != http.ErrServerClosed {
-			return cerr
-		}
-	}
-	return err
 }

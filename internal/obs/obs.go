@@ -1,8 +1,8 @@
 // Package obs is the observability layer of the spam-mass pipeline:
 // a concurrency-safe metrics registry (counters, gauges, log-bucket
-// timing histograms) exposed via expvar, lightweight hierarchical
-// spans that serialize to a JSON trace, a machine-readable RunReport
-// aggregating both with solver and mass-estimation summaries, and an
+// timing histograms) exposed via expvar and Prometheus text,
+// lightweight hierarchical spans that serialize to a JSON trace, the
+// per-host detection record the commands and the server emit, and an
 // optional pprof/expvar debug HTTP endpoint.
 //
 // Everything is plumbed through a *Context, and a nil *Context (or a
@@ -152,15 +152,6 @@ func (t *Traceparent) TraceID() string {
 	return unsafe.String(&t[3], 32)
 }
 
-// NewTraceparent returns a fresh traceparent header value as an
-// independent string; the embedded trace ID is value[3:35]. Callers
-// on a hot path should prefer embedding a Traceparent instead.
-func NewTraceparent() string {
-	var t Traceparent
-	t.Render()
-	return string(t[:])
-}
-
 // hexPairs is the 256-entry table of two-digit lowercase hex
 // renderings, so hexEncode emits a byte per iteration instead of a
 // nibble — this runs once per served request.
@@ -306,18 +297,6 @@ func (c *CountingReader) Read(p []byte) (int, error) {
 	n, err := c.R.Read(p)
 	c.N += int64(n)
 	return n, err
-}
-
-// Timed runs f under a span with the given name and returns f's error;
-// sugar for instrumenting a whole phase at a call site.
-func Timed(c *Context, name string, f func() error) error {
-	sp := c.Span(name)
-	err := f()
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-	}
-	sp.End()
-	return err
 }
 
 // now is stubbed in tests that need deterministic span timings.

@@ -211,7 +211,7 @@ func (r *Registry) HistogramWith(name string, bounds []float64) *Histogram {
 }
 
 // MetricsSnapshot is a point-in-time copy of a registry, in the shape
-// embedded into RunReport and exported over expvar.
+// exported over expvar and rendered as Prometheus text.
 type MetricsSnapshot struct {
 	Counters   map[string]int64              `json:"counters,omitempty"`
 	Gauges     map[string]float64            `json:"gauges,omitempty"`

@@ -4,31 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 )
-
-// RunReport is the machine-readable record of one pipeline run: what
-// graph was processed, how each solve went, what the mass estimation
-// produced, the final metric values, and the span trace. The CLIs
-// write it with -report; experiments compare reports across damping
-// factors, core sizes, and thresholds.
-type RunReport struct {
-	// Tool names the producing binary (spammass, pagerank, experiments).
-	Tool string `json:"tool,omitempty"`
-	// Args are the command-line arguments of the run.
-	Args []string `json:"args,omitempty"`
-	// StartedAt is the wall-clock start of the run.
-	StartedAt time.Time `json:"started_at"`
-	// WallNS is the total run duration in nanoseconds.
-	WallNS int64 `json:"wall_ns"`
-
-	Graph      *GraphInfo        `json:"graph,omitempty"`
-	Solves     []SolveSummary    `json:"solves,omitempty"`
-	Mass       *MassSummary      `json:"mass,omitempty"`
-	Detections []DetectionRecord `json:"detections,omitempty"`
-	Metrics    *MetricsSnapshot  `json:"metrics,omitempty"`
-	Trace      *SpanJSON         `json:"trace,omitempty"`
-}
 
 // GraphInfo describes the processed graph.
 type GraphInfo struct {
@@ -42,55 +18,8 @@ type GraphInfo struct {
 	LoadNS int64 `json:"load_ns,omitempty"`
 }
 
-// SolveSummary condenses one (possibly batched) PageRank solve; it
-// mirrors pagerank.SolveStats with JSON-stable field types.
-type SolveSummary struct {
-	// Name labels the solve's role in the pipeline (e.g. "estimate").
-	Name           string  `json:"name,omitempty"`
-	Algorithm      string  `json:"algorithm"`
-	Batch          int     `json:"batch"`
-	Iterations     int     `json:"iterations"`
-	FinalResidual  float64 `json:"final_residual"`
-	Converged      bool    `json:"converged"`
-	WallNS         int64   `json:"wall_ns"`
-	EdgesSwept     int64   `json:"edges_swept"`
-	EdgesPerSecond float64 `json:"edges_per_second"`
-	Workers        int     `json:"workers"`
-	// WarmStarted reports a solve seeded from a previous solution; the
-	// initial residual then measures how far that seed was from the new
-	// fixpoint.
-	WarmStarted     bool    `json:"warm_started,omitempty"`
-	InitialResidual float64 `json:"initial_residual,omitempty"`
-}
-
-// MassSummary condenses one mass estimation plus thresholding run:
-// the γ scaling, the vector norms of Section 3.5's ‖p'‖ ≪ ‖p‖
-// diagnostic, the Algorithm 2 threshold counts, and the spam-mass
-// distribution deciles over the examined set T.
-type MassSummary struct {
-	Gamma    float64 `json:"gamma"`
-	CoreSize int     `json:"core_size"`
-	// JumpNorm is ‖w‖ of the core-biased jump vector.
-	JumpNorm float64 `json:"jump_norm"`
-	// PNorm and PCoreNorm are ‖p‖₁ and ‖p'‖₁.
-	PNorm     float64 `json:"p_norm"`
-	PCoreNorm float64 `json:"p_core_norm"`
-	// Tau and Rho are the Algorithm 2 thresholds.
-	Tau float64 `json:"tau"`
-	Rho float64 `json:"rho"`
-	// NodesAboveRho is |T|, the number of nodes examined; Candidates
-	// is how many of them crossed τ.
-	NodesAboveRho int `json:"nodes_above_rho"`
-	Candidates    int `json:"candidates"`
-	// RelMassDeciles are the 0%,10%,…,100% quantiles of the relative
-	// spam mass m̃ over T (11 values); AbsMassDeciles likewise for the
-	// absolute mass M̃ in scaled n/(1−c) units.
-	RelMassDeciles []float64 `json:"rel_mass_deciles,omitempty"`
-	AbsMassDeciles []float64 `json:"abs_mass_deciles,omitempty"`
-}
-
-// DetectionRecord is one node's detection outcome, the row format of
-// both RunReport.Detections and the spammass -json line output.
+// DetectionRecord is one node's detection outcome: the row format of
+// the spammass -json output and the source of every /v1 host record.
 type DetectionRecord struct {
 	Node int64  `json:"node"`
 	Host string `json:"host,omitempty"`
@@ -111,31 +40,8 @@ const (
 	LabelGood = "good"
 )
 
-// NewRunReport starts a report for the named tool.
-func NewRunReport(tool string, args []string) *RunReport {
-	return &RunReport{Tool: tool, Args: args, StartedAt: time.Now()}
-}
-
-// Finish stamps the total wall time and captures the registry and
-// span trace (either may be nil).
-func (r *RunReport) Finish(reg *Registry, root *Span) {
-	r.WallNS = int64(time.Since(r.StartedAt))
-	r.Metrics = reg.Snapshot()
-	r.Trace = root.Snapshot()
-}
-
-// Write JSON-encodes the report (indented) to w.
-func (r *RunReport) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r); err != nil {
-		return fmt.Errorf("obs: encoding run report: %w", err)
-	}
-	return nil
-}
-
 // WriteJSONLines emits one compact JSON object per record — the
-// spammass -json output format, shared with RunReport.Detections.
+// spammass -json and -host output format.
 func WriteJSONLines(w io.Writer, recs []DetectionRecord) error {
 	enc := json.NewEncoder(w)
 	for _, rec := range recs {

@@ -1,9 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"time"
@@ -93,14 +90,6 @@ func (s *Span) Event(msg string) {
 	s.mu.Unlock()
 }
 
-// Eventf records a formatted timestamped message on the span.
-func (s *Span) Eventf(format string, args ...any) {
-	if s == nil {
-		return
-	}
-	s.Event(fmt.Sprintf(format, args...))
-}
-
 // End marks the span finished. Ending twice keeps the first end time.
 func (s *Span) End() {
 	if s == nil {
@@ -112,9 +101,6 @@ func (s *Span) End() {
 	}
 	s.mu.Unlock()
 }
-
-// Recording reports whether events and attributes on s go anywhere.
-func (s *Span) Recording() bool { return s != nil }
 
 // Ended reports whether End has been called. It is false for a nil
 // span: a nil span is never started, so it can never finish.
@@ -149,8 +135,8 @@ func (s *Span) Duration() time.Duration {
 	return s.end.Sub(s.start)
 }
 
-// SpanJSON is the serialized form of a span tree; it is what a
-// RunReport embeds and what -trace files contain.
+// SpanJSON is the serialized form of a span tree; it is what a flight
+// recorder entry embeds (/admin/flightrecorder, -flight-dir files).
 type SpanJSON struct {
 	Name       string    `json:"name"`
 	Start      time.Time `json:"start"`
@@ -246,12 +232,4 @@ func (t *SpanJSON) SpanNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// WriteTrace JSON-encodes the span tree rooted at s to w (indented,
-// the -trace file format).
-func WriteTrace(w io.Writer, s *Span) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s.Snapshot())
 }

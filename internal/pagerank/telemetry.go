@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"time"
-
-	"spammass/internal/obs"
 )
 
 // ErrNotConverged reports a solve that exhausted MaxIter with the L1
@@ -119,31 +117,4 @@ func (s *SolveStats) finish(wall time.Duration) {
 func (s *SolveStats) String() string {
 	return fmt.Sprintf("%s: batch=%d iters=%d wall=%v edges=%d (%.0f edges/s, %d workers)",
 		s.Algorithm, s.Batch, s.Iterations, s.WallTime.Round(time.Microsecond), s.EdgesSwept, s.EdgesPerSecond, s.Workers)
-}
-
-// Summary condenses the stats into the RunReport shape. name labels
-// the solve's role in the pipeline; converged and the final residual
-// come from the accompanying Result. A nil receiver yields a zero
-// summary carrying only the name.
-func (s *SolveStats) Summary(name string, converged bool) obs.SolveSummary {
-	if s == nil {
-		return obs.SolveSummary{Name: name, Converged: converged}
-	}
-	sum := obs.SolveSummary{
-		Name:            name,
-		Algorithm:       s.Algorithm.String(),
-		Batch:           s.Batch,
-		Iterations:      s.Iterations,
-		Converged:       converged,
-		WallNS:          int64(s.WallTime),
-		EdgesSwept:      s.EdgesSwept,
-		EdgesPerSecond:  s.EdgesPerSecond,
-		Workers:         s.Workers,
-		WarmStarted:     s.WarmStarted,
-		InitialResidual: s.InitialResidual,
-	}
-	if len(s.Residuals) > 0 {
-		sum.FinalResidual = s.Residuals[len(s.Residuals)-1]
-	}
-	return sum
 }

@@ -127,23 +127,3 @@ func TestSolveObsIntegration(t *testing.T) {
 		}
 	}
 }
-
-// TestSummary checks the SolveStats → obs.SolveSummary bridge.
-func TestSummary(t *testing.T) {
-	g := traceTestGraph()
-	res, err := Jacobi(g, UniformJump(g.NumNodes()), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := res.Stats.Summary("estimate", res.Converged)
-	if sum.Algorithm != "jacobi" || sum.Iterations != res.Stats.Iterations || !sum.Converged {
-		t.Fatalf("bad summary: %+v", sum)
-	}
-	if sum.FinalResidual != res.Stats.Residuals[len(res.Stats.Residuals)-1] {
-		t.Fatalf("final residual %v mismatch", sum.FinalResidual)
-	}
-	var nilStats *SolveStats
-	if got := nilStats.Summary("x", false); got.Name != "x" || got.Iterations != 0 {
-		t.Fatalf("nil summary: %+v", got)
-	}
-}

@@ -18,8 +18,10 @@ import (
 // re-run the estimation, and return a validated snapshot carrying the
 // given epoch. prev is the currently served snapshot (nil on the
 // initial build) — builders use it to warm-start the core-based solve
-// (mass.Estimator.Recompute) or to diff inputs. A builder that fails
-// returns an error; it must not publish anything itself.
+// (mass.Estimator.Recompute) or to diff inputs. A recovering initial
+// build (a durable server's boot) instead returns the epoch its
+// replayed WAL suffix reached. A builder that fails returns an error;
+// it must not publish anything itself.
 type BuildFunc func(ctx context.Context, prev *Snapshot, epoch int64) (*Snapshot, error)
 
 // DeltaApplyFunc produces the next snapshot generation from the

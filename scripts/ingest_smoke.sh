@@ -148,6 +148,19 @@ if [ "$EPOCH" != "$WANT" ]; then
     sed -n '1,40p' "$WORK/crash2.log" >&2
     exit 1
 fi
+# The recovering boot publishes through the refresher like a cold one,
+# so its telemetry must already describe the recovered epoch: the
+# snapshot gauge on /metrics, and at least one drift-watchdog epoch.
+METRIC_EPOCH=$(curl -sS --fail --max-time 30 "http://$CRASH/metrics" |
+    sed -n 's/^serve_snapshot_epoch \([0-9]*\)$/\1/p')
+DRIFT_EPOCHS=$(curl -sS --fail --max-time 30 "http://$CRASH/readyz?verbose" |
+    sed -n 's/.*"drift":{"epochs":\([0-9]*\).*/\1/p')
+if [ "$METRIC_EPOCH" != "$WANT" ] || [ "${DRIFT_EPOCHS:-0}" -lt 1 ]; then
+    echo "ingest-smoke: restarted server's telemetry misses the recovered epoch $WANT:" \
+        "serve_snapshot_epoch='$METRIC_EPOCH', drift epochs='$DRIFT_EPOCHS'" >&2
+    exit 1
+fi
+echo "ingest-smoke: /metrics and /readyz?verbose report the recovered epoch $WANT"
 REPLAYED=$((CRASH_AFTER - COMPACTED))
 if ! grep -q "recovered $REPLAYED WAL batches" "$WORK/crash2.log"; then
     echo "ingest-smoke: restart did not replay the $REPLAYED-batch WAL suffix:" >&2

@@ -6,9 +6,12 @@
 # top-10 for both (webgen refuses much smaller worlds: their good core
 # is too small to split). Then it runs a core-based solve with -core,
 # forces non-convergence with -epsilon 1e-300 (the command must print
-# converged=false and still exit 0), and checks that the removed
-# -solver and -walks flags are rejected by the flag package. Exits
-# non-zero on any failed check. Run via `make pagerank-smoke`.
+# converged=false and still exit 0), checks that the removed -solver
+# and -walks flags and the removed telemetry sinks (-report, -trace,
+# -metrics-out, -debug-addr) are rejected by the flag package of
+# pagerank, spammass and experiments, and that spammass -v still
+# streams solver residuals. Exits non-zero on any failed check. Run
+# via `make pagerank-smoke`.
 set -eu
 
 GO=${GO:-go}
@@ -66,17 +69,41 @@ fi
 echo "pagerank-smoke: -epsilon 1e-300 reports converged=false and exits 0"
 
 # Removed flags: only Jacobi is left, so there is no solver to choose
-# and no Monte-Carlo walk count to set.
-for removed in -solver=jacobi -walks=5; do
-    if "$WORK/pagerank" "$removed" -graph "$WORK/bin.graph" >/dev/null 2>"$WORK/removed.log"; then
-        echo "pagerank-smoke: pagerank accepted removed flag $removed" >&2
-        exit 1
-    fi
-    if ! grep -q "flag provided but not defined: ${removed%%=*}" "$WORK/removed.log"; then
-        echo "pagerank-smoke: removed flag $removed not rejected by the flag package:" >&2
-        cat "$WORK/removed.log" >&2
-        exit 1
-    fi
-done
-echo "pagerank-smoke: removed flags are rejected"
+# and no Monte-Carlo walk count to set; and no batch command writes a
+# run report, a span trace or a metrics file, or serves a debug
+# endpoint any more. Each binary must reject each of its removed flags
+# through the flag package.
+SINKS="-report=r.json -trace=t.json -metrics-out=m.prom -debug-addr=127.0.0.1:0"
+# reject <binary> <flag>...
+reject() {
+    bin=$1
+    shift
+    for removed in "$@"; do
+        if "$WORK/$bin" "$removed" -graph "$WORK/bin.graph" -core "$WORK/bin.core" >/dev/null 2>"$WORK/removed.log"; then
+            echo "pagerank-smoke: $bin accepted removed flag $removed" >&2
+            exit 1
+        fi
+        if ! grep -q "flag provided but not defined: ${removed%%=*}" "$WORK/removed.log"; then
+            echo "pagerank-smoke: removed flag $removed not rejected by $bin's flag package:" >&2
+            cat "$WORK/removed.log" >&2
+            exit 1
+        fi
+    done
+}
+$GO build -o "$WORK/spammass" ./cmd/spammass
+$GO build -o "$WORK/experiments" ./cmd/experiments
+# $SINKS is unquoted on purpose: it splits into one flag per word.
+reject pagerank -solver=jacobi -walks=5 $SINKS
+reject spammass $SINKS
+reject experiments $SINKS
+echo "pagerank-smoke: removed flags are rejected by pagerank, spammass and experiments"
+
+# -v is the one telemetry flag the batch commands keep.
+if ! "$WORK/spammass" -graph "$WORK/bin.graph" -core "$WORK/bin.core" -top 3 -v >/dev/null 2>"$WORK/verbose.log" ||
+    ! grep -q 'residual=' "$WORK/verbose.log"; then
+    echo "pagerank-smoke: spammass -v printed no solver residuals:" >&2
+    cat "$WORK/verbose.log" >&2
+    exit 1
+fi
+echo "pagerank-smoke: spammass -v streams solver residuals to stderr"
 echo "pagerank-smoke: OK"

@@ -397,8 +397,8 @@ func PairwiseOrderedness(scores Vector, good, spam []NodeID) (float64, error) {
 
 // ObsContext threads the observability sinks (metrics registry, span
 // tree, line logger) through the pipeline; attach one to
-// SolverConfig.Obs and every solve, estimation, and detection records
-// spans and metrics. A nil *ObsContext is a valid no-op.
+// SolverConfig.Obs and every solve and estimation records spans and
+// metrics. A nil *ObsContext is a valid no-op.
 type ObsContext = obs.Context
 
 // ObsRegistry is a concurrency-safe metrics registry (counters,
@@ -407,10 +407,6 @@ type ObsRegistry = obs.Registry
 
 // ObsSpan is one timed node of a hierarchical trace.
 type ObsSpan = obs.Span
-
-// RunReport is the machine-readable record of one pipeline run,
-// written by the CLIs' -report flag.
-type RunReport = obs.RunReport
 
 // NewObsRegistry returns an empty metrics registry.
 func NewObsRegistry() *ObsRegistry { return obs.NewRegistry() }
