@@ -53,9 +53,10 @@ lint-json:
 
 # vectorcheck builds the engine with the debug guard that scans every
 # solve result for NaN/±Inf/negative scores, and runs the pagerank and
-# mass tests and spamserver's served-accuracy test under it.
+# mass tests and the serve tests (TestServedAccuracy among them) under
+# it.
 vectorcheck:
-	$(GO) test -tags vectorcheck ./internal/pagerank/ ./internal/mass/ ./cmd/spamserver/
+	$(GO) test -tags vectorcheck ./internal/pagerank/ ./internal/mass/ ./internal/serve/
 
 # fuzz-smoke gives each fuzz target a short budget; regressions in the
 # decoders, host collapsing, mass derivation, or the /v1 JSON encoder
@@ -116,13 +117,14 @@ ingest-smoke:
 # spamserver with tracing, the metric recorder, and the drift watchdog
 # enabled, validate /metrics with the strict Prometheus parser
 # (cmd/promcheck), check trace headers on a lookup, and assert a forced
-# refresh grows the /admin/timeseries history.
+# refresh grows the /admin/timeseries history and leaves its solve
+# (pagerank.solve) in the /admin/flightrecorder span tree.
 obs-smoke:
 	sh scripts/obs_smoke.sh
 
 # verify is the tier-1 gate: vet, gofmt, spamlint, full build, full
 # test suite, the race detector over every package, the pagerank,
-# mass and spamserver tests under the vectorcheck debug tag, and one
+# mass and serve tests under the vectorcheck debug tag, and one
 # run of every in-package benchmark.
 verify: vet fmt-check lint build test race vectorcheck microbench
 	@echo "verify: OK"

@@ -12,10 +12,10 @@
 //	           [-sample-interval 15s] [-flight-dir path]
 //
 // The detector runs at the paper's operating point (c = γ = 0.85,
-// ρ = 10, τ = 0.98; every generation, from a full refresh, a delta
-// build or WAL recovery, is pushed to ε = 1e-11 with Gauss-Southwell),
-// the request path at serve's defaults (256 in flight, 5 s deadline,
-// 1000-host batches).
+// ρ = 10, τ = 0.98; serve.DefaultGenerator builds every generation,
+// from a full refresh, a delta build or WAL recovery, pushing p and p′
+// to ε = 1e-11 with Gauss-Southwell), the request path at serve's
+// defaults (256 in flight, 5 s deadline, 1000-host batches).
 //
 // Endpoints: GET /v1/host/{name}, POST /v1/batch, GET /v1/top,
 // GET /healthz, GET /readyz, POST /admin/refresh, POST /admin/delta,
@@ -63,7 +63,8 @@
 //
 // Between full refreshes the graph can evolve incrementally: POST a
 // mutation batch in the delta text format to /admin/delta (?wait=1 to
-// apply synchronously). Each applied batch advances the epoch by one;
+// wait for its apply, behind every batch queued before it). Batches
+// apply in arrival order, each advancing the epoch by one;
 // the same push solve warm-starts from the previous snapshot's
 // vectors, so a small-churn batch pushes fewer edges than a cold
 // rebuild. A full ingest queue (serve.DefaultDeltaQueue batches)
@@ -97,7 +98,6 @@ import (
 	"spammass/internal/ingest"
 	"spammass/internal/mass"
 	"spammass/internal/obs"
-	"spammass/internal/pagerank"
 	"spammass/internal/serve"
 )
 
@@ -162,15 +162,8 @@ func main() {
 		return
 	}
 
-	dcfg := mass.DefaultDetectConfig()
-	// Solve telemetry: the latest solve's iteration count as a gauge,
-	// so convergence regressions show up on a dashboard next to
-	// pagerank.iterations_total.
-	solveIters := octx.Gauge("pagerank.solve_iterations")
-	solver := solverConfig()
-	solver.Obs = octx
-	solver.OnStats = func(st *pagerank.SolveStats) { solveIters.Set(float64(st.Iterations)) }
-	load := func(epoch int64) (*serve.Snapshot, error) {
+	gen := serve.DefaultGenerator()
+	load := func(ctx context.Context, epoch int64) (*serve.Snapshot, error) {
 		g, _, err := graph.LoadFile(*graphPath, octx)
 		if err != nil {
 			return nil, fmt.Errorf("load graph: %w", err)
@@ -187,7 +180,7 @@ func main() {
 		if err != nil {
 			return nil, fmt.Errorf("load core: %w", err)
 		}
-		return coldSnapshot(h, core, solver, epoch)
+		return gen.Cold(ctx, h, core, epoch)
 	}
 	// build is every full refresh, the boot included, so both boots
 	// publish through the refresher and its telemetry. A durable
@@ -198,18 +191,18 @@ func main() {
 	var pl *ingest.Pipeline
 	build := func(ctx context.Context, prev *serve.Snapshot, epoch int64) (*serve.Snapshot, error) {
 		if prev != nil || pl == nil {
-			return load(epoch)
+			return load(ctx, epoch)
 		}
-		base, baseSeq, err := pl.Latest(dcfg, 0)
+		base, baseSeq, err := pl.Latest(mass.DefaultDetectConfig(), 0)
 		if err != nil {
 			return nil, fmt.Errorf("loading snapshot: %w", err)
 		}
 		if base == nil {
-			if base, err = load(epoch); err != nil {
+			if base, err = load(ctx, epoch); err != nil {
 				return nil, err
 			}
 		}
-		recovered, replayed, err := pl.Recover(ctx, base, baseSeq, solver)
+		recovered, replayed, err := pl.Recover(ctx, base, baseSeq, gen)
 		if err != nil {
 			return nil, fmt.Errorf("WAL recovery: %w", err)
 		}
@@ -227,7 +220,7 @@ func main() {
 	watchdog := serve.NewWatchdog(serve.WatchdogConfig{Obs: octx})
 
 	rcfg := serve.RefresherConfig{
-		ApplyDelta: serve.NewDeltaBuilder(serve.DeltaBuilderConfig{Solver: solver, Obs: octx}),
+		ApplyDelta: gen.Delta,
 		Obs:        octx,
 		Recorder:   recorder,
 		Watchdog:   watchdog,
@@ -301,37 +294,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "spamserver: closing WAL: %v\n", err)
 		}
 	}
-}
-
-// solverConfig is the one solve behind every generation the server
-// publishes: Gauss-Southwell pushes p and p′ concurrently to
-// ε = 1e-11, from x = 0 for a full refresh (boot without a WAL, SIGHUP,
-// POST /admin/refresh) and from the remapped previous (p, p′) for a
-// delta build or WAL recovery. ε bounds each algorithm's own residual;
-// 1e-11 is the loosest decade at which the push serves every
-// generation within δ = 1e-7 of the ε = 1e-13 solution
-// (TestServedAccuracy).
-func solverConfig() pagerank.Config {
-	return pagerank.Config{Damping: 0.85, Epsilon: 1e-11, MaxIter: 1000, Algorithm: pagerank.AlgoGaussSouthwell}
-}
-
-// coldSnapshot is the tail of every full refresh: it solves h's
-// (p, p′) from x = 0 with solver and packages them, at the paper's
-// operating point, as the generation at epoch.
-func coldSnapshot(h *graph.HostGraph, core []graph.NodeID, solver pagerank.Config, epoch int64) (*serve.Snapshot, error) {
-	gamma := mass.DefaultOptions().Gamma
-	est, err := mass.EstimateFromCore(h.Graph, core, mass.Options{Solver: solver, Gamma: gamma})
-	if err != nil {
-		return nil, fmt.Errorf("estimate: %w", err)
-	}
-	return serve.NewSnapshot(h, est, serve.SnapshotConfig{
-		Detect:   mass.DefaultDetectConfig(),
-		Gamma:    gamma,
-		CoreSize: len(core),
-		// Carrying the core lets /admin/delta apply batches on top of
-		// this snapshot with the core remapped, not reloaded.
-		Core: core,
-	}, epoch)
 }
 
 // rejectSet exits with an error naming the first flag in names that

@@ -9,7 +9,6 @@ import (
 	"spammass/internal/delta"
 	"spammass/internal/mass"
 	"spammass/internal/obs"
-	"spammass/internal/pagerank"
 	"spammass/internal/serve"
 )
 
@@ -151,24 +150,28 @@ func (p *Pipeline) Latest(detect mass.DetectConfig, maxTop int) (*serve.Snapshot
 	return snap, st.AppliedSeq, nil
 }
 
-// Recover folds the WAL suffix beyond baseSeq onto base: each replayed
-// batch is staged against the base plus the batches before it
+// Recover folds the WAL suffix beyond baseSeq onto base with gen: each
+// replayed batch is staged against the base plus the batches before it
 // (O(batch), memory ∝ the net churn of the suffix), and the staged
 // batches are merged in one pass and solved once, at epoch = base epoch
 // + batches staged. A batch that fails to stage is logged and skipped,
 // as the live Run loop does, so the recovered state equals a
 // never-crashed server's — scores to the solver tolerance, not bit for
 // bit: the warm start differs. Returns the snapshot (base itself if
-// nothing staged) and that count.
-func (p *Pipeline) Recover(ctx context.Context, base *serve.Snapshot, baseSeq uint64, solver pagerank.Config) (*serve.Snapshot, int, error) {
+// nothing staged) and that count. The ingest.recover span opens under
+// the request obs context on ctx (a durable boot's refresh span), else
+// under the pipeline's own.
+func (p *Pipeline) Recover(ctx context.Context, base *serve.Snapshot, baseSeq uint64, gen serve.Generator) (*serve.Snapshot, int, error) {
 	if base == nil {
 		return nil, 0, fmt.Errorf("ingest: recovery needs a base snapshot")
 	}
-	sp := p.cfg.Obs.Span("ingest.recover")
+	parent := obs.RequestOr(ctx, p.cfg.Obs)
+	sp := parent.Span("ingest.recover")
 	defer sp.End()
-	octx := p.cfg.Obs.In(sp)
+	octx := parent.In(sp)
+	ctx = obs.WithRequest(ctx, octx)
 	start := time.Now()
-	fold := serve.NewDeltaFold(base)
+	fold := gen.Fold(base)
 	applied, skipped := 0, 0
 	lastSeq := baseSeq
 	err := p.wal.Replay(baseSeq+1, func(seq uint64, b *delta.Batch) error {
@@ -196,10 +199,7 @@ func (p *Pipeline) Recover(ctx context.Context, base *serve.Snapshot, baseSeq ui
 	staged := time.Since(start)
 	cur := base
 	if applied > 0 {
-		// Clearing Obs lets Solve nest the solver's spans (and, through
-		// the pipeline's registry, its metrics) under this recovery.
-		solver.Obs = nil
-		cur, err = fold.Solve(ctx, serve.DeltaBuilderConfig{Solver: solver, Obs: octx}, base.Epoch()+int64(applied))
+		cur, err = fold.Solve(ctx, base.Epoch()+int64(applied))
 		if err != nil {
 			return nil, 0, fmt.Errorf("ingest: recovery solve: %w", err)
 		}

@@ -10,7 +10,6 @@ import (
 
 	"spammass/internal/delta"
 	"spammass/internal/mass"
-	"spammass/internal/pagerank"
 	"spammass/internal/serve"
 )
 
@@ -72,7 +71,7 @@ func TestPipelineCrashRecoveryEquality(t *testing.T) {
 func crashRecoveryEquality(t *testing.T, compact bool) {
 	dir := t.TempDir()
 	ctx := context.Background()
-	apply := serve.NewDeltaBuilder(serve.DeltaBuilderConfig{Solver: pagerank.DefaultConfig()})
+	apply := testGenerator.Delta
 	base := testServeSnapshot(t, 1)
 	detect := base.Config().Detect
 
@@ -136,7 +135,7 @@ func crashRecoveryEquality(t *testing.T, compact bool) {
 		}
 		rbase = base // the boot path's initial build
 	}
-	recovered, applied, err := pl2.Recover(ctx, rbase, baseSeq, pagerank.DefaultConfig())
+	recovered, applied, err := pl2.Recover(ctx, rbase, baseSeq, testGenerator)
 	if err != nil {
 		t.Fatalf("Recover: %v", err)
 	}
@@ -180,7 +179,7 @@ func TestPipelineFreshDir(t *testing.T) {
 	if err != nil || snap != nil || seq != 0 {
 		t.Fatalf("Latest on fresh dir = (%v, %d, %v), want (nil, 0, nil)", snap, seq, err)
 	}
-	recovered, applied, err := pl.Recover(context.Background(), base, 0, pagerank.DefaultConfig())
+	recovered, applied, err := pl.Recover(context.Background(), base, 0, testGenerator)
 	if err != nil || applied != 0 || recovered != base {
 		t.Fatalf("Recover on empty WAL = (%v, %d, %v), want (base, 0, nil)", recovered, applied, err)
 	}

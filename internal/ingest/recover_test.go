@@ -17,14 +17,17 @@ import (
 	"spammass/internal/testutil"
 )
 
-// tightSolver converges far enough below the default tolerance that two
-// differently warm-started solves agree to 1e-9 in the records' scaled
-// n/(1−c) units (1.3e4× the solver's own at 2k hosts).
-func tightSolver() pagerank.Config {
+// tightGenerator converges far enough below the default tolerance that
+// two differently warm-started solves agree to 1e-9 in the records'
+// scaled n/(1−c) units (1.3e4× the solver's own at 2k hosts).
+func tightGenerator() serve.Generator {
 	cfg := pagerank.DefaultConfig()
 	cfg.Epsilon = 1e-14
-	return cfg
+	return serve.Generator{Solver: cfg}
 }
+
+// testGenerator is the served shape with Jacobi at the default ε.
+var testGenerator = serve.Generator{Solver: pagerank.DefaultConfig()}
 
 // webgenSnapshot packages a 2k-host webgen world and its assembled good
 // core as an epoch-1 snapshot.
@@ -54,7 +57,7 @@ func webgenSnapshot(t testing.TB) *serve.Snapshot {
 func TestRecoverMatchesSequentialApply(t *testing.T) {
 	base := webgenSnapshot(t)
 	ctx := context.Background()
-	apply := serve.NewDeltaBuilder(serve.DeltaBuilderConfig{Solver: tightSolver()})
+	apply := tightGenerator().Delta
 	for length := 1; length <= 12; length++ {
 		length := length
 		t.Run(fmt.Sprintf("len%d", length), func(t *testing.T) {
@@ -98,7 +101,7 @@ func TestRecoverMatchesSequentialApply(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer pl.Close()
-			got, applied, err := pl.Recover(ctx, base, 0, tightSolver())
+			got, applied, err := pl.Recover(ctx, base, 0, tightGenerator())
 			if err != nil {
 				t.Fatalf("Recover: %v", err)
 			}
@@ -168,7 +171,7 @@ func TestRecoverAllPoisonSuffix(t *testing.T) {
 	}
 	defer pl.Close()
 	base := testServeSnapshot(t, 4)
-	got, applied, err := pl.Recover(context.Background(), base, 0, pagerank.DefaultConfig())
+	got, applied, err := pl.Recover(context.Background(), base, 0, testGenerator)
 	if err != nil || applied != 0 || got != base {
 		t.Fatalf("Recover = (%v, %d, %v), want (base, 0, nil)", got, applied, err)
 	}
@@ -177,6 +180,34 @@ func TestRecoverAllPoisonSuffix(t *testing.T) {
 	}
 	if snap, seq := pl.checkpoint(); snap != base || seq != 3 {
 		t.Fatalf("checkpoint (%v, %d), want (base, 3)", snap, seq)
+	}
+}
+
+// TestRecoverSpansJoinCallerTrace: recovery run under a caller's obs
+// context — a durable boot's serve.refresh span — opens ingest.recover
+// under that span, and the fold's solve (pagerank.solve) nests under it.
+func TestRecoverSpansJoinCallerTrace(t *testing.T) {
+	dir := t.TempDir()
+	pl, err := Open(Config{Dir: dir, Obs: obs.NewContext(obs.NewRegistry(), nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pl.Close()
+	if _, err := pl.Append(growthBatch(1)); err != nil {
+		t.Fatal(err)
+	}
+	root := obs.NewSpan("serve.refresh")
+	ctx := obs.WithRequest(context.Background(), obs.NewContext(obs.NewRegistry(), root))
+	if _, applied, err := pl.Recover(ctx, testServeSnapshot(t, 1), 0, testGenerator); err != nil || applied != 1 {
+		t.Fatalf("Recover = (%d, %v), want (1, nil)", applied, err)
+	}
+	root.End()
+	rec := root.Snapshot().Find("ingest.recover")
+	if rec == nil {
+		t.Fatalf("no ingest.recover span under the caller's span: %v", root.Snapshot().SpanNames())
+	}
+	if rec.Find("pagerank.solve") == nil {
+		t.Fatalf("no pagerank.solve under ingest.recover: %v", rec.SpanNames())
 	}
 }
 
@@ -208,7 +239,7 @@ func TestRecoverCancelledMidFold(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pl.Close()
-	got, _, err := pl.Recover(ctx, testServeSnapshot(t, 1), 0, pagerank.DefaultConfig())
+	got, _, err := pl.Recover(ctx, testServeSnapshot(t, 1), 0, testGenerator)
 	if !errors.Is(err, context.Canceled) || got != nil {
 		t.Fatalf("Recover = (%v, %v), want (nil, context.Canceled)", got, err)
 	}

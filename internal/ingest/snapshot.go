@@ -395,11 +395,10 @@ func SnapshotStateOf(s *serve.Snapshot, appliedSeq uint64) *SnapshotState {
 func (st *SnapshotState) BuildSnapshot(detect mass.DetectConfig, maxTop int) (*serve.Snapshot, error) {
 	est := mass.Derive(st.P, st.PCore, st.Damping)
 	cfg := serve.SnapshotConfig{
-		Detect:   detect,
-		Gamma:    st.Gamma,
-		CoreSize: len(st.Core),
-		Core:     st.Core,
-		MaxTop:   maxTop,
+		Detect: detect,
+		Gamma:  st.Gamma,
+		Core:   st.Core,
+		MaxTop: maxTop,
 	}
 	return serve.NewSnapshot(st.Hosts, est, cfg, st.Epoch)
 }

@@ -31,10 +31,9 @@ func testServeSnapshot(t testing.TB, epoch int64) *serve.Snapshot {
 		t.Fatalf("EstimateFromCore: %v", err)
 	}
 	snap, err := serve.NewSnapshot(h, est, serve.SnapshotConfig{
-		Detect:   mass.DetectConfig{RelMassThreshold: 0.5, ScaledPageRankThreshold: 0.0},
-		Gamma:    mass.DefaultOptions().Gamma,
-		CoreSize: len(core),
-		Core:     core,
+		Detect: mass.DetectConfig{RelMassThreshold: 0.5, ScaledPageRankThreshold: 0.0},
+		Gamma:  mass.DefaultOptions().Gamma,
+		Core:   core,
 	}, epoch)
 	if err != nil {
 		t.Fatalf("NewSnapshot: %v", err)

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,18 +22,16 @@ import (
 	"spammass/internal/pagerank"
 )
 
-// coreBuilder is estimatorBuilder plus the carried core: the snapshot
-// records which nodes the estimates came from, which is what the delta
-// path needs to remap the core onto the next generation.
-func coreBuilder(h *graph.HostGraph, core []graph.NodeID, solver pagerank.Config) BuildFunc {
+// testGenerator builds the test generations: the served shape with
+// Jacobi at the default ε, which the 5-host graph solves exactly enough.
+var testGenerator = Generator{Solver: pagerank.DefaultConfig()}
+
+// coreBuilder is the full refresh of the production shape: a cold
+// generation that carries its core, which is what the delta path needs
+// to remap the core onto the next generation.
+func coreBuilder(h *graph.HostGraph, core []graph.NodeID, gen Generator) BuildFunc {
 	return func(ctx context.Context, prev *Snapshot, epoch int64) (*Snapshot, error) {
-		opts := mass.Options{Solver: solver, Gamma: 0.85}
-		est, err := mass.EstimateFromCore(h.Graph, core, opts)
-		if err != nil {
-			return nil, err
-		}
-		cfg := SnapshotConfig{Detect: mass.DefaultDetectConfig(), Gamma: 0.85, Core: core}
-		return NewSnapshot(h, est, cfg, epoch)
+		return gen.Cold(ctx, h, core, epoch)
 	}
 }
 
@@ -41,13 +41,27 @@ func newDeltaRefresher(t *testing.T) (*graph.HostGraph, *Store, *Refresher) {
 	t.Helper()
 	h := testHostGraph(t)
 	st := NewStore()
-	apply := NewDeltaBuilder(DeltaBuilderConfig{Solver: pagerank.DefaultConfig()})
-	ref := NewRefresher(st, coreBuilder(h, []graph.NodeID{0, 1}, pagerank.DefaultConfig()),
-		RefresherConfig{ApplyDelta: apply})
+	ref := NewRefresher(st, coreBuilder(h, []graph.NodeID{0, 1}, testGenerator),
+		RefresherConfig{ApplyDelta: testGenerator.Delta})
 	if err := ref.Refresh(context.Background()); err != nil {
 		t.Fatalf("initial refresh: %v", err)
 	}
 	return h, st, ref
+}
+
+// startRun runs ref's loop until the test ends.
+func startRun(t *testing.T, ref *Refresher) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ref.Run(ctx)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
 }
 
 func deltaText(t *testing.T, b *delta.Batch) string {
@@ -70,19 +84,21 @@ func waitEpoch(t *testing.T, st *Store, want int64) {
 	}
 }
 
-// TestApplyDeltaAdvancesEpoch applies one mutation batch synchronously
-// and holds the published snapshot to the cold-rebuild standard: the
-// epoch advances by one, the new host is served, and the warm-started
-// estimates match a from-scratch estimation of the mutated graph.
+// TestApplyDeltaAdvancesEpoch applies one mutation batch through
+// SubmitDeltaWait and the Run loop and holds the published snapshot to
+// the cold-rebuild standard: the epoch advances by one, the new host is
+// served, and the warm-started estimates match a from-scratch
+// estimation of the mutated graph.
 func TestApplyDeltaAdvancesEpoch(t *testing.T) {
 	h, st, ref := newDeltaRefresher(t)
+	startRun(t, ref)
 	b := &delta.Batch{Ops: []delta.Op{
 		delta.AddHostOp("f.example"),
 		delta.AddEdgeOp("e.example", "f.example"),
 		delta.RemoveEdgeOp("a.example", "e.example"),
 	}}
-	if err := ref.ApplyDelta(context.Background(), b); err != nil {
-		t.Fatalf("ApplyDelta: %v", err)
+	if err := ref.SubmitDeltaWait(context.Background(), b); err != nil {
+		t.Fatalf("SubmitDeltaWait: %v", err)
 	}
 	snap := st.Load()
 	if snap.Epoch() != 2 {
@@ -132,6 +148,7 @@ func TestApplyDeltaAdvancesEpoch(t *testing.T) {
 // it answered before.
 func TestSnapshotResolvesAfterNextGeneration(t *testing.T) {
 	h, st, ref := newDeltaRefresher(t)
+	startRun(t, ref)
 	old := st.Load()
 	before := make(map[string]HostRecord)
 	for _, name := range h.Names {
@@ -159,7 +176,7 @@ func TestSnapshotResolvesAfterNextGeneration(t *testing.T) {
 			}
 		}
 	}()
-	err := ref.ApplyDelta(context.Background(), &delta.Batch{Ops: []delta.Op{
+	err := ref.SubmitDeltaWait(context.Background(), &delta.Batch{Ops: []delta.Op{
 		delta.RemoveHostOp("e.example"),
 		delta.AddHostOp("f.example"),
 		delta.AddEdgeOp("d.example", "f.example"),
@@ -167,7 +184,7 @@ func TestSnapshotResolvesAfterNextGeneration(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	if err != nil {
-		t.Fatalf("ApplyDelta: %v", err)
+		t.Fatalf("SubmitDeltaWait: %v", err)
 	}
 	cur := st.Load()
 	if cur.Epoch() != 2 {
@@ -194,9 +211,10 @@ func TestSnapshotResolvesAfterNextGeneration(t *testing.T) {
 // snapshot keeps serving, and nothing counts as applied.
 func TestApplyDeltaConflictKeepsSnapshot(t *testing.T) {
 	_, st, ref := newDeltaRefresher(t)
+	startRun(t, ref)
 	before := st.Load()
 	b := &delta.Batch{Ops: []delta.Op{delta.RemoveHostOp("nosuch.example")}}
-	err := ref.ApplyDelta(context.Background(), b)
+	err := ref.SubmitDeltaWait(context.Background(), b)
 	if err == nil {
 		t.Fatal("conflicting batch applied without error")
 	}
@@ -225,9 +243,10 @@ func TestApplyDeltaPreconditions(t *testing.T) {
 	ctx := context.Background()
 	b := &delta.Batch{Ops: []delta.Op{delta.AddHostOp("f.example")}}
 
-	plain := NewRefresher(NewStore(), coreBuilder(h, []graph.NodeID{0, 1}, pagerank.DefaultConfig()), RefresherConfig{})
-	if err := plain.ApplyDelta(ctx, b); err == nil {
-		t.Error("ApplyDelta accepted without a configured delta path")
+	plain := NewRefresher(NewStore(), coreBuilder(h, []graph.NodeID{0, 1}, testGenerator), RefresherConfig{})
+	startRun(t, plain)
+	if err := plain.SubmitDeltaWait(ctx, b); err == nil {
+		t.Error("SubmitDeltaWait accepted without a configured delta path")
 	}
 	if err := plain.SubmitDelta(b); err == nil {
 		t.Error("SubmitDelta accepted without a configured delta path")
@@ -236,29 +255,31 @@ func TestApplyDeltaPreconditions(t *testing.T) {
 		t.Error("DeltaEnabled true without ApplyDelta")
 	}
 
-	apply := NewDeltaBuilder(DeltaBuilderConfig{Solver: pagerank.DefaultConfig()})
-	ref := NewRefresher(NewStore(), coreBuilder(h, []graph.NodeID{0, 1}, pagerank.DefaultConfig()),
+	apply := testGenerator.Delta
+	ref := NewRefresher(NewStore(), coreBuilder(h, []graph.NodeID{0, 1}, testGenerator),
 		RefresherConfig{ApplyDelta: apply})
+	startRun(t, ref)
 	if !ref.DeltaEnabled() {
 		t.Error("DeltaEnabled false with ApplyDelta configured")
 	}
-	if err := ref.ApplyDelta(ctx, &delta.Batch{}); err == nil {
+	if err := ref.SubmitDeltaWait(ctx, &delta.Batch{}); err == nil {
 		t.Error("empty batch accepted")
 	}
 	if err := ref.SubmitDelta(nil); err == nil {
 		t.Error("nil batch submitted")
 	}
-	if err := ref.ApplyDelta(ctx, b); err == nil || !strings.Contains(err.Error(), "no snapshot") {
+	if err := ref.SubmitDeltaWait(ctx, b); err == nil || !strings.Contains(err.Error(), "no snapshot") {
 		t.Errorf("delta before first refresh: err = %v, want a no-snapshot error", err)
 	}
 
 	// A base snapshot without a carried core cannot seed the delta path.
 	coreless := NewRefresher(NewStore(), estimatorBuilder(h, []graph.NodeID{0, 1}, pagerank.DefaultConfig()),
 		RefresherConfig{ApplyDelta: apply})
+	startRun(t, coreless)
 	if err := coreless.Refresh(ctx); err != nil {
 		t.Fatalf("coreless refresh: %v", err)
 	}
-	if err := coreless.ApplyDelta(ctx, b); err == nil || !strings.Contains(err.Error(), "core") {
+	if err := coreless.SubmitDeltaWait(ctx, b); err == nil || !strings.Contains(err.Error(), "core") {
 		t.Errorf("coreless delta apply: err = %v, want a missing-core error", err)
 	}
 }
@@ -288,6 +309,115 @@ func TestSubmitDeltaRunLoop(t *testing.T) {
 	<-done
 }
 
+// TestDeltaWaitKeepsQueueOrder pins that POST /admin/delta?wait=1 joins
+// the ingest queue instead of overtaking it: on a refresher without a
+// journal, a batch acknowledged with 202 before the Run loop starts is
+// applied before a ?wait=1 batch posted after it.
+func TestDeltaWaitKeepsQueueOrder(t *testing.T) {
+	h := testHostGraph(t)
+	st := NewStore()
+	var mu sync.Mutex
+	var order []string
+	apply := func(ctx context.Context, prev *Snapshot, epoch int64, b *delta.Batch) (*Snapshot, error) {
+		mu.Lock()
+		order = append(order, b.Ops[0].Src)
+		mu.Unlock()
+		return testGenerator.Delta(ctx, prev, epoch, b)
+	}
+	ref := NewRefresher(st, coreBuilder(h, []graph.NodeID{0, 1}, testGenerator), RefresherConfig{ApplyDelta: apply})
+	if err := ref.Refresh(context.Background()); err != nil {
+		t.Fatalf("initial refresh: %v", err)
+	}
+	ts := httptest.NewServer(NewServer(st, ref, Config{}).Handler())
+	defer ts.Close()
+	post := func(path string, b *delta.Batch) (int, map[string]any) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "text/plain", strings.NewReader(deltaText(t, b)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatalf("POST %s: decode: %v", path, err)
+		}
+		return resp.StatusCode, out
+	}
+
+	if code, body := post("/admin/delta", &delta.Batch{Ops: []delta.Op{delta.AddEdgeOp("b.example", "e.example")}}); code != http.StatusAccepted {
+		t.Fatalf("async batch: status %d body %v, want 202", code, body)
+	}
+	code, body := post("/admin/delta?wait=1", &delta.Batch{Ops: []delta.Op{delta.AddEdgeOp("c.example", "e.example")}})
+	if code != http.StatusOK {
+		t.Fatalf("wait=1 batch: status %d body %v, want 200", code, body)
+	}
+	startRun(t, ref)
+	waitEpoch(t, st, 3)
+	mu.Lock()
+	got := append([]string(nil), order...)
+	mu.Unlock()
+	if want := []string{"b.example", "c.example"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("apply order %v, want %v: the ?wait=1 batch overtook the one queued before it", got, want)
+	}
+	if body["epoch"].(float64) != 3 {
+		t.Fatalf("wait=1 batch reported epoch %v, want 3 (applied after the queued batch)", body["epoch"])
+	}
+}
+
+// TestRunStopSettlesWaiters stops the Run loop while one batch is
+// applying and a SubmitDeltaWait batch waits behind it: the waiter gets
+// the loop's cancellation instead of blocking forever, its batch is
+// never applied, and the queue empties.
+func TestRunStopSettlesWaiters(t *testing.T) {
+	h := testHostGraph(t)
+	st := NewStore()
+	started := make(chan struct{}, 2)
+	var applied atomic.Int64
+	apply := func(ctx context.Context, prev *Snapshot, epoch int64, b *delta.Batch) (*Snapshot, error) {
+		applied.Add(1)
+		started <- struct{}{}
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	ref := NewRefresher(st, coreBuilder(h, []graph.NodeID{0, 1}, testGenerator), RefresherConfig{ApplyDelta: apply})
+	if err := ref.Refresh(context.Background()); err != nil {
+		t.Fatalf("initial refresh: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		ref.Run(ctx)
+	}()
+	if err := ref.SubmitDelta(&delta.Batch{Ops: []delta.Op{delta.AddEdgeOp("b.example", "e.example")}}); err != nil {
+		t.Fatalf("SubmitDelta: %v", err)
+	}
+	<-started
+	waitErr := make(chan error, 1)
+	go func() {
+		waitErr <- ref.SubmitDeltaWait(context.Background(), &delta.Batch{Ops: []delta.Op{delta.AddEdgeOp("c.example", "e.example")}})
+	}()
+	for d, _ := ref.QueueDepth(); d < 2; d, _ = ref.QueueDepth() {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	select {
+	case err := <-waitErr:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("waiter got %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("waiter still blocked 10 s after the Run loop stopped")
+	}
+	<-stopped
+	if got := applied.Load(); got != 1 {
+		t.Errorf("%d applies ran, want 1: the stopping loop applied the waiting batch", got)
+	}
+	if d, _ := ref.QueueDepth(); d != 0 {
+		t.Errorf("queue depth %d after the loop stopped, want 0", d)
+	}
+}
+
 // TestDeltaEndpoint walks POST /admin/delta through its status codes:
 // 501 unconfigured, 400 unparseable, 200 applied with ?wait=1, 409 on
 // conflict with the snapshot untouched, 202 queued without ?wait, and
@@ -295,7 +425,7 @@ func TestSubmitDeltaRunLoop(t *testing.T) {
 func TestDeltaEndpoint(t *testing.T) {
 	// No delta path at all → 501.
 	h := testHostGraph(t)
-	plainRef := NewRefresher(NewStore(), coreBuilder(h, []graph.NodeID{0, 1}, pagerank.DefaultConfig()), RefresherConfig{})
+	plainRef := NewRefresher(NewStore(), coreBuilder(h, []graph.NodeID{0, 1}, testGenerator), RefresherConfig{})
 	plain := httptest.NewServer(NewServer(NewStore(), plainRef, Config{}).Handler())
 	defer plain.Close()
 	resp, err := http.Post(plain.URL+"/admin/delta", "text/plain", strings.NewReader("delta 1\n"))
@@ -379,8 +509,8 @@ func TestDeltaBackpressure(t *testing.T) {
 	st := NewStore()
 	reg := obs.NewRegistry()
 	octx := obs.NewContext(reg, nil)
-	ref := NewRefresher(st, coreBuilder(h, []graph.NodeID{0, 1}, pagerank.DefaultConfig()), RefresherConfig{
-		ApplyDelta: NewDeltaBuilder(DeltaBuilderConfig{Solver: pagerank.DefaultConfig()}),
+	ref := NewRefresher(st, coreBuilder(h, []graph.NodeID{0, 1}, testGenerator), RefresherConfig{
+		ApplyDelta: testGenerator.Delta,
 		Obs:        octx,
 	})
 	if err := ref.Refresh(context.Background()); err != nil {
@@ -425,7 +555,8 @@ func TestDeltaBackpressure(t *testing.T) {
 }
 
 // TestConcurrentDeltaDuringLookups is the delta-path swap hammer, run
-// under -race: one writer applies mutation batches, another forces
+// under -race: one writer applies mutation batches through
+// SubmitDeltaWait and the Run loop, another forces
 // full rebuilds, and reader goroutines hammer the query and status
 // endpoints throughout. Readers must never see a non-200 response or
 // an epoch moving backwards; conflicts between the two writers (a
@@ -437,6 +568,7 @@ func TestConcurrentDeltaDuringLookups(t *testing.T) {
 		readers     = 6
 	)
 	_, st, ref := newDeltaRefresher(t)
+	startRun(t, ref)
 	ts := httptest.NewServer(NewServer(st, ref, Config{MaxInFlight: readers * 4}).Handler())
 	defer ts.Close()
 
@@ -501,7 +633,7 @@ func TestConcurrentDeltaDuringLookups(t *testing.T) {
 			if i%2 == 1 {
 				op = delta.RemoveEdgeOp("b.example", "e.example")
 			}
-			if err := ref.ApplyDelta(ctx, &delta.Batch{Ops: []delta.Op{op}}); err == nil {
+			if err := ref.SubmitDeltaWait(ctx, &delta.Batch{Ops: []delta.Op{op}}); err == nil {
 				deltaOK.Add(1)
 			}
 		}

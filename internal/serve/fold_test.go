@@ -70,8 +70,9 @@ func runFoldEquivalence(t *testing.T, base *Snapshot, steps []foldStep) ([]int, 
 	// solver's own; ε = 1e-14 puts both paths well inside it.
 	solver := pagerank.DefaultConfig()
 	solver.Epsilon = 1e-14
+	gen := Generator{Solver: solver}
 	seqReg, foldReg := obs.NewRegistry(), obs.NewRegistry()
-	apply := NewDeltaBuilder(DeltaBuilderConfig{Solver: solver, Obs: obs.NewContext(seqReg, nil)})
+	seqCtx := obs.WithRequest(ctx, obs.NewContext(seqReg, nil))
 
 	control := base
 	var batches []*delta.Batch
@@ -80,7 +81,7 @@ func runFoldEquivalence(t *testing.T, base *Snapshot, steps []foldStep) ([]int, 
 	for i, step := range steps {
 		b := step(control)
 		batches = append(batches, b)
-		next, err := apply(ctx, control, control.Epoch()+1, b)
+		next, err := gen.Delta(seqCtx, control, control.Epoch()+1, b)
 		if err != nil {
 			seqSkipped = append(seqSkipped, i)
 			continue
@@ -93,7 +94,7 @@ func runFoldEquivalence(t *testing.T, base *Snapshot, steps []foldStep) ([]int, 
 		}
 	}
 
-	fold := NewDeltaFold(base)
+	fold := gen.Fold(base)
 	var foldSkipped []int
 	for i, b := range batches {
 		if err := fold.Stage(b); err != nil {
@@ -109,7 +110,7 @@ func runFoldEquivalence(t *testing.T, base *Snapshot, steps []foldStep) ([]int, 
 		}
 		return seqSkipped, nil
 	}
-	got, err := fold.Solve(ctx, DeltaBuilderConfig{Solver: solver, Obs: obs.NewContext(foldReg, nil)}, base.Epoch()+int64(fold.staged))
+	got, err := fold.Solve(obs.WithRequest(ctx, obs.NewContext(foldReg, nil)), base.Epoch()+int64(fold.staged))
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -295,13 +296,13 @@ func TestFoldAllPoison(t *testing.T) {
 // the solve.
 func TestFoldSolveHonorsContext(t *testing.T) {
 	base := foldBase(t)
-	fold := NewDeltaFold(base)
+	fold := testGenerator.Fold(base)
 	if err := fold.Stage(testutil.ChurnBatch(rand.New(rand.NewSource(1)), base.HostGraph(), "c")); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := fold.Solve(ctx, DeltaBuilderConfig{Solver: pagerank.DefaultConfig()}, 2); !errors.Is(err, context.Canceled) {
+	if _, err := fold.Solve(ctx, 2); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Solve under a cancelled context: %v, want context.Canceled", err)
 	}
 }
@@ -317,7 +318,7 @@ func TestFoldCorelessBase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = NewDeltaFold(base).Stage(&delta.Batch{Ops: []delta.Op{delta.AddHostOp("new.example")}})
+	err = testGenerator.Fold(base).Stage(&delta.Batch{Ops: []delta.Op{delta.AddHostOp("new.example")}})
 	if err == nil || !strings.Contains(err.Error(), "SnapshotConfig.Core") {
 		t.Fatalf("Stage on a coreless base: %v, want the SnapshotConfig.Core hint", err)
 	}
@@ -328,7 +329,7 @@ func TestFoldCorelessBase(t *testing.T) {
 // hint, and leaves the fold untouched.
 func TestFoldEmptiedCore(t *testing.T) {
 	base := foldBase(t)
-	fold := NewDeltaFold(base)
+	fold := testGenerator.Fold(base)
 	err := fold.Stage(emptyCoreStep(base))
 	if err == nil || strings.Contains(err.Error(), "SnapshotConfig.Core") ||
 		!strings.Contains(err.Error(), fmt.Sprintf("removes the last %d good-core hosts", len(base.Core()))) {

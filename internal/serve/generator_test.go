@@ -1,4 +1,4 @@
-package main
+package serve
 
 import (
 	"context"
@@ -8,7 +8,6 @@ import (
 	"spammass/internal/graph"
 	"spammass/internal/mass"
 	"spammass/internal/pagerank"
-	"spammass/internal/serve"
 	"spammass/internal/testutil"
 	"spammass/internal/webgen"
 )
@@ -19,25 +18,26 @@ import (
 // a max(1, ·) denominator. δ may only tighten.
 const servedDelta = 1e-7
 
-// Exact work ceilings of the warm path on the accuracy test's world and
-// stream: SolveStats.EdgesSwept of the (p, p′) push for one warm build
-// and for the 10-batch fold, each the measured count + 5 %. Push
+// Exact work ceilings on the accuracy test's world and stream:
+// SolveStats.EdgesSwept of the (p, p′) push for the cold refresh, one
+// warm build and the 10-batch fold, each the measured count + 5 %. Push
 // columns are bit-identical at any worker count, so the counts do not
 // depend on GOMAXPROCS. A ceiling only comes down.
 const (
-	warmBuildEdgesCeiling = 5_543_413 // measured 5,279,441
-	foldEdgesCeiling      = 7_118_176 // measured 6,779,216
+	coldRefreshEdgesCeiling = 7_994_370 // measured 7,613,686
+	warmBuildEdgesCeiling   = 5_543_413 // measured 5,279,441
+	foldEdgesCeiling        = 7_118_176 // measured 6,779,216
 )
 
 // TestServedAccuracy pins what every generation serves. On the
 // benchmark's 100k-host world (webgen seed 11, its assembled good core)
 // and a bench-shaped delta stream (testutil.DeltaStream, seed 271) it
-// drives the server's own paths with solverConfig:
-//   - the cold refresh (coldSnapshot);
-//   - a warm build after one batch (serve.NewDeltaBuilder);
+// drives DefaultGenerator, the generator spamserver runs:
+//   - the cold refresh (Cold);
+//   - a warm build after one batch (Delta);
 //   - a chain of ten sequential warm builds;
-//   - one serve.DeltaFold that stages the same ten batches and solves
-//     once, which is what WAL recovery runs.
+//   - one Fold that stages the same ten batches and solves once, which
+//     is what WAL recovery runs.
 //
 // Each must serve within servedDelta of an ε = 1e-13 Jacobi reference
 // solved on that case's graph, and agree with it on every Algorithm 2
@@ -57,14 +57,12 @@ func TestServedAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var last *pagerank.SolveStats
-	solver := solverConfig()
-	solver.OnStats = func(st *pagerank.SolveStats) { last = st }
+	gen := DefaultGenerator()
 
 	dcfg := mass.DefaultDetectConfig()
 	rho, tau := dcfg.ScaledPageRankThreshold, dcfg.RelMassThreshold
 	spam := func(p, rel float64) bool { return p >= rho && rel >= tau }
-	check := func(name string, snap *serve.Snapshot) {
+	check := func(name string, snap *Snapshot) {
 		t.Helper()
 		hosts, est := snap.HostGraph(), snap.Estimates()
 		refSolver := pagerank.Config{Damping: 0.85, Epsilon: 1e-13, MaxIter: 1000}
@@ -91,7 +89,7 @@ func TestServedAccuracy(t *testing.T) {
 				}
 			}
 		}
-		t.Logf("%s: %d hosts, worst served error %.3g, %d edges pushed", name, ref.N(), maxErr, last.EdgesSwept)
+		t.Logf("%s: %d hosts, worst served error %.3g, %d edges pushed", name, ref.N(), maxErr, est.SolveStats.EdgesSwept)
 		if maxErr > servedDelta {
 			t.Errorf("%s serves a worst relative error of %.3g, want ≤ %g", name, maxErr, servedDelta)
 		}
@@ -99,43 +97,43 @@ func TestServedAccuracy(t *testing.T) {
 			t.Errorf("%s flips %d Algorithm 2 labels outside the threshold band", name, flips)
 		}
 	}
-	ceiling := func(name string, ceil int64) {
+	ceiling := func(name string, snap *Snapshot, ceil int64) {
 		t.Helper()
-		if last.EdgesSwept > ceil {
-			t.Errorf("%s pushed %d edges, above its ceiling of %d", name, last.EdgesSwept, ceil)
+		if edges := snap.Estimates().SolveStats.EdgesSwept; edges > ceil {
+			t.Errorf("%s pushed %d edges, above its ceiling of %d", name, edges, ceil)
 		}
 	}
 
-	base, err := coldSnapshot(h, core, solver, 1)
+	ctx := context.Background()
+	base, err := gen.Cold(ctx, h, core, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ceiling("cold refresh", base, coldRefreshEdgesCeiling)
 	check("cold refresh", base)
 
-	ctx := context.Background()
-	apply := serve.NewDeltaBuilder(serve.DeltaBuilderConfig{Solver: solver})
 	chain := base
 	for k, b := range batches {
-		if chain, err = apply(ctx, chain, chain.Epoch()+1, b); err != nil {
+		if chain, err = gen.Delta(ctx, chain, chain.Epoch()+1, b); err != nil {
 			t.Fatalf("batch %d: %v", k+1, err)
 		}
 		if k == 0 {
-			ceiling("warm build after 1 batch", warmBuildEdgesCeiling)
+			ceiling("warm build after 1 batch", chain, warmBuildEdgesCeiling)
 			check("warm build after 1 batch", chain)
 		}
 	}
 	check("chain of 10 warm builds", chain)
 
-	fold := serve.NewDeltaFold(base)
+	fold := gen.Fold(base)
 	for k, b := range batches {
 		if err := fold.Stage(b); err != nil {
 			t.Fatalf("stage batch %d: %v", k+1, err)
 		}
 	}
-	folded, err := fold.Solve(ctx, serve.DeltaBuilderConfig{Solver: solver}, base.Epoch()+int64(len(batches)))
+	folded, err := fold.Solve(ctx, base.Epoch()+int64(len(batches)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ceiling("fold of 10 batches", foldEdgesCeiling)
+	ceiling("fold of 10 batches", folded, foldEdgesCeiling)
 	check("fold of 10 batches", folded)
 }

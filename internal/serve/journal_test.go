@@ -10,7 +10,6 @@ import (
 
 	"spammass/internal/delta"
 	"spammass/internal/graph"
-	"spammass/internal/pagerank"
 )
 
 // fakeJournal implements Journal with controllable durability, so the
@@ -68,9 +67,9 @@ func newJournaledRefresher(t *testing.T, j Journal, apply DeltaApplyFunc) (*Stor
 	h := testHostGraph(t)
 	st := NewStore()
 	if apply == nil {
-		apply = NewDeltaBuilder(DeltaBuilderConfig{Solver: pagerank.DefaultConfig()})
+		apply = testGenerator.Delta
 	}
-	ref := NewRefresher(st, coreBuilder(h, []graph.NodeID{0, 1}, pagerank.DefaultConfig()),
+	ref := NewRefresher(st, coreBuilder(h, []graph.NodeID{0, 1}, testGenerator),
 		RefresherConfig{ApplyDelta: apply, Journal: j})
 	if err := ref.Refresh(context.Background()); err != nil {
 		t.Fatalf("initial refresh: %v", err)

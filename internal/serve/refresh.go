@@ -15,11 +15,11 @@ import (
 )
 
 // BuildFunc produces the next snapshot generation: reload inputs,
-// re-run the estimation, and return a validated snapshot carrying the
-// given epoch. prev is the currently served snapshot (nil on the
-// initial build) — builders use it to warm-start the core-based solve
-// (mass.Estimator.Recompute) or to diff inputs. A recovering initial
-// build (a durable server's boot) instead returns the epoch its
+// re-run the estimation (Generator.Cold), and return a validated
+// snapshot carrying the given epoch. prev is the currently served
+// snapshot, nil only on the initial build; spamserver's builder reads it
+// for that alone, to tell a durable server's boot from a refresh. A
+// recovering initial build (that boot) instead returns the epoch its
 // replayed WAL suffix reached. A builder that fails returns an error;
 // it must not publish anything itself.
 type BuildFunc func(ctx context.Context, prev *Snapshot, epoch int64) (*Snapshot, error)
@@ -28,7 +28,7 @@ type BuildFunc func(ctx context.Context, prev *Snapshot, epoch int64) (*Snapshot
 // current one plus a mutation batch: apply the delta to prev's host
 // graph, re-estimate warm-started from prev's vectors, and return a
 // validated snapshot carrying the given epoch. prev is never nil —
-// deltas need a base generation. See NewDeltaBuilder for the standard
+// deltas need a base generation. Generator.Delta is the standard
 // implementation.
 type DeltaApplyFunc func(ctx context.Context, prev *Snapshot, epoch int64, batch *delta.Batch) (*Snapshot, error)
 
@@ -79,8 +79,9 @@ type Journal interface {
 // RefresherConfig configures the background refresh loop.
 type RefresherConfig struct {
 	// ApplyDelta, if non-nil, enables the incremental refresh path:
-	// POST /admin/delta and SubmitDelta feed mutation batches through
-	// it, each applied batch advancing the epoch by one.
+	// POST /admin/delta, SubmitDelta and SubmitDeltaWait feed mutation
+	// batches through it in queue order, each applied batch advancing
+	// the epoch by one.
 	ApplyDelta DeltaApplyFunc
 	// Journal, if non-nil, makes SubmitDelta durable: every batch is
 	// appended (and fsynced) before it is acknowledged or applied, and
@@ -118,6 +119,12 @@ type Refresher struct {
 
 	trigger chan struct{}
 	deltaCh chan queuedDelta
+	wake    chan struct{} // tells the Run loop deltaCh has batches
+	// applyMu is held while one batch is taken off deltaCh and applied,
+	// so batches apply in queue order whoever drives the queue: the Run
+	// loop, or a POST /admin/delta?wait=1 request when none is running.
+	applyMu sync.Mutex
+	running atomic.Int64 // Run loops in progress
 	// slots is the ingest admission semaphore, sized like deltaCh: a
 	// submitter must win a slot before journaling, so the post-journal
 	// enqueue can never block — every acknowledged (fsynced) batch is
@@ -126,7 +133,7 @@ type Refresher struct {
 	submitMu sync.Mutex // orders journal append + enqueue atomically
 	depth    atomic.Int64
 	rejected atomic.Int64
-	mu       sync.Mutex // serializes Refresh and ApplyDelta
+	mu       sync.Mutex // serializes builds (runBuild)
 	ok       atomic.Int64
 	failed   atomic.Int64
 	deltas   atomic.Int64 // batches applied and published
@@ -140,6 +147,9 @@ type queuedDelta struct {
 	b    *delta.Batch
 	seq  uint64
 	done chan error // non-nil for SubmitDeltaWait callers
+	// octx is the SubmitDeltaWait caller's request obs context, so the
+	// apply's spans join that request's trace. Nil for SubmitDelta.
+	octx *obs.Context
 	// durable carries the batch's fsync outcome from the submitter
 	// (which performs the durability wait outside the submit lock) to
 	// the Run loop, which must not apply a batch that was never
@@ -156,6 +166,7 @@ func NewRefresher(store *Store, build BuildFunc, cfg RefresherConfig) *Refresher
 	if cfg.ApplyDelta != nil {
 		r.deltaCh = make(chan queuedDelta, DefaultDeltaQueue)
 		r.slots = make(chan struct{}, DefaultDeltaQueue)
+		r.wake = make(chan struct{}, 1)
 	}
 	return r
 }
@@ -166,30 +177,6 @@ func NewRefresher(store *Store, build BuildFunc, cfg RefresherConfig) *Refresher
 // calls are serialized.
 func (r *Refresher) Refresh(ctx context.Context) error {
 	return r.runBuild(ctx, "serve.refresh", false, 0, r.build)
-}
-
-// ApplyDelta synchronously applies one mutation batch: the configured
-// DeltaApplyFunc builds the next generation from the current snapshot
-// plus the batch, and the result is published with epoch prev+1. It
-// shares Refresh's serialization, so deltas and full rebuilds
-// interleave cleanly — each publish sees a settled predecessor. A
-// failed apply (conflicting batch, non-convergence, validation)
-// leaves the previous snapshot serving, like a failed refresh.
-//
-// ApplyDelta bypasses the Journal: the batch is applied but not
-// logged, so its effect survives only until the next crash or full
-// refresh. With a Journal configured, use SubmitDelta or
-// SubmitDeltaWait instead.
-func (r *Refresher) ApplyDelta(ctx context.Context, b *delta.Batch) error {
-	if r.cfg.ApplyDelta == nil {
-		return fmt.Errorf("serve: delta path not configured")
-	}
-	if b == nil || b.NumOps() == 0 {
-		return fmt.Errorf("serve: empty delta batch")
-	}
-	return r.runBuild(ctx, "serve.delta_apply", true, 0, func(ctx context.Context, prev *Snapshot, epoch int64) (*Snapshot, error) {
-		return r.cfg.ApplyDelta(ctx, prev, epoch, b)
-	})
 }
 
 // applyQueued applies one admitted queue item and settles its
@@ -214,9 +201,13 @@ func (r *Refresher) applyQueued(ctx context.Context, item queuedDelta) error {
 			return err
 		}
 	}
-	err := r.runBuild(ctx, "serve.delta_apply", true, item.seq, func(ctx context.Context, prev *Snapshot, epoch int64) (*Snapshot, error) {
-		return r.cfg.ApplyDelta(ctx, prev, epoch, item.b)
-	})
+	ctx = obs.WithRequest(ctx, item.octx)
+	err := ctx.Err() // a stopping Run loop settles the queue unapplied
+	if err == nil {
+		err = r.runBuild(ctx, "serve.delta_apply", true, item.seq, func(ctx context.Context, prev *Snapshot, epoch int64) (*Snapshot, error) {
+			return r.cfg.ApplyDelta(ctx, prev, epoch, item.b)
+		})
+	}
 	if err != nil && item.seq > 0 && r.cfg.Journal != nil && !transientApplyFailure(ctx, err) {
 		// The apply failed deterministically and was skipped; the served
 		// snapshot is nevertheless the state that covers this sequence,
@@ -253,44 +244,63 @@ func transientApplyFailure(ctx context.Context, err error) bool {
 // batch is DURABLE: it was fsynced to the log before this call
 // returned, and a crash before the apply loses nothing.
 func (r *Refresher) SubmitDelta(b *delta.Batch) error {
-	if r.deltaCh == nil {
-		return fmt.Errorf("serve: delta path not configured")
-	}
-	if b == nil || b.NumOps() == 0 {
-		return fmt.Errorf("serve: empty delta batch")
-	}
-	return r.submit(b, nil)
+	return r.submit(b, nil, nil)
 }
 
-// SubmitDeltaWait admits a batch through the same journaled,
-// order-preserving queue as SubmitDelta, then blocks until the Run
-// loop has applied it (returning the apply's outcome) or ctx expires.
-// This is the synchronous ingest path when a Journal is configured:
-// unlike ApplyDelta it keeps journal order equal to apply order even
-// with concurrent asynchronous submissions. It requires a running Run
-// loop.
+// SubmitDeltaWait queues a batch as SubmitDelta does, so it never
+// overtakes one queued before it, then blocks until the Run loop has
+// applied it (returning the apply's outcome) or ctx expires; the batch
+// then stays queued. The apply's spans join the request obs context on
+// ctx. It requires a running Run loop.
 func (r *Refresher) SubmitDeltaWait(ctx context.Context, b *delta.Batch) error {
-	if r.deltaCh == nil {
-		return fmt.Errorf("serve: delta path not configured")
-	}
-	if b == nil || b.NumOps() == 0 {
-		return fmt.Errorf("serve: empty delta batch")
-	}
+	return r.submitWait(ctx, b, false)
+}
+
+// submitWait is SubmitDeltaWait; with drive set and no Run loop running,
+// the caller applies the queue through its own batch, uncancelled.
+func (r *Refresher) submitWait(ctx context.Context, b *delta.Batch, drive bool) error {
 	done := make(chan error, 1)
-	if err := r.submit(b, done); err != nil {
+	if err := r.submit(b, done, obs.RequestContext(ctx)); err != nil {
 		return err
+	}
+	if drive && r.running.Load() == 0 {
+		// Whoever took this batch off the queue settled done before
+		// releasing applyMu, so an empty queue here means done is filled.
+		for len(done) == 0 && r.applyNext(context.WithoutCancel(ctx)) {
+		}
+		return <-done
 	}
 	select {
 	case err := <-done:
 		return err
 	case <-ctx.Done():
-		// The batch stays queued — it is already durable and will be
-		// applied; only the caller stops waiting for the outcome.
 		return ctx.Err()
 	}
 }
 
-func (r *Refresher) submit(b *delta.Batch, done chan error) error {
+// applyNext applies the oldest queued batch, if there is one, and
+// reports whether there was.
+func (r *Refresher) applyNext(ctx context.Context) bool {
+	r.applyMu.Lock()
+	defer r.applyMu.Unlock()
+	select {
+	case item := <-r.deltaCh:
+		if err := r.applyQueued(ctx, item); err != nil {
+			r.cfg.Obs.Logf("serve: delta apply failed: %v", err)
+		}
+		return true
+	default:
+		return false
+	}
+}
+
+func (r *Refresher) submit(b *delta.Batch, done chan error, octx *obs.Context) error {
+	if r.deltaCh == nil {
+		return fmt.Errorf("serve: delta path not configured")
+	}
+	if b == nil || b.NumOps() == 0 {
+		return fmt.Errorf("serve: empty delta batch")
+	}
 	select {
 	case r.slots <- struct{}{}:
 	default:
@@ -323,8 +333,12 @@ func (r *Refresher) submit(b *delta.Batch, done chan error) error {
 		durable = make(chan error, 1)
 	}
 	// lint:ignore lockbal the slot reserved above guarantees deltaCh has room, so this send never blocks
-	r.deltaCh <- queuedDelta{b: b, seq: seq, done: done, durable: durable}
+	r.deltaCh <- queuedDelta{b: b, seq: seq, done: done, octx: octx, durable: durable}
 	r.submitMu.Unlock()
+	select {
+	case r.wake <- struct{}{}:
+	default:
+	}
 	if durable != nil {
 		derr := r.cfg.Journal.WaitDurable(seq)
 		durable <- derr
@@ -349,8 +363,8 @@ func (r *Refresher) setDepth(d int64) {
 	r.cfg.Obs.Gauge("serve.ingest_queue_depth").Set(float64(d))
 }
 
-// runBuild is the shared build-and-publish body of Refresh and
-// ApplyDelta: serialize, run the builder for epoch
+// runBuild is the shared build-and-publish body of Refresh and the
+// delta apply: serialize, run the builder for epoch
 // prev+1, publish only on end-to-end success, and record the outcome
 // in metrics and LastError.
 func (r *Refresher) runBuild(ctx context.Context, spanName string, needPrev bool, seq uint64, build BuildFunc) error {
@@ -414,8 +428,10 @@ func (r *Refresher) runBuild(ctx context.Context, spanName string, needPrev bool
 	r.lastErr.Store(&refreshError{})
 	r.lastWall.Store(int64(time.Since(start)))
 	octx.Counter("serve.refreshes_total").Inc()
-	// Warm vs cold solver effort, the incremental path's payoff metric.
+	// Solver effort: warm vs cold (the incremental path's payoff), and
+	// the latest solve's iterations next to pagerank.iterations_total.
 	if st := snap.Estimates().SolveStats; st != nil {
+		octx.Gauge("pagerank.solve_iterations").Set(float64(st.Iterations))
 		if st.WarmStarted {
 			octx.Counter("serve.refresh_iterations_warm_total").Add(int64(st.Iterations))
 		} else {
@@ -478,18 +494,23 @@ func (r *Refresher) Trigger() {
 }
 
 // Run executes the refresh loop until ctx is canceled: one refresh per
-// Trigger, and one apply per queued delta batch. Failures are absorbed — recorded
-// via LastError and metrics, old snapshot retained — so a transient
-// bad input cannot take the loop down.
+// Trigger, and one apply per queued delta batch, in queue order; on
+// cancellation it settles what is still queued with ctx's error, and a
+// journaled batch replays on the next boot. Failures are absorbed —
+// recorded via LastError and metrics, old snapshot retained — so a
+// transient bad input cannot take the loop down.
 func (r *Refresher) Run(ctx context.Context) {
+	r.running.Add(1)
+	defer r.running.Add(-1)
 	for {
 		select {
 		case <-ctx.Done():
+			for r.applyNext(ctx) {
+			}
 			return
 		case <-r.trigger:
-		case item := <-r.deltaCh: // nil channel when deltas are disabled
-			if err := r.applyQueued(ctx, item); err != nil {
-				r.cfg.Obs.Logf("serve: delta apply failed: %v", err)
+		case <-r.wake: // nil channel when deltas are disabled
+			for ctx.Err() == nil && r.applyNext(ctx) {
 			}
 			continue
 		}

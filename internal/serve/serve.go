@@ -85,8 +85,8 @@ type SnapshotConfig struct {
 	// Core is the good-core node set the estimates were computed from,
 	// in this snapshot's ID space. The delta refresh path carries it
 	// forward: delta.Apply remaps the previous snapshot's core onto the
-	// next generation's IDs. NewSnapshot clones the slice; when Core is
-	// set and CoreSize is zero, CoreSize is derived from it.
+	// next generation's IDs. NewSnapshot clones the slice, and when Core
+	// is set, CoreSize is derived from it.
 	Core []graph.NodeID
 	// MaxTop caps the precomputed ranking length; 0 means
 	// DefaultMaxTop.
@@ -138,9 +138,7 @@ func NewSnapshot(hosts *graph.HostGraph, est *mass.Estimates, cfg SnapshotConfig
 			}
 		}
 		cfg.Core = append([]graph.NodeID(nil), cfg.Core...)
-		if cfg.CoreSize == 0 {
-			cfg.CoreSize = len(cfg.Core)
-		}
+		cfg.CoreSize = len(cfg.Core)
 	}
 	s := &Snapshot{
 		epoch:   epoch,

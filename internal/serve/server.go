@@ -582,19 +582,20 @@ func (s *Server) handleRefresh(w http.ResponseWriter, r *http.Request) {
 const maxDeltaBody = 64 << 20
 
 // handleDelta ingests one mutation batch in the delta text format.
-// Without ?wait=1 the batch is enqueued for the refresher loop and the
-// response is 202 — which, when a durability journal is configured,
-// means the batch is fsynced to the WAL and survives a crash; with
-// ?wait=1 the batch is applied synchronously and the response carries
-// the published epoch. A parse or validation failure is the client's
-// fault (400); a full ingest queue is backpressure (429 + Retry-After
-// — ingest is outrunning refresh, back off and resubmit); other
-// submit failures (e.g. a failed journal append or fsync) are 503; a
-// request deadline that expires after the batch is durable but before
-// its apply completes is 202 — the batch is journaled and will still
-// be applied (or replayed after a crash); an apply failure
-// (conflicting batch, non-convergence) is 409 — the serving snapshot
-// is unchanged.
+// Every batch joins the refresher's one ordered queue. Without ?wait=1
+// the response is 202 once it is queued — which, when a durability
+// journal is configured, means the batch is fsynced to the WAL and
+// survives a crash; with ?wait=1 the response waits for the batch's own
+// apply, after every batch queued before it, and carries the published
+// epoch (a refresher with no Run loop has the request apply the queue
+// itself). A parse or validation failure is the client's fault (400); a
+// full ingest queue is backpressure (429 + Retry-After — ingest is
+// outrunning refresh, back off and resubmit); other submit failures
+// (e.g. a failed journal append or fsync) are 503; a request that ends
+// after the batch is queued but before its apply completes is 202 —
+// the batch will still be applied (and, if journaled, replayed after a
+// crash); an apply failure (conflicting batch, non-convergence) is 409
+// — the serving snapshot is unchanged.
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	if s.ref == nil || !s.ref.DeltaEnabled() {
 		writeJSON(w, http.StatusNotImplemented, errorBody{Error: "no delta path configured"})
@@ -620,33 +621,24 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	// With a journal, the synchronous path routes through the same
-	// ordered queue as async submissions — ApplyDelta would apply the
-	// batch without logging it, silently forfeiting crash recovery.
-	if s.ref.Journaled() {
-		err = s.ref.SubmitDeltaWait(r.Context(), b)
-		switch {
-		case errors.Is(err, ErrIngestBackpressure):
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
-			return
-		case errors.Is(err, ErrJournal):
-			// The batch was never acknowledged and will not be applied.
-			writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
-			return
-		case err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
-			// The caller stopped waiting, but the batch is durable and
-			// still queued: it will be applied, or replayed after a
-			// crash. Not a conflict — report it as accepted.
-			writeJSON(w, http.StatusAccepted, map[string]any{
-				"status": "delta durable, apply pending", "ops": b.NumOps(), "durable": true,
-			})
-			return
-		}
-	} else {
-		err = s.ref.ApplyDelta(r.Context(), b)
-	}
-	if err != nil {
+	err = s.ref.submitWait(r.Context(), b, true)
+	switch {
+	case errors.Is(err, ErrIngestBackpressure):
+		w.Header().Set("Retry-After", "1")
+		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
+		return
+	case errors.Is(err, ErrJournal):
+		// The batch was never acknowledged and will not be applied.
+		writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: err.Error()})
+		return
+	case err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)):
+		// The caller stopped waiting, but the batch is still queued: it
+		// will be applied. Not a conflict — report it as accepted.
+		writeJSON(w, http.StatusAccepted, map[string]any{
+			"status": "delta queued, apply pending", "ops": b.NumOps(), "durable": s.ref.Journaled(),
+		})
+		return
+	case err != nil:
 		writeJSON(w, http.StatusConflict, errorBody{Error: err.Error()})
 		return
 	}

@@ -7,9 +7,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"spammass/internal/delta"
 	"spammass/internal/graph"
 	"spammass/internal/mass"
 	"spammass/internal/obs"
@@ -362,6 +364,76 @@ func TestTracingHeadersAndFlight(t *testing.T) {
 	_, _, bare := newTestServerObs(t, Config{})
 	if code := getJSON(t, bare.URL+"/admin/flightrecorder", nil); code != http.StatusNotImplemented {
 		t.Fatalf("no-flight status %d, want 501", code)
+	}
+}
+
+// TestGeneratorSpansJoinAdminTraces wires the server the way
+// spamserver does — DefaultGenerator behind the full refresh and the
+// delta path, a running Run loop, tracing and a flight recorder — and
+// checks that each synchronous admin request's flight tree holds its
+// generation's solve: pagerank.solve under serve.refresh for
+// POST /admin/refresh?wait=1 and under serve.delta_apply for
+// POST /admin/delta?wait=1, stamped with the request's trace ID.
+// Unlike driftBuilder, nothing here threads ctx into a solver config
+// by hand.
+func TestGeneratorSpansJoinAdminTraces(t *testing.T) {
+	h := testHostGraph(t)
+	gen := DefaultGenerator()
+	reg := obs.NewRegistry()
+	octx := obs.NewContext(reg, nil)
+	fl := obs.NewFlightRecorder(obs.FlightConfig{})
+	st := NewStore()
+	ref := NewRefresher(st, coreBuilder(h, []graph.NodeID{0, 1}, gen),
+		RefresherConfig{ApplyDelta: gen.Delta, Obs: octx, Flight: fl})
+	if err := ref.Refresh(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	startRun(t, ref)
+	ts := httptest.NewServer(NewServer(st, ref, Config{Obs: octx, Tracing: true, Flight: fl}).Handler())
+	defer ts.Close()
+
+	add := deltaText(t, &delta.Batch{Ops: []delta.Op{delta.AddEdgeOp("b.example", "e.example")}})
+	for _, c := range []struct{ path, body, parent string }{
+		{"/admin/refresh?wait=1", "", "serve.refresh"},
+		{"/admin/delta?wait=1", add, "serve.delta_apply"},
+	} {
+		resp, err := http.Post(ts.URL+c.path, "text/plain", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST %s: status %d, want 200", c.path, resp.StatusCode)
+		}
+		tid := resp.Header.Get("X-Trace-Id")
+		var snap obs.FlightSnapshot
+		if code := getJSON(t, ts.URL+"/admin/flightrecorder", &snap); code != http.StatusOK {
+			t.Fatalf("flightrecorder status %d", code)
+		}
+		var entry *obs.FlightEntry
+		for i := range snap.Slowest {
+			if snap.Slowest[i].TraceID == tid {
+				entry = &snap.Slowest[i]
+			}
+		}
+		if entry == nil || entry.Trace == nil {
+			t.Fatalf("POST %s (trace %s): no flight entry with a span tree", c.path, tid)
+		}
+		parent := entry.Trace.Find(c.parent)
+		if parent == nil {
+			t.Fatalf("POST %s: flight tree has no %s span: %v", c.path, c.parent, entry.Trace.SpanNames())
+		}
+		solve := parent.Find("pagerank.solve")
+		if solve == nil {
+			t.Fatalf("POST %s: no pagerank.solve under %s (spans %v): the generation's solve left the request's trace",
+				c.path, c.parent, entry.Trace.SpanNames())
+		}
+		if got := solve.Attrs["trace_id"]; got != tid {
+			t.Fatalf("POST %s: pagerank.solve trace_id = %v, want %s", c.path, got, tid)
+		}
+	}
+	if got := reg.Gauge("pagerank.solve_iterations").Value(); got <= 0 {
+		t.Errorf("pagerank.solve_iterations = %v after three published solves, want > 0", got)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 
 	"spammass/internal/delta"
 	"spammass/internal/graph"
-	"spammass/internal/mass"
 	"spammass/internal/obs"
 	"spammass/internal/pagerank"
 	"spammass/internal/serve"
@@ -41,6 +40,10 @@ func harnessHostGraph(t testing.TB, n int) *graph.HostGraph {
 	return h
 }
 
+// shardGenerator builds every shard generation: the served shape with
+// Jacobi at the default ε.
+var shardGenerator = serve.Generator{Solver: pagerank.DefaultConfig()}
+
 // shardBuilder is the BuildFunc of one shard node. The first build
 // estimates over the shard-local subgraph; later builds re-estimate
 // whatever host graph the previous snapshot holds, so a full refresh
@@ -51,12 +54,7 @@ func shardBuilder(h *graph.HostGraph, core []graph.NodeID) serve.BuildFunc {
 		if prev != nil {
 			hh, cc = prev.HostGraph(), prev.Core()
 		}
-		est, err := mass.EstimateFromCore(hh.Graph, cc, mass.Options{Solver: pagerank.DefaultConfig(), Gamma: 0.85})
-		if err != nil {
-			return nil, err
-		}
-		cfg := serve.SnapshotConfig{Detect: mass.DefaultDetectConfig(), Gamma: 0.85, Core: cc}
-		return serve.NewSnapshot(hh, est, cfg, epoch)
+		return shardGenerator.Cold(ctx, hh, cc, epoch)
 	}
 }
 
@@ -90,7 +88,7 @@ func bootShard(t testing.TB, part *graph.HostGraph) *shardNode {
 	}
 	st := serve.NewStore()
 	ref := serve.NewRefresher(st, shardBuilder(part, core), serve.RefresherConfig{
-		ApplyDelta: serve.NewDeltaBuilder(serve.DeltaBuilderConfig{Solver: pagerank.DefaultConfig()}),
+		ApplyDelta: shardGenerator.Delta,
 	})
 	if err := ref.Refresh(context.Background()); err != nil {
 		t.Fatal(err)

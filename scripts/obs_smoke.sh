@@ -9,7 +9,8 @@
 #   2. checks that a hot-path request carries X-Trace-Id/Traceparent;
 #   3. forces a synchronous refresh and asserts /admin/timeseries grew
 #      a new serve.snapshot_epoch point;
-#   4. reads /admin/flightrecorder and /readyz?verbose.
+#   4. checks that /admin/flightrecorder holds that refresh's solve (a
+#      pagerank.solve span in its span tree) and reads /readyz?verbose.
 # Exits non-zero on any failed probe. Run via `make obs-smoke`.
 set -eu
 
@@ -86,9 +87,13 @@ if [ "$after" -le "$before" ]; then
 fi
 echo "obs-smoke: timeseries grew $before -> $after points across refresh"
 
-# 4. Flight recorder and verbose readiness respond.
-curl -sS --fail --max-time 10 "http://$ADDR/admin/flightrecorder" >/dev/null \
+# 4. The refresh's flight tree holds its solve, and verbose readiness
+#    responds.
+curl -sS --fail --max-time 10 "http://$ADDR/admin/flightrecorder" >"$WORK/flight.json" \
     || fail "flight recorder query failed"
+grep -Eq '"name": ?"pagerank\.solve"' "$WORK/flight.json" \
+    || fail "/admin/flightrecorder holds no pagerank.solve span after refresh?wait=1"
+echo "obs-smoke: the refresh's flight tree holds pagerank.solve"
 curl -sS --fail --max-time 10 "http://$ADDR/readyz?verbose" | grep -q '"drift"' \
     || fail "/readyz?verbose misses the drift section"
 
