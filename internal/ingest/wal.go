@@ -384,13 +384,19 @@ func (w *WAL) AppendBuffered(b *delta.Batch) (uint64, error) {
 // WaitDurable blocks until every record with sequence ≤ seq is covered
 // by an fsync. With group commit the first waiter becomes leader: it
 // sleeps out the window, syncs once, and publishes the new durable
-// horizon for the group.
+// horizon for the group. A failed fsync is sticky in both modes: on
+// Linux a retried fsync can report success after the kernel dropped
+// the dirty pages, so nothing not yet durable is ever reported durable
+// after a failure, and every call for a seq returns the same outcome.
 func (w *WAL) WaitDurable(seq uint64) error {
 	if w.cfg.GroupCommit <= 0 {
 		w.mu.Lock()
 		defer w.mu.Unlock()
 		if w.synced >= seq {
 			return nil
+		}
+		if w.failed != nil {
+			return w.failed
 		}
 		if err := w.seg.Sync(); err != nil {
 			w.failed = fmt.Errorf("ingest: fsync: %w", err)

@@ -238,3 +238,43 @@ func TestWALGroupCommit(t *testing.T) {
 		t.Fatalf("replayed %d records, want %d", got, n)
 	}
 }
+
+// TestWALFailedFsyncIsSticky: a record a failed fsync left unsynced is
+// never reported durable later. On Linux a retried fsync can succeed
+// after the kernel dropped the dirty pages, so WaitDurable must keep
+// returning the failure rather than sync again — in per-append mode as
+// in group commit. Every call for a seq returns the same outcome, which
+// is what the refresher relies on when it asks again before applying.
+func TestWALFailedFsyncIsSticky(t *testing.T) {
+	for _, gc := range []time.Duration{0, time.Millisecond} {
+		t.Run(fmt.Sprintf("groupcommit=%s", gc), func(t *testing.T) {
+			w, err := OpenWAL(t.TempDir(), WALConfig{GroupCommit: gc})
+			if err != nil {
+				t.Fatalf("OpenWAL: %v", err)
+			}
+			defer w.Close()
+			seq, err := w.AppendBuffered(testBatch(1))
+			if err != nil {
+				t.Fatalf("AppendBuffered: %v", err)
+			}
+			closed, err := os.Create(filepath.Join(t.TempDir(), "closed"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			closed.Close()
+			w.mu.Lock()
+			seg := w.seg
+			w.seg = closed
+			w.mu.Unlock()
+			if err := w.WaitDurable(seq); err == nil {
+				t.Fatal("WaitDurable succeeded with an fsync on a closed file")
+			}
+			w.mu.Lock()
+			w.seg = seg
+			w.mu.Unlock()
+			if err := w.WaitDurable(seq); err == nil {
+				t.Fatalf("WaitDurable(%d) succeeded after its fsync failed; the retry must not report the record durable", seq)
+			}
+		})
+	}
+}

@@ -49,7 +49,9 @@ func newDeltaRefresher(t *testing.T) (*graph.HostGraph, *Store, *Refresher) {
 	return h, st, ref
 }
 
-// startRun runs ref's loop until the test ends.
+// startRun runs ref's loop until the test ends. It returns once the
+// loop has registered, so the loop applies a SubmitDeltaWait batch
+// that follows, not its caller.
 func startRun(t *testing.T, ref *Refresher) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -62,6 +64,14 @@ func startRun(t *testing.T, ref *Refresher) {
 		cancel()
 		<-done
 	})
+	waitRunning(ref)
+}
+
+// waitRunning returns once a Run loop of ref has registered.
+func waitRunning(ref *Refresher) {
+	for ref.running.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func deltaText(t *testing.T, b *delta.Batch) string {

@@ -3,8 +3,10 @@ package serve
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
+	"spammass/internal/delta"
 	"spammass/internal/graph"
 	"spammass/internal/mass"
 	"spammass/internal/pagerank"
@@ -136,4 +138,54 @@ func TestServedAccuracy(t *testing.T) {
 	}
 	ceiling("fold of 10 batches", folded, foldEdgesCeiling)
 	check("fold of 10 batches", folded)
+}
+
+// Allocation ceilings for one merge (delta.Fold.Apply) of the first
+// batch of TestServedAccuracy's stream onto its 100k world, each the
+// measured value + 5 %. A ceiling only comes down.
+const (
+	mergeBytesCeiling  = 11_245_497 // measured 10,709,997
+	mergeAllocsCeiling = 798        // measured 760
+)
+
+// TestMergeAllocCeiling pins the bytes and allocations of the merge a
+// one-batch delta build runs, on the world and stream of
+// TestServedAccuracy.
+func TestMergeAllocCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 100k-host world")
+	}
+	wcfg := webgen.DefaultConfig(100_000)
+	wcfg.Seed = 11
+	h, _, err := testutil.Web(wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches, err := testutil.DeltaStream(h, 271, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fold := delta.NewFold(h)
+	if _, err := fold.Stage(batches[0]); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 3
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := fold.Apply(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	bytes, allocs := (after.TotalAlloc-before.TotalAlloc)/runs, (after.Mallocs-before.Mallocs)/runs
+	t.Logf("one-batch merge: %d bytes, %d allocations", bytes, allocs)
+	if bytes > mergeBytesCeiling {
+		t.Errorf("one-batch merge allocated %d bytes, above its ceiling of %d", bytes, mergeBytesCeiling)
+	}
+	if allocs > mergeAllocsCeiling {
+		t.Errorf("one-batch merge made %d allocations, above its ceiling of %d", allocs, mergeAllocsCeiling)
+	}
 }

@@ -14,15 +14,23 @@ import (
 
 // fakeJournal implements Journal with controllable durability, so the
 // tests can observe exactly when the refresher marks sequences applied
-// and whether applies wait for the fsync outcome.
+// and whether applies wait for the fsync outcome. Like the WAL, it
+// settles each sequence's durability once: every WaitDurable call for a
+// seq returns the first call's outcome.
 type fakeJournal struct {
 	mu        sync.Mutex
 	nextSeq   uint64
 	applied   []uint64
 	refreshed int
+	durable   map[uint64]*durableOutcome
 
 	durableErr  error      // returned by WaitDurable when gate is nil
 	durableGate chan error // non-nil: WaitDurable blocks on it
+}
+
+type durableOutcome struct {
+	once sync.Once
+	err  error
 }
 
 func (j *fakeJournal) Append(b *delta.Batch) (uint64, error) {
@@ -33,12 +41,22 @@ func (j *fakeJournal) Append(b *delta.Batch) (uint64, error) {
 }
 
 func (j *fakeJournal) WaitDurable(seq uint64) error {
-	if j.durableGate != nil {
-		return <-j.durableGate
-	}
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.durableErr
+	if j.durable == nil {
+		j.durable = make(map[uint64]*durableOutcome)
+	}
+	o := j.durable[seq]
+	if o == nil {
+		o = &durableOutcome{err: j.durableErr}
+		j.durable[seq] = o
+	}
+	j.mu.Unlock()
+	o.once.Do(func() {
+		if j.durableGate != nil {
+			o.err = <-j.durableGate
+		}
+	})
+	return o.err
 }
 
 func (j *fakeJournal) MarkApplied(seq uint64, snap *Snapshot) {
@@ -100,6 +118,7 @@ func TestTransientApplyFailureNotMarkedApplied(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go ref.Run(ctx)
+	waitRunning(ref) // the loop, whose ctx cancel() ends, must apply the batch
 
 	errCh := make(chan error, 1)
 	go func() { errCh <- ref.SubmitDeltaWait(context.Background(), journalTestBatch()) }()

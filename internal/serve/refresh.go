@@ -50,21 +50,22 @@ var ErrJournal = errors.New("serve: journaling delta batch failed")
 // Journal is the durability hook of the ingest path (implemented by
 // internal/ingest). When configured, SubmitDelta appends each batch to
 // the journal — fsync before acknowledgment — before enqueueing it, and
-// the Run loop reports the served snapshot that covers each applied
+// the applier reports the served snapshot that covers each applied
 // sequence so the journal's compactor knows what the log prefix has
 // been folded into.
 type Journal interface {
 	// Append stages the batch in the log and assigns its sequence
 	// number. The record need not be durable when Append returns —
 	// the submitter calls WaitDurable before acknowledging, and the
-	// apply loop waits for the same outcome before applying. Appends
-	// are serialized by the submitter, so sequence order equals call
-	// order.
+	// applier calls it again before applying. Appends are serialized by
+	// the submitter, so sequence order equals call order.
 	Append(b *delta.Batch) (uint64, error)
 	// WaitDurable blocks until every record with sequence ≤ seq is
 	// fsynced. Keeping it separate from Append lets concurrent
 	// submitters share one group-commit fsync instead of serializing
-	// full append+sync cycles.
+	// full append+sync cycles. Every call for the same seq returns the
+	// same outcome: a failed fsync stays failed, so the applier never
+	// applies a batch its submitter was told is lost.
 	WaitDurable(seq uint64) error
 	// MarkApplied reports that every journaled batch up to and
 	// including seq is reflected in the now-served snapshot.
@@ -80,8 +81,9 @@ type Journal interface {
 type RefresherConfig struct {
 	// ApplyDelta, if non-nil, enables the incremental refresh path:
 	// POST /admin/delta, SubmitDelta and SubmitDeltaWait feed mutation
-	// batches through it in queue order, each applied batch advancing
-	// the epoch by one.
+	// batches through it in queue order — applied by the Run loop, or by
+	// a SubmitDeltaWait caller when no Run loop is running — each
+	// applied batch advancing the epoch by one.
 	ApplyDelta DeltaApplyFunc
 	// Journal, if non-nil, makes SubmitDelta durable: every batch is
 	// appended (and fsynced) before it is acknowledged or applied, and
@@ -118,22 +120,19 @@ type Refresher struct {
 	cfg   RefresherConfig
 
 	trigger chan struct{}
-	deltaCh chan queuedDelta
-	wake    chan struct{} // tells the Run loop deltaCh has batches
-	// applyMu is held while one batch is taken off deltaCh and applied,
-	// so batches apply in queue order whoever drives the queue: the Run
-	// loop, or a POST /admin/delta?wait=1 request when none is running.
-	applyMu sync.Mutex
-	running atomic.Int64 // Run loops in progress
-	// slots is the ingest admission semaphore, sized like deltaCh: a
-	// submitter must win a slot before journaling, so the post-journal
-	// enqueue can never block — every acknowledged (fsynced) batch is
-	// guaranteed a queue position and therefore an apply attempt.
-	slots    chan struct{}
-	submitMu sync.Mutex // orders journal append + enqueue atomically
-	depth    atomic.Int64
+	wake    chan struct{} // tells the Run loop the queue has batches
+	// qmu guards the delta queue. A submitter holds it from admission
+	// through Journal.Append to the enqueue, so queue order is journal
+	// order.
+	qmu     sync.Mutex
+	queue   []queuedDelta
+	pending int // admitted batches not yet settled: queued or applying
+	// mu serializes builds. An applier holds it from taking a batch off
+	// the queue until the batch is published, so batches apply in queue
+	// order whoever drives the queue.
+	mu       sync.Mutex
+	running  atomic.Int64 // Run loops in progress
 	rejected atomic.Int64
-	mu       sync.Mutex // serializes builds (runBuild)
 	ok       atomic.Int64
 	failed   atomic.Int64
 	deltas   atomic.Int64 // batches applied and published
@@ -150,11 +149,6 @@ type queuedDelta struct {
 	// octx is the SubmitDeltaWait caller's request obs context, so the
 	// apply's spans join that request's trace. Nil for SubmitDelta.
 	octx *obs.Context
-	// durable carries the batch's fsync outcome from the submitter
-	// (which performs the durability wait outside the submit lock) to
-	// the Run loop, which must not apply a batch that was never
-	// acknowledged. Nil when no journal is configured.
-	durable chan error
 }
 
 type refreshError struct{ err error }
@@ -162,13 +156,8 @@ type refreshError struct{ err error }
 // NewRefresher binds a store and a build function. Call Run to start
 // the background loop, or Refresh for synchronous one-shot control.
 func NewRefresher(store *Store, build BuildFunc, cfg RefresherConfig) *Refresher {
-	r := &Refresher{store: store, build: build, cfg: cfg, trigger: make(chan struct{}, 1)}
-	if cfg.ApplyDelta != nil {
-		r.deltaCh = make(chan queuedDelta, DefaultDeltaQueue)
-		r.slots = make(chan struct{}, DefaultDeltaQueue)
-		r.wake = make(chan struct{}, 1)
-	}
-	return r
+	return &Refresher{store: store, build: build, cfg: cfg,
+		trigger: make(chan struct{}, 1), wake: make(chan struct{}, 1)}
 }
 
 // Refresh synchronously builds and publishes the next snapshot
@@ -176,96 +165,38 @@ func NewRefresher(store *Store, build BuildFunc, cfg RefresherConfig) *Refresher
 // keeps serving — and the error is recorded and returned. Concurrent
 // calls are serialized.
 func (r *Refresher) Refresh(ctx context.Context) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return r.runBuild(ctx, "serve.refresh", false, 0, r.build)
 }
 
-// applyQueued applies one admitted queue item and settles its
-// accounting: durability wait, apply, journal notification, depth/slot
-// release, and the waiter's outcome.
-func (r *Refresher) applyQueued(ctx context.Context, item queuedDelta) error {
-	defer func() {
-		r.setDepth(r.depth.Add(-1))
-		<-r.slots
-	}()
-	if item.durable != nil {
-		// The submitter parks the fsync outcome here after releasing the
-		// submit lock. A batch whose sync failed was never acknowledged
-		// and must not be applied — and must not advance the journal's
-		// applied sequence either, since its record may not survive a
-		// restart.
-		if derr := <-item.durable; derr != nil {
-			err := fmt.Errorf("serve: dropping unacknowledged delta batch seq %d: %w", item.seq, derr)
-			if item.done != nil {
-				item.done <- err
-			}
-			return err
-		}
-	}
-	ctx = obs.WithRequest(ctx, item.octx)
-	err := ctx.Err() // a stopping Run loop settles the queue unapplied
-	if err == nil {
-		err = r.runBuild(ctx, "serve.delta_apply", true, item.seq, func(ctx context.Context, prev *Snapshot, epoch int64) (*Snapshot, error) {
-			return r.cfg.ApplyDelta(ctx, prev, epoch, item.b)
-		})
-	}
-	if err != nil && item.seq > 0 && r.cfg.Journal != nil && !transientApplyFailure(ctx, err) {
-		// The apply failed deterministically and was skipped; the served
-		// snapshot is nevertheless the state that covers this sequence,
-		// because a recovery replay skips deterministic failures the same
-		// way (see ingest.Pipeline.Recover). Transient failures — ctx
-		// canceled at shutdown, a request deadline expiring mid-apply —
-		// must NOT be marked: recovery aborts rather than skips on ctx errors,
-		// so the batch stays in the WAL and is replayed on the next boot
-		// instead of being compacted away unapplied.
-		if snap := r.store.Load(); snap != nil {
-			r.cfg.Journal.MarkApplied(item.seq, snap)
-		}
-	}
-	if item.done != nil {
-		item.done <- err
-	}
-	return err
-}
-
-// transientApplyFailure reports whether a failed apply was cut short by
-// cancellation or a deadline rather than rejected deterministically. A
-// transient failure leaves the durable batch in the WAL for replay on
-// the next boot; marking it applied would let the compactor truncate an
-// acknowledged batch that never took effect.
-func transientApplyFailure(ctx context.Context, err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || ctx.Err() != nil
-}
-
-// SubmitDelta enqueues a batch for asynchronous application by the Run
-// loop. It never blocks: a full queue (or an unconfigured delta path,
-// or a Run loop that was never started) fails with
-// ErrIngestBackpressure and the batch is dropped — the feed should back
-// off and resubmit. With a Journal configured, a nil return means the
-// batch is DURABLE: it was fsynced to the log before this call
-// returned, and a crash before the apply loses nothing.
+// SubmitDelta enqueues a batch for the Run loop to apply. It never
+// blocks on the apply: with DefaultDeltaQueue batches pending it fails
+// with ErrIngestBackpressure and the batch is dropped — the feed should
+// back off and resubmit. It fails too on an unconfigured delta path or
+// an empty batch. A batch queued while no Run loop runs waits for one,
+// or for the next SubmitDeltaWait. With a Journal configured, a nil
+// return means the batch is DURABLE: it was fsynced to the log before
+// this call returned, and a crash before the apply loses nothing.
 func (r *Refresher) SubmitDelta(b *delta.Batch) error {
 	return r.submit(b, nil, nil)
 }
 
 // SubmitDeltaWait queues a batch as SubmitDelta does, so it never
-// overtakes one queued before it, then blocks until the Run loop has
-// applied it (returning the apply's outcome) or ctx expires; the batch
-// then stays queued. The apply's spans join the request obs context on
-// ctx. It requires a running Run loop.
+// overtakes one queued before it, and returns the outcome of its apply.
+// With a Run loop running, the loop applies it; if ctx ends first the
+// call returns ctx's error and the batch stays queued. With none
+// running, the caller applies the queue up to its own batch, ignoring
+// ctx's cancellation, so a batch it takes off the queue is applied. The
+// apply's spans join the request obs context on ctx.
 func (r *Refresher) SubmitDeltaWait(ctx context.Context, b *delta.Batch) error {
-	return r.submitWait(ctx, b, false)
-}
-
-// submitWait is SubmitDeltaWait; with drive set and no Run loop running,
-// the caller applies the queue through its own batch, uncancelled.
-func (r *Refresher) submitWait(ctx context.Context, b *delta.Batch, drive bool) error {
 	done := make(chan error, 1)
 	if err := r.submit(b, done, obs.RequestContext(ctx)); err != nil {
 		return err
 	}
-	if drive && r.running.Load() == 0 {
-		// Whoever took this batch off the queue settled done before
-		// releasing applyMu, so an empty queue here means done is filled.
+	if r.running.Load() == 0 {
+		// A batch taken off the queue by someone else is settled right
+		// after its apply, so an empty queue here means done is coming.
 		for len(done) == 0 && r.applyNext(context.WithoutCancel(ctx)) {
 		}
 		return <-done
@@ -278,98 +209,149 @@ func (r *Refresher) submitWait(ctx context.Context, b *delta.Batch, drive bool) 
 	}
 }
 
-// applyNext applies the oldest queued batch, if there is one, and
-// reports whether there was.
-func (r *Refresher) applyNext(ctx context.Context) bool {
-	r.applyMu.Lock()
-	defer r.applyMu.Unlock()
-	select {
-	case item := <-r.deltaCh:
-		if err := r.applyQueued(ctx, item); err != nil {
-			r.cfg.Obs.Logf("serve: delta apply failed: %v", err)
-		}
-		return true
-	default:
-		return false
-	}
-}
-
 func (r *Refresher) submit(b *delta.Batch, done chan error, octx *obs.Context) error {
-	if r.deltaCh == nil {
+	if r.cfg.ApplyDelta == nil {
 		return fmt.Errorf("serve: delta path not configured")
 	}
 	if b == nil || b.NumOps() == 0 {
 		return fmt.Errorf("serve: empty delta batch")
 	}
-	select {
-	case r.slots <- struct{}{}:
-	default:
+	// Admission, journal append and enqueue happen under qmu, so queue
+	// order always equals journal order — the property that makes a
+	// crash replay reproduce exactly the live apply sequence. The
+	// durability wait happens after qmu is released: concurrent
+	// submitters' records land in the same group-commit window and share
+	// one fsync. The applier waits for the same outcome before applying.
+	r.qmu.Lock()
+	if r.pending >= DefaultDeltaQueue {
+		r.qmu.Unlock()
 		r.rejected.Add(1)
 		r.cfg.Obs.Counter("serve.ingest_rejected_total").Inc()
-		return fmt.Errorf("%w (%d pending)", ErrIngestBackpressure, cap(r.deltaCh))
+		return fmt.Errorf("%w (%d pending)", ErrIngestBackpressure, DefaultDeltaQueue)
 	}
-	r.setDepth(r.depth.Add(1))
-	// Journal append and enqueue happen under one lock so queue order
-	// always equals journal order — the property that makes a crash
-	// replay reproduce exactly the live apply sequence. The durability
-	// wait happens AFTER the lock is released: concurrent submitters'
-	// records land in the same group-commit window and share one fsync,
-	// instead of each holding submitMu through window+sync and reducing
-	// the WAL to one serialized append at a time. The Run loop defers
-	// the apply (and the ack via done) until the durable outcome lands
-	// on the item's channel. The slot held above guarantees the channel
-	// send cannot block.
-	r.submitMu.Lock()
 	var seq uint64
-	var durable chan error
 	if r.cfg.Journal != nil {
 		var err error
 		if seq, err = r.cfg.Journal.Append(b); err != nil {
-			r.submitMu.Unlock()
-			r.setDepth(r.depth.Add(-1))
-			<-r.slots
+			r.qmu.Unlock()
 			return fmt.Errorf("%w: %v", ErrJournal, err)
 		}
-		durable = make(chan error, 1)
 	}
-	// lint:ignore lockbal the slot reserved above guarantees deltaCh has room, so this send never blocks
-	r.deltaCh <- queuedDelta{b: b, seq: seq, done: done, octx: octx, durable: durable}
-	r.submitMu.Unlock()
+	r.queue = append(r.queue, queuedDelta{b: b, seq: seq, done: done, octx: octx})
+	r.addPending(1)
+	r.qmu.Unlock()
 	select {
 	case r.wake <- struct{}{}:
 	default:
 	}
-	if durable != nil {
-		derr := r.cfg.Journal.WaitDurable(seq)
-		durable <- derr
-		if derr != nil {
-			return fmt.Errorf("%w: %v", ErrJournal, derr)
+	if r.cfg.Journal != nil {
+		if err := r.cfg.Journal.WaitDurable(seq); err != nil {
+			return fmt.Errorf("%w: %v", ErrJournal, err)
 		}
 	}
 	return nil
 }
 
+// addPending moves the pending count and its gauge by d; qmu is held.
+func (r *Refresher) addPending(d int) {
+	r.pending += d
+	r.cfg.Obs.Gauge("serve.ingest_queue_depth").Set(float64(r.pending))
+}
+
+// applyNext applies the oldest queued batch, if there is one, settles
+// it, and reports whether there was one.
+func (r *Refresher) applyNext(ctx context.Context) bool {
+	item, ok, err := r.applyOldest(ctx)
+	if !ok {
+		return false
+	}
+	r.qmu.Lock()
+	r.addPending(-1)
+	r.qmu.Unlock()
+	if err != nil {
+		r.cfg.Obs.Logf("serve: delta apply failed: %v", err)
+	}
+	if item.done != nil {
+		item.done <- err // buffered for this one send
+	}
+	return true
+}
+
+// applyOldest takes the oldest batch off the queue and applies it,
+// holding mu from the take to the publish.
+func (r *Refresher) applyOldest(ctx context.Context) (item queuedDelta, ok bool, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.qmu.Lock()
+	if len(r.queue) == 0 {
+		r.qmu.Unlock()
+		return item, false, nil
+	}
+	item = r.queue[0]
+	r.queue[0] = queuedDelta{}
+	r.queue = r.queue[1:]
+	r.qmu.Unlock()
+	if r.cfg.Journal != nil {
+		// A batch whose fsync failed was never acknowledged and must not
+		// be applied — nor advance the journal's applied sequence, since
+		// its record may not survive a restart. WaitDurable returns the
+		// outcome its submitter got.
+		if derr := r.cfg.Journal.WaitDurable(item.seq); derr != nil {
+			return item, true, fmt.Errorf("serve: dropping unacknowledged delta batch seq %d: %w", item.seq, derr)
+		}
+	}
+	ctx = obs.WithRequest(ctx, item.octx)
+	err = ctx.Err() // a stopping Run loop settles the queue unapplied
+	if err == nil {
+		err = r.runBuild(ctx, "serve.delta_apply", true, item.seq, func(ctx context.Context, prev *Snapshot, epoch int64) (*Snapshot, error) {
+			return r.cfg.ApplyDelta(ctx, prev, epoch, item.b)
+		})
+	}
+	if err != nil && r.cfg.Journal != nil && !transientApplyFailure(ctx, err) {
+		// The apply failed deterministically and was skipped; the served
+		// snapshot is nevertheless the state that covers this sequence,
+		// because a recovery replay skips deterministic failures the same
+		// way (see ingest.Pipeline.Recover). Transient failures — ctx
+		// canceled at shutdown, a request deadline expiring mid-apply —
+		// must NOT be marked: recovery aborts rather than skips on ctx errors,
+		// so the batch stays in the WAL and is replayed on the next boot
+		// instead of being compacted away unapplied.
+		if snap := r.store.Load(); snap != nil {
+			r.cfg.Journal.MarkApplied(item.seq, snap)
+		}
+	}
+	return item, true, err
+}
+
+// transientApplyFailure reports whether a failed apply was cut short by
+// cancellation or a deadline rather than rejected deterministically. A
+// transient failure leaves the durable batch in the WAL for replay on
+// the next boot; marking it applied would let the compactor truncate an
+// acknowledged batch that never took effect.
+func transientApplyFailure(ctx context.Context, err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || ctx.Err() != nil
+}
+
 // QueueDepth returns how many admitted batches have not yet completed
-// their apply, and the queue capacity.
+// their apply, and the queue capacity (0 without a delta path).
 func (r *Refresher) QueueDepth() (depth int, capacity int) {
-	return int(r.depth.Load()), cap(r.deltaCh)
+	if r.cfg.ApplyDelta == nil {
+		return 0, 0
+	}
+	r.qmu.Lock()
+	defer r.qmu.Unlock()
+	return r.pending, DefaultDeltaQueue
 }
 
 // RejectedCount returns how many submissions were turned away by
 // backpressure.
 func (r *Refresher) RejectedCount() int64 { return r.rejected.Load() }
 
-func (r *Refresher) setDepth(d int64) {
-	r.cfg.Obs.Gauge("serve.ingest_queue_depth").Set(float64(d))
-}
-
 // runBuild is the shared build-and-publish body of Refresh and the
-// delta apply: serialize, run the builder for epoch
-// prev+1, publish only on end-to-end success, and record the outcome
-// in metrics and LastError.
+// delta apply, run with mu held: run the builder for epoch prev+1,
+// publish only on end-to-end success, and record the outcome in metrics
+// and LastError.
 func (r *Refresher) runBuild(ctx context.Context, spanName string, needPrev bool, seq uint64, build BuildFunc) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	// A synchronous admin request (POST /admin/refresh?wait=1,
 	// /admin/delta?wait=1) carries its own traced obs context; building
 	// under it threads the refresh and solver spans into the request's
@@ -501,15 +483,18 @@ func (r *Refresher) Trigger() {
 // transient bad input cannot take the loop down.
 func (r *Refresher) Run(ctx context.Context) {
 	r.running.Add(1)
-	defer r.running.Add(-1)
 	for {
 		select {
 		case <-ctx.Done():
+			// Deregister before the final drain: a SubmitDeltaWait that
+			// saw this loop running queued its batch before the drain
+			// looks, so the drain settles it.
+			r.running.Add(-1)
 			for r.applyNext(ctx) {
 			}
 			return
 		case <-r.trigger:
-		case <-r.wake: // nil channel when deltas are disabled
+		case <-r.wake:
 			for ctx.Err() == nil && r.applyNext(ctx) {
 			}
 			continue

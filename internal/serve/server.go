@@ -585,17 +585,18 @@ const maxDeltaBody = 64 << 20
 // Every batch joins the refresher's one ordered queue. Without ?wait=1
 // the response is 202 once it is queued — which, when a durability
 // journal is configured, means the batch is fsynced to the WAL and
-// survives a crash; with ?wait=1 the response waits for the batch's own
-// apply, after every batch queued before it, and carries the published
-// epoch (a refresher with no Run loop has the request apply the queue
-// itself). A parse or validation failure is the client's fault (400); a
-// full ingest queue is backpressure (429 + Retry-After — ingest is
-// outrunning refresh, back off and resubmit); other submit failures
-// (e.g. a failed journal append or fsync) are 503; a request that ends
-// after the batch is queued but before its apply completes is 202 —
-// the batch will still be applied (and, if journaled, replayed after a
-// crash); an apply failure (conflicting batch, non-convergence) is 409
-// — the serving snapshot is unchanged.
+// survives a crash; with ?wait=1 the response waits, through
+// SubmitDeltaWait, for the batch's own apply, after every batch queued
+// before it, and carries the published epoch (with no Run loop running,
+// the request applies the queue itself, up to its own batch). A parse
+// or validation failure is the client's fault (400); a full ingest
+// queue is backpressure (429 + Retry-After — ingest is outrunning
+// refresh, back off and resubmit); other submit failures (e.g. a
+// failed journal append or fsync) are 503; a request that ends while
+// the Run loop has its batch queued is 202 — the batch will still be
+// applied (and, if journaled, replayed after a crash); an apply failure
+// (conflicting batch, non-convergence) is 409 — the serving snapshot
+// is unchanged.
 func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 	if s.ref == nil || !s.ref.DeltaEnabled() {
 		writeJSON(w, http.StatusNotImplemented, errorBody{Error: "no delta path configured"})
@@ -621,7 +622,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	err = s.ref.submitWait(r.Context(), b, true)
+	err = s.ref.SubmitDeltaWait(r.Context(), b)
 	switch {
 	case errors.Is(err, ErrIngestBackpressure):
 		w.Header().Set("Retry-After", "1")

@@ -12,7 +12,9 @@
 # the feed match the control: epoch and labels exactly, scores to 1e-9
 # (recovery folds its WAL suffix into one solve, so it equals the
 # never-crashed server to the solver tolerance, not bit for bit) — the
-# acknowledged-batches-survive-kill-9 property, end to end. Run via
+# acknowledged-batches-survive-kill-9 property, end to end. Once the
+# feed drains, both servers' ingest queues must read 0 on /admin/status
+# and /metrics. Run via
 # `make ingest-smoke`.
 set -eu
 
@@ -178,6 +180,22 @@ if [ "$EPOCH" != "$CONTROL_EPOCH" ]; then
     echo "ingest-smoke: final epoch $EPOCH != control $CONTROL_EPOCH" >&2
     exit 1
 fi
+
+# Every batch of the feed has been applied, so both servers' ingest
+# queues must read empty on both surfaces: a leaked pending count (a
+# batch admitted and never settled) shows here.
+for ADDR in "$CRASH" "$CONTROL"; do
+    DEPTH=$(curl -sS --fail --max-time 30 "http://$ADDR/admin/status" |
+        sed -n 's/.*"ingest_queue_depth":\([0-9]*\).*/\1/p')
+    GAUGE=$(curl -sS --fail --max-time 30 "http://$ADDR/metrics" |
+        sed -n 's/^serve_ingest_queue_depth \([^ ]*\)$/\1/p')
+    if [ "$DEPTH" != 0 ] || [ "$GAUGE" != 0 ]; then
+        echo "ingest-smoke: $ADDR has not drained its ingest queue:" \
+            "ingest_queue_depth='$DEPTH', serve_ingest_queue_depth='$GAUGE'" >&2
+        exit 1
+    fi
+done
+echo "ingest-smoke: both ingest queues read 0 on /admin/status and /metrics"
 
 # same_record <recovered-json> <control-json> — host, node, label,
 # evaluated and epoch must be equal, the four scores within 1e-9.
