@@ -59,8 +59,8 @@ vectorcheck:
 	$(GO) test -tags vectorcheck ./internal/pagerank/ ./internal/mass/ ./internal/serve/
 
 # fuzz-smoke gives each fuzz target a short budget; regressions in the
-# decoders, host collapsing, mass derivation, or the /v1 JSON encoder
-# and batch decoder surface fast.
+# decoders, host collapsing, the host-name index, the line loader, mass
+# derivation, or the /v1 JSON encoder and batch decoder surface fast.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadBinary -fuzztime=$(FUZZTIME) ./internal/graph/
@@ -68,6 +68,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzHostOf -fuzztime=$(FUZZTIME) ./internal/graph/
 	$(GO) test -run='^$$' -fuzz=FuzzGapList -fuzztime=$(FUZZTIME) ./internal/graph/
 	$(GO) test -run='^$$' -fuzz=FuzzCollapseToHosts -fuzztime=$(FUZZTIME) ./internal/graph/
+	$(GO) test -run='^$$' -fuzz=FuzzHostIndex -fuzztime=$(FUZZTIME) ./internal/graph/
+	$(GO) test -run='^$$' -fuzz=FuzzLoadLines -fuzztime=$(FUZZTIME) ./internal/cliobs/
 	$(GO) test -run='^$$' -fuzz=FuzzDerive -fuzztime=$(FUZZTIME) ./internal/mass/
 	$(GO) test -run='^$$' -fuzz=FuzzDeltaApply -fuzztime=$(FUZZTIME) ./internal/delta/
 	$(GO) test -run='^$$' -fuzz=FuzzDeltaFold -fuzztime=$(FUZZTIME) ./internal/delta/

@@ -164,13 +164,22 @@ func main() {
 
 	gen := serve.DefaultGenerator()
 	load := func(ctx context.Context, epoch int64) (*serve.Snapshot, error) {
+		// The name file is read beside the graph decode, and waited for
+		// before either error is reported, the graph's first.
+		var names []string
+		var namesErr error
+		namesRead := make(chan struct{})
+		go func() {
+			defer close(namesRead)
+			names, namesErr = cliobs.LoadLines(*namesPath)
+		}()
 		g, _, err := graph.LoadFile(*graphPath, octx)
+		<-namesRead
 		if err != nil {
 			return nil, fmt.Errorf("load graph: %w", err)
 		}
-		names, err := cliobs.LoadLines(*namesPath)
-		if err != nil {
-			return nil, fmt.Errorf("load names: %w", err)
+		if namesErr != nil {
+			return nil, fmt.Errorf("load names: %w", namesErr)
 		}
 		h, err := graph.NewHostGraph(g, names)
 		if err != nil {

@@ -9,25 +9,42 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"spammass/internal/graph"
 )
 
+// maxLine is the longest line LoadLines accepts, in bytes counting any
+// '\r' but not the '\n': the limit of a bufio.Scanner with a 1 MiB
+// buffer, which FuzzLoadLines holds LoadLines to.
+const maxLine = 1<<20 - 1
+
 // LoadLines reads path into one string per line, whitespace-trimmed.
 // It is the shared line-file loader of the CLIs (names, labels).
+//
+// The lines are bufio.ScanLines' lines — split on '\n', no empty line
+// after a final '\n' — and a line longer than maxLine fails with
+// bufio.ErrTooLong, returned beside the lines before it. The file is
+// read in one piece and every line is a substring of it, so the
+// allocations do not grow with the line count, and the whole file
+// stays alive while any returned line does.
 func LoadLines(path string) ([]string, error) {
-	f, err := os.Open(path)
-	if err != nil {
+	data, err := os.ReadFile(path)
+	if err != nil || len(data) == 0 {
 		return nil, err
 	}
-	defer f.Close()
-	var out []string
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		out = append(out, strings.TrimSpace(sc.Text()))
+	// data is never written again, so a string can share its bytes.
+	s := unsafe.String(&data[0], len(data))
+	out := make([]string, 0, strings.Count(s, "\n")+1)
+	for s != "" {
+		line, rest, _ := strings.Cut(s, "\n")
+		if len(line) > maxLine {
+			return out, bufio.ErrTooLong
+		}
+		out = append(out, strings.TrimSpace(line))
+		s = rest
 	}
-	return out, sc.Err()
+	return out, nil
 }
 
 // LoadNodeIDs reads a node-ID file — one decimal ID per line, blank

@@ -1,6 +1,10 @@
 package graph
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 func TestHostOf(t *testing.T) {
 	cases := []struct {
@@ -81,4 +85,70 @@ func TestNewHostGraph(t *testing.T) {
 	if id, ok := h.NodeByName("b"); !ok || id != 1 {
 		t.Errorf("NodeByName(b) = %d,%v, want 1,true", id, ok)
 	}
+}
+
+// TestNewHostGraphAllocs pins the name index at a fixed handful of
+// allocations — the HostGraph and its slot table — however many names
+// it holds.
+func TestNewHostGraphAllocs(t *testing.T) {
+	const n = 100_000
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("host%d.example", i)
+	}
+	g := NewBuilder(n).Build()
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := NewHostGraph(g, names); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("NewHostGraph over %d names: %.0f allocations", n, allocs)
+	if allocs > 4 {
+		t.Fatalf("NewHostGraph over %d names made %.0f allocations, ceiling 4", n, allocs)
+	}
+}
+
+// FuzzHostIndex holds NodeByName to a Go map over an arbitrary name
+// list (the input split on '\n'): the same IDs for every name, the
+// same misses for strings that are not names, and a duplicate fails
+// with the first repeated name.
+func FuzzHostIndex(f *testing.F) {
+	f.Add("a.com\nb.com\nc.com")
+	f.Add("")
+	f.Add("\n")
+	f.Add("a\nb\na")
+	f.Add("x\ny\nz\nw\nv\nu\nt\ns\nr\nq\np\no\nn\nm\nl\nk\nj")
+	f.Fuzz(func(t *testing.T, blob string) {
+		names := strings.Split(blob, "\n")
+		want := make(map[string]NodeID, len(names))
+		var wantErr string
+		for i, name := range names {
+			if _, dup := want[name]; dup {
+				wantErr = fmt.Sprintf("graph: duplicate host name %q", name)
+				break
+			}
+			want[name] = NodeID(i)
+		}
+		h, err := NewHostGraph(NewBuilder(len(names)).Build(), names)
+		if wantErr != "" {
+			if err == nil || err.Error() != wantErr {
+				t.Fatalf("NewHostGraph error = %v, want %q", err, wantErr)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("NewHostGraph: %v", err)
+		}
+		for name, id := range want {
+			if got, ok := h.NodeByName(name); !ok || got != id {
+				t.Fatalf("NodeByName(%q) = %d,%v; want %d,true", name, got, ok, id)
+			}
+			for _, other := range []string{name + "x", "x" + name, strings.ToUpper(name), blob} {
+				wantID, wantOK := want[other]
+				if got, ok := h.NodeByName(other); ok != wantOK || got != wantID {
+					t.Fatalf("NodeByName(%q) = %d,%v; want %d,%v", other, got, ok, wantID, wantOK)
+				}
+			}
+		}
+	})
 }

@@ -248,8 +248,11 @@ func ReadSnapshotFile(path string) (*SnapshotState, error) {
 	if nn > uint64(r.Len()) {
 		return nil, fmt.Errorf("ingest: snapshot %s: host count %d exceeds file", path, nn)
 	}
-	names := make([]string, nn)
-	for i := range names {
+	// The names are checked in one pass, then copied out of body as one
+	// string that every name is a substring of (two allocations, not
+	// two per host), decoding the same lengths again.
+	start := len(body) - r.Len()
+	for i := uint64(0); i < nn; i++ {
 		l, err := binary.ReadUvarint(r)
 		if err != nil {
 			return fail("name length", err)
@@ -257,11 +260,18 @@ func ReadSnapshotFile(path string) (*SnapshotState, error) {
 		if l > uint64(r.Len()) {
 			return nil, fmt.Errorf("ingest: snapshot %s: name length %d exceeds file", path, l)
 		}
-		b := make([]byte, l)
-		if _, err := io.ReadFull(r, b); err != nil {
+		if _, err := r.Seek(int64(l), io.SeekCurrent); err != nil {
 			return fail("name", err)
 		}
-		names[i] = string(b)
+	}
+	table := body[start : len(body)-r.Len()]
+	all := string(table)
+	names := make([]string, nn)
+	for i, off := 0, 0; i < len(names); i++ {
+		l, k := binary.Uvarint(table[off:])
+		off += k
+		names[i] = all[off : off+int(l)]
+		off += int(l)
 	}
 	g, err := graph.ReadBinary(bufio.NewReader(r))
 	if err != nil {

@@ -144,8 +144,8 @@ func TestServedAccuracy(t *testing.T) {
 // batch of TestServedAccuracy's stream onto its 100k world, each the
 // measured value + 5 %. A ceiling only comes down.
 const (
-	mergeBytesCeiling  = 11_245_497 // measured 10,709,997
-	mergeAllocsCeiling = 798        // measured 760
+	mergeBytesCeiling  = 8_676_682 // measured 8,263,506
+	mergeAllocsCeiling = 528       // measured 503
 )
 
 // TestMergeAllocCeiling pins the bytes and allocations of the merge a

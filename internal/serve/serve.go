@@ -29,7 +29,9 @@ package serve
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"spammass/internal/graph"
@@ -148,25 +150,48 @@ func NewSnapshot(hosts *graph.HostGraph, est *mass.Estimates, cfg SnapshotConfig
 		cfg:     cfg,
 		records: make([]HostRecord, n),
 	}
-	for x := 0; x < n; x++ {
-		id := graph.NodeID(x)
-		rec := mass.RecordFor(est, id, cfg.Detect, hosts.Names[x])
-		s.records[x] = HostRecord{
-			Host:         rec.Host,
-			Node:         rec.Node,
-			PageRank:     rec.P,
-			CorePageRank: rec.PCore,
-			AbsMass:      rec.AbsMass,
-			RelMass:      rec.RelMass,
-			Label:        rec.Label,
-			Evaluated:    rec.P >= cfg.Detect.ScaledPageRankThreshold,
-			Epoch:        epoch,
-		}
+	// The records are filled in GOMAXPROCS contiguous chunks, each on
+	// its own goroutine (record x depends on x alone), and the three
+	// rankings then select concurrently over the finished records: on
+	// a multi-core box neither step runs on one core while the others
+	// idle. Every record and ranking is the same as a serial build's.
+	var wg sync.WaitGroup
+	chunks := min(runtime.GOMAXPROCS(0), n)
+	for c := 0; c < chunks; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for x := c * n / chunks; x < (c+1)*n/chunks; x++ {
+				rec := mass.RecordFor(est, graph.NodeID(x), cfg.Detect, hosts.Names[x])
+				s.records[x] = HostRecord{
+					Host:         rec.Host,
+					Node:         rec.Node,
+					PageRank:     rec.P,
+					CorePageRank: rec.PCore,
+					AbsMass:      rec.AbsMass,
+					RelMass:      rec.RelMass,
+					Label:        rec.Label,
+					Evaluated:    rec.P >= cfg.Detect.ScaledPageRankThreshold,
+					Epoch:        epoch,
+				}
+			}
+		}()
 	}
-	s.rankings = map[string][]HostRecord{}
-	for _, metric := range []string{MetricRelMass, MetricAbsMass, MetricPageRank} {
-		key, _ := rankKey(metric)
-		s.rankings[metric] = s.rank(cfg.MaxTop, metric == MetricRelMass, key)
+	wg.Wait()
+	metrics := [...]string{MetricRelMass, MetricAbsMass, MetricPageRank}
+	var ranked [len(metrics)][]HostRecord
+	for i, metric := range metrics {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			key, _ := rankKey(metric)
+			ranked[i] = s.rank(cfg.MaxTop, metric == MetricRelMass, key)
+		}()
+	}
+	wg.Wait()
+	s.rankings = make(map[string][]HostRecord, len(metrics))
+	for i, metric := range metrics {
+		s.rankings[metric] = ranked[i]
 	}
 	return s, nil
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -182,6 +183,30 @@ func TestNewSnapshotAllocBudget(t *testing.T) {
 	}
 	if mallocs > 64 {
 		t.Errorf("NewSnapshot made %d allocations, budget 64", mallocs)
+	}
+}
+
+// TestNewSnapshotSameAtAnyGOMAXPROCS pins that the chunked record fill
+// and the concurrent ranking selection build the same snapshot as one
+// goroutine does: every record and all three rankings, element for
+// element, on the 100k fixture.
+func TestNewSnapshotSameAtAnyGOMAXPROCS(t *testing.T) {
+	w := webFixture(t)
+	build := func(procs int) *Snapshot {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		return w.snapshot(t, 1)
+	}
+	serial, parallel := build(1), build(4)
+	if !reflect.DeepEqual(serial.records, parallel.records) {
+		t.Error("records differ between GOMAXPROCS 1 and 4")
+	}
+	for _, metric := range []string{MetricRelMass, MetricAbsMass, MetricPageRank} {
+		if len(serial.rankings[metric]) == 0 {
+			t.Errorf("%s ranking is empty", metric)
+		}
+		if !reflect.DeepEqual(serial.rankings[metric], parallel.rankings[metric]) {
+			t.Errorf("%s ranking differs between GOMAXPROCS 1 and 4", metric)
+		}
 	}
 }
 
