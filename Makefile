@@ -1,12 +1,18 @@
 GO ?= go
 
-.PHONY: build test bench microbench race vet fmt-check lint lint-json vectorcheck fuzz-smoke serve-smoke pagerank-smoke delta-smoke obs-smoke shard-smoke ingest-smoke verify clean
+.PHONY: build test examples bench microbench race vet fmt-check lint lint-json vectorcheck fuzz-smoke serve-smoke pagerank-smoke delta-smoke obs-smoke shard-smoke ingest-smoke verify clean
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# examples runs the Example test of every examples/ program at one and
+# two cores: each pins the program's whole stdout, so the scores the
+# façade and the solve path print must not move with GOMAXPROCS.
+examples:
+	$(GO) test -count=1 -cpu 1,2 ./examples/...
 
 # bench runs the repository benchmark (bench/, the command
 # BENCHMARK.json declares): end-to-end workloads against real spamserver
@@ -87,7 +93,8 @@ serve-smoke:
 
 # pagerank-smoke drives cmd/pagerank end to end on a generated graph:
 # binary and text copies print the same top-10, -core solves, a forced
-# non-convergence prints converged=false and exits 0, the removed
+# non-convergence prints converged=false and exits 0, -damping NaN and
+# -epsilon NaN exit non-zero, the removed
 # -solver and -walks flags are rejected, and pagerank, spammass and
 # experiments all reject the removed -report, -trace, -metrics-out and
 # -debug-addr sinks while spammass -v still streams residuals.
@@ -125,10 +132,10 @@ obs-smoke:
 	sh scripts/obs_smoke.sh
 
 # verify is the tier-1 gate: vet, gofmt, spamlint, full build, full
-# test suite, the race detector over every package, the pagerank,
-# mass and serve tests under the vectorcheck debug tag, and one
-# run of every in-package benchmark.
-verify: vet fmt-check lint build test race vectorcheck microbench
+# test suite, the examples at one and two cores, the race detector
+# over every package, the pagerank, mass and serve tests under the
+# vectorcheck debug tag, and one run of every in-package benchmark.
+verify: vet fmt-check lint build test examples race vectorcheck microbench
 	@echo "verify: OK"
 
 clean:

@@ -44,7 +44,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("disk graph: %s (%.1f MB for %d edges)\n", path,
+	fmt.Printf("disk graph: %s (%.1f MB for %d edges)\n", filepath.Base(path),
 		float64(info.Size())/(1<<20), w.Graph.NumEdges())
 
 	dg, err := spammass.OpenDiskGraph(path)

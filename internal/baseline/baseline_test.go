@@ -164,8 +164,11 @@ func TestSpamRankScores(t *testing.T) {
 		b.AddEdge(booster, target)
 	}
 	g := b.Build()
-	p := pagerank.PR(g, pagerank.UniformJump(g.NumNodes()), cfg())
-	scores, err := SpamRankScores(g, p, SpamRankConfig{MinInDegree: 20, BinsPerDecade: 4})
+	p, err := pagerank.Jacobi(g, pagerank.UniformJump(g.NumNodes()), cfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	scores, err := SpamRankScores(g, p.Scores, SpamRankConfig{MinInDegree: 20, BinsPerDecade: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"spammass/internal/graph"
@@ -193,7 +194,8 @@ func (dg *DiskGraph) sweep(br *bufio.Reader, cur, next pagerank.Vector, c float6
 // with the Jacobi iteration, reading the adjacency once per iteration.
 func (dg *DiskGraph) PageRank(v pagerank.Vector, cfg pagerank.Config) (*pagerank.Result, error) {
 	cfg = cfg.WithDefaults()
-	if cfg.Damping <= 0 || cfg.Damping >= 1 || cfg.Epsilon <= 0 {
+	// Written so that NaN, which compares false to everything, fails.
+	if !(cfg.Damping > 0 && cfg.Damping < 1) || !(cfg.Epsilon > 0) || math.IsInf(cfg.Epsilon, 1) {
 		return nil, fmt.Errorf("diskgraph: invalid solver config %+v", cfg)
 	}
 	if len(v) != dg.n {
@@ -215,12 +217,6 @@ func (dg *DiskGraph) PageRank(v pagerank.Vector, cfg pagerank.Config) (*pagerank
 	cr := &obs.CountingReader{R: f}
 
 	cur := v.Clone()
-	if cfg.WarmStart != nil {
-		if len(cfg.WarmStart) != dg.n {
-			return nil, fmt.Errorf("diskgraph: warm start has length %d, want %d", len(cfg.WarmStart), dg.n)
-		}
-		cur = cfg.WarmStart.Clone()
-	}
 	next := make(pagerank.Vector, dg.n)
 	res := &pagerank.Result{}
 	br := bufio.NewReaderSize(cr, 1<<20)

@@ -1,6 +1,7 @@
 package diskgraph
 
 import (
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -69,26 +70,6 @@ func TestDiskPageRankCoreJump(t *testing.T) {
 	}
 }
 
-func TestDiskWarmStart(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	g := testutil.RandomGraph(rng, 2000, 5)
-	dg := buildTemp(t, g)
-	v := pagerank.UniformJump(g.NumNodes())
-	cold, err := dg.PageRank(v, pagerank.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := pagerank.DefaultConfig()
-	cfg.WarmStart = cold.Scores
-	warm, err := dg.PageRank(v, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.Iterations >= cold.Iterations {
-		t.Errorf("warm start took %d iterations vs cold %d", warm.Iterations, cold.Iterations)
-	}
-}
-
 func TestOpenErrors(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := Open(filepath.Join(dir, "missing")); err == nil {
@@ -116,15 +97,28 @@ func TestPageRankValidation(t *testing.T) {
 	if _, err := dg.PageRank(pagerank.Vector{1}, pagerank.DefaultConfig()); err == nil {
 		t.Error("wrong-length jump accepted")
 	}
-	bad := pagerank.DefaultConfig()
-	bad.Damping = 2
-	if _, err := dg.PageRank(pagerank.UniformJump(3), bad); err == nil {
-		t.Error("bad damping accepted")
-	}
-	ws := pagerank.DefaultConfig()
-	ws.WarmStart = pagerank.Vector{1}
-	if _, err := dg.PageRank(pagerank.UniformJump(3), ws); err == nil {
-		t.Error("wrong-length warm start accepted")
+	for _, bad := range []struct {
+		name             string
+		damping, epsilon float64
+	}{
+		{"damping 2", 2, 0},
+		{"damping NaN", math.NaN(), 0},
+		{"damping +Inf", math.Inf(1), 0},
+		{"damping -Inf", math.Inf(-1), 0},
+		{"epsilon NaN", 0, math.NaN()},
+		{"epsilon +Inf", 0, math.Inf(1)},
+		{"epsilon -Inf", 0, math.Inf(-1)},
+	} {
+		cfg := pagerank.DefaultConfig()
+		if bad.damping != 0 {
+			cfg.Damping = bad.damping
+		}
+		if bad.epsilon != 0 {
+			cfg.Epsilon = bad.epsilon
+		}
+		if _, err := dg.PageRank(pagerank.UniformJump(3), cfg); err == nil {
+			t.Errorf("%s accepted", bad.name)
+		}
 	}
 }
 

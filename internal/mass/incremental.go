@@ -2,7 +2,6 @@ package mass
 
 import (
 	"fmt"
-	"time"
 
 	"spammass/internal/graph"
 	"spammass/internal/pagerank"
@@ -71,42 +70,5 @@ func RemapWarmStart(prev *Estimates, remap []int64, n int, core []graph.NodeID, 
 // cold path, so callers can pass through whatever RemapWarmStart gave
 // them.
 func (es *Estimator) EstimateFromCoreWarm(core []graph.NodeID, warm *WarmStart) (*Estimates, error) {
-	if warm == nil {
-		return es.EstimateFromCore(core)
-	}
-	if err := validateCore(es.g, core); err != nil {
-		return nil, err
-	}
-	n := es.g.NumNodes()
-	if len(warm.P) != n || len(warm.PCore) != n {
-		return nil, fmt.Errorf("mass: warm start covers %d/%d nodes, graph has %d", len(warm.P), len(warm.PCore), n)
-	}
-	octx := es.obsCtx()
-	sp := octx.Span("mass.estimate_from_core_warm")
-	defer sp.End()
-	if sp != nil {
-		sp.SetAttr("core_size", len(core))
-		sp.SetAttr("gamma", es.opts.Gamma)
-	}
-	jumps := []pagerank.Vector{
-		pagerank.UniformJump(n),
-		coreJump(n, core, es.opts.Gamma),
-	}
-	cfg := es.opts.Solver
-	cfg.WarmStarts = []pagerank.Vector{warm.P, warm.PCore}
-	cfg.Obs = octx.In(sp)
-	solveStart := time.Now()
-	rs, err := es.eng.SolveManyConfig(jumps, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("mass: warm batched PageRank solves: %w", err)
-	}
-	annotateSolve(sp, "solve.p", solveStart, rs[0])
-	annotateSolve(sp, "solve.p_core", solveStart, rs[1])
-	dsp := cfg.Obs.Span("mass.derive")
-	e := Derive(rs[0].Scores, rs[1].Scores, es.damping())
-	dsp.End()
-	octx.Counter("mass.estimations_total").Inc()
-	octx.Counter("mass.warm_estimations_total").Inc()
-	e.SolveStats = rs[0].Stats
-	return e, nil
+	return es.estimateFromCore(core, warm)
 }

@@ -165,8 +165,10 @@ func coreJump(n int, core []graph.NodeID, frac float64) pagerank.Vector {
 	return pagerank.CoreJump(n, core, 1/float64(n))
 }
 
+// validateFraction rejects a fraction outside [0,1]; the test is
+// written so that NaN, which compares false to everything, fails it.
 func validateFraction(name string, v float64) error {
-	if v < 0 || v > 1 {
+	if !(v >= 0 && v <= 1) {
 		return fmt.Errorf("mass: %s %v outside [0,1]", name, v)
 	}
 	return nil
@@ -177,18 +179,34 @@ func validateFraction(name string, v float64) error {
 // single traversal of the in-neighbor lists per iteration — and
 // derives the absolute and relative mass estimates of every node.
 func (es *Estimator) EstimateFromCore(core []graph.NodeID) (*Estimates, error) {
+	return es.estimateFromCore(core, nil)
+}
+
+// estimateFromCore is the one body of EstimateFromCore and
+// EstimateFromCoreWarm: a nil warm start solves cold, under the
+// mass.estimate_from_core span; a warm one seeds the batch under
+// mass.estimate_from_core_warm and also counts a warm estimation.
+func (es *Estimator) estimateFromCore(core []graph.NodeID, warm *WarmStart) (*Estimates, error) {
 	if err := validateCore(es.g, core); err != nil {
 		return nil, err
 	}
+	n := es.g.NumNodes()
+	cfg := es.opts.Solver
+	span, solves := "mass.estimate_from_core", "batched PageRank solves"
+	if warm != nil {
+		if len(warm.P) != n || len(warm.PCore) != n {
+			return nil, fmt.Errorf("mass: warm start covers %d/%d nodes, graph has %d", len(warm.P), len(warm.PCore), n)
+		}
+		cfg.WarmStarts = []pagerank.Vector{warm.P, warm.PCore}
+		span, solves = "mass.estimate_from_core_warm", "warm batched PageRank solves"
+	}
 	octx := es.obsCtx()
-	sp := octx.Span("mass.estimate_from_core")
+	sp := octx.Span(span)
 	defer sp.End()
 	if sp != nil {
 		sp.SetAttr("core_size", len(core))
 		sp.SetAttr("gamma", es.opts.Gamma)
 	}
-	n := es.g.NumNodes()
-	cfg := es.opts.Solver
 	cfg.Obs = octx.In(sp)
 	solveStart := time.Now()
 	rs, err := es.eng.SolveManyConfig([]pagerank.Vector{
@@ -196,7 +214,7 @@ func (es *Estimator) EstimateFromCore(core []graph.NodeID) (*Estimates, error) {
 		coreJump(n, core, es.opts.Gamma),
 	}, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("mass: batched PageRank solves: %w", err)
+		return nil, fmt.Errorf("mass: %s: %w", solves, err)
 	}
 	annotateSolve(sp, "solve.p", solveStart, rs[0])
 	annotateSolve(sp, "solve.p_core", solveStart, rs[1])
@@ -204,6 +222,9 @@ func (es *Estimator) EstimateFromCore(core []graph.NodeID) (*Estimates, error) {
 	e := Derive(rs[0].Scores, rs[1].Scores, es.damping())
 	dsp.End()
 	octx.Counter("mass.estimations_total").Inc()
+	if warm != nil {
+		octx.Counter("mass.warm_estimations_total").Inc()
+	}
 	e.SolveStats = rs[0].Stats
 	return e, nil
 }
@@ -223,8 +244,9 @@ func (es *Estimator) Recompute(prev *Estimates, core []graph.NodeID) (*Estimates
 
 // RecomputeMany is Recompute for several core variants at once: all
 // core-based solves are batched through one SolveMany, sharing one
-// adjacency sweep per iteration and the same warm start. This is the
-// workhorse of the core-size and coverage experiments (Section 4.5).
+// adjacency sweep per iteration, and each starts from prev.PCore. This
+// is the workhorse of the core-size and coverage experiments (Section
+// 4.5).
 func (es *Estimator) RecomputeMany(prev *Estimates, cores [][]graph.NodeID) ([]*Estimates, error) {
 	if prev.N() != es.g.NumNodes() {
 		return nil, fmt.Errorf("mass: previous estimates cover %d nodes, graph has %d", prev.N(), es.g.NumNodes())
@@ -235,14 +257,16 @@ func (es *Estimator) RecomputeMany(prev *Estimates, cores [][]graph.NodeID) ([]*
 	sp.SetAttr("cores", len(cores))
 	n := es.g.NumNodes()
 	ws := make([]pagerank.Vector, len(cores))
+	seeds := make([]pagerank.Vector, len(cores))
 	for i, core := range cores {
 		if err := validateCore(es.g, core); err != nil {
 			return nil, err
 		}
 		ws[i] = coreJump(n, core, es.opts.Gamma)
+		seeds[i] = prev.PCore
 	}
 	cfg := es.opts.Solver
-	cfg.WarmStart = prev.PCore
+	cfg.WarmStarts = seeds
 	cfg.Obs = octx.In(sp)
 	rs, err := es.eng.SolveManyConfig(ws, cfg)
 	if err != nil {
@@ -270,38 +294,13 @@ func (es *Estimator) EstimateFromBlacklist(spamCore []graph.NodeID, beta float64
 	if err := validateFraction("beta", beta); err != nil {
 		return nil, err
 	}
-	octx := es.obsCtx()
-	sp := octx.Span("mass.estimate_from_blacklist")
+	sp := es.obsCtx().Span("mass.estimate_from_blacklist")
 	defer sp.End()
 	if sp != nil {
 		sp.SetAttr("core_size", len(spamCore))
 		sp.SetAttr("beta", beta)
 	}
-	cfg := es.opts.Solver
-	cfg.Obs = octx.In(sp)
-	n := es.g.NumNodes()
-	rs, err := es.eng.SolveManyConfig([]pagerank.Vector{
-		pagerank.UniformJump(n),
-		coreJump(n, spamCore, beta),
-	}, cfg)
-	if err != nil {
-		return nil, fmt.Errorf("mass: batched PageRank solves: %w", err)
-	}
-	p, mHat := rs[0].Scores, rs[1].Scores
-	e := &Estimates{
-		P:          p.Clone(),
-		PCore:      p.Clone().Sub(mHat), // good contribution q^{V⁺} = p − M̂
-		Abs:        mHat.Clone(),
-		Rel:        make(pagerank.Vector, n),
-		Damping:    es.damping(),
-		SolveStats: rs[0].Stats,
-	}
-	for x := range e.Rel {
-		if e.P[x] > 0 {
-			e.Rel[x] = e.Abs[x] / e.P[x]
-		}
-	}
-	return e, nil
+	return es.contribution(sp, coreJump(es.g.NumNodes(), spamCore, beta))
 }
 
 // Exact computes the actual (not estimated) spam mass M = q^{V⁻} and
@@ -310,22 +309,28 @@ func (es *Estimator) EstimateFromBlacklist(spamCore []graph.NodeID, beta float64
 // Only synthetic settings (and Table 1) have this luxury; it is the
 // reference the estimators are judged against in tests.
 func (es *Estimator) Exact(spam []graph.NodeID) (*Estimates, error) {
-	octx := es.obsCtx()
-	sp := octx.Span("mass.exact")
+	sp := es.obsCtx().Span("mass.exact")
 	defer sp.End()
 	sp.SetAttr("spam_nodes", len(spam))
+	return es.contribution(sp, pagerank.JumpRestriction(pagerank.UniformJump(es.g.NumNodes()), spam))
+}
+
+// contribution is the one body of EstimateFromBlacklist and Exact: it
+// solves p = PR(v) beside one contribution column q = PR(jump), under
+// sp, and reads the masses straight off q: M = q, m = q/p, and PCore =
+// p − q, the good contribution q^{V⁺}.
+func (es *Estimator) contribution(sp *obs.Span, jump pagerank.Vector) (*Estimates, error) {
 	cfg := es.opts.Solver
-	cfg.Obs = octx.In(sp)
+	cfg.Obs = es.obsCtx().In(sp)
 	n := es.g.NumNodes()
-	v := pagerank.UniformJump(n)
-	rs, err := es.eng.SolveManyConfig([]pagerank.Vector{v, pagerank.JumpRestriction(v, spam)}, cfg)
+	rs, err := es.eng.SolveManyConfig([]pagerank.Vector{pagerank.UniformJump(n), jump}, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("mass: batched PageRank solves: %w", err)
 	}
 	p, q := rs[0].Scores, rs[1].Scores
 	e := &Estimates{
 		P:          p.Clone(),
-		PCore:      p.Clone().Sub(q), // good contribution q^{V⁺} = p − q^{V⁻}
+		PCore:      p.Clone().Sub(q),
 		Abs:        q.Clone(),
 		Rel:        make(pagerank.Vector, n),
 		Damping:    es.damping(),
@@ -350,17 +355,6 @@ func EstimateFromCore(g *graph.Graph, core []graph.NodeID, opts Options) (*Estim
 	}
 	defer es.Close()
 	return es.EstimateFromCore(core)
-}
-
-// Recompute derives fresh estimates for an updated good core; see
-// Estimator.Recompute.
-func Recompute(g *graph.Graph, prev *Estimates, core []graph.NodeID, opts Options) (*Estimates, error) {
-	es, err := NewEstimator(g, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer es.Close()
-	return es.Recompute(prev, core)
 }
 
 // Exact computes the actual spam mass from ground truth; see
@@ -438,8 +432,8 @@ func WeightedCombine(white, black *Estimates, lambda float64) (*Estimates, error
 	if white.N() != black.N() {
 		return nil, fmt.Errorf("mass: combining estimates over %d and %d nodes", white.N(), black.N())
 	}
-	if lambda < 0 || lambda > 1 {
-		return nil, fmt.Errorf("mass: weight %v outside [0,1]", lambda)
+	if err := validateFraction("weight", lambda); err != nil {
+		return nil, err
 	}
 	n := white.N()
 	e := &Estimates{

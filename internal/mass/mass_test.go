@@ -395,7 +395,7 @@ func TestRecomputeMatchesCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Recompute(g, prev, grown, opts)
+	warm, err := recompute(g, prev, grown, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,11 +406,11 @@ func TestRecomputeMatchesCold(t *testing.T) {
 		t.Errorf("warm relative masses differ from cold by %v", d)
 	}
 	// Validation paths.
-	if _, err := Recompute(g, prev, nil, opts); err == nil {
+	if _, err := recompute(g, prev, nil, opts); err == nil {
 		t.Error("empty core accepted")
 	}
 	small := &Estimates{P: pagerank.Vector{1}, PCore: pagerank.Vector{1}}
-	if _, err := Recompute(g, small, grown, opts); err == nil {
+	if _, err := recompute(g, small, grown, opts); err == nil {
 		t.Error("mismatched previous estimates accepted")
 	}
 }
@@ -499,9 +499,15 @@ func TestAlgorithmChoiceEquivalent(t *testing.T) {
 // one estimate cannot corrupt another.
 func TestEstimatesOwnTheirVectors(t *testing.T) {
 	f := paperfig.NewFigure2()
-	p := pagerank.PR(f.Graph, pagerank.UniformJump(12), pagerank.DefaultConfig())
-	w := pagerank.ScaledCoreJump(12, f.GoodCore(), 0.85)
-	pCore := pagerank.PR(f.Graph, w, pagerank.DefaultConfig())
+	pr, err := pagerank.Jacobi(f.Graph, pagerank.UniformJump(12), pagerank.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prCore, err := pagerank.Jacobi(f.Graph, pagerank.ScaledCoreJump(12, f.GoodCore(), 0.85), pagerank.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, pCore := pr.Scores, prCore.Scores
 
 	// Derive must not alias its arguments.
 	white := Derive(p, pCore, c)
@@ -517,7 +523,7 @@ func TestEstimatesOwnTheirVectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	next, err := Recompute(f.Graph, prev, f.GoodCore()[:2], Options{Solver: pagerank.DefaultConfig(), Gamma: 0.85})
+	next, err := recompute(f.Graph, prev, f.GoodCore()[:2], Options{Solver: pagerank.DefaultConfig(), Gamma: 0.85})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -589,7 +595,7 @@ func TestNonConvergencePropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Recompute(g, ok, core[:2], Options{Solver: tight, Gamma: 0.85}); !pagerank.IsNotConverged(err) {
+	if _, err := recompute(g, ok, core[:2], Options{Solver: tight, Gamma: 0.85}); !pagerank.IsNotConverged(err) {
 		t.Errorf("Recompute: err = %v, want wrapped *ErrNotConverged", err)
 	}
 }
@@ -637,4 +643,37 @@ func TestGammaValidatedOnce(t *testing.T) {
 	if _, err := EstimateFromBlacklist(f.Graph, f.SpamNodes(), 1.2, Options{}); err == nil {
 		t.Error("beta 1.2 accepted")
 	}
+	// NaN compares false to everything, so a range test written with
+	// < and > lets it through.
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewEstimator(f.Graph, Options{Gamma: x}); err == nil {
+			t.Errorf("gamma %v accepted", x)
+		}
+		if _, err := EstimateFromBlacklist(f.Graph, f.SpamNodes(), x, Options{}); err == nil {
+			t.Errorf("beta %v accepted", x)
+		}
+		if _, err := RemapWarmStart(&Estimates{}, nil, 0, nil, x); err == nil {
+			t.Errorf("RemapWarmStart: gamma %v accepted", x)
+		}
+		if _, err := NewEstimator(f.Graph, Options{Solver: pagerank.Config{Damping: x}}); err == nil {
+			t.Errorf("damping %v accepted", x)
+		}
+		w, err := EstimateFromCore(f.Graph, f.GoodCore(), DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := WeightedCombine(w, w, x); err == nil {
+			t.Errorf("weight %v accepted", x)
+		}
+	}
+}
+
+// recompute runs Estimator.Recompute on a throwaway estimator.
+func recompute(g *graph.Graph, prev *Estimates, core []graph.NodeID, opts Options) (*Estimates, error) {
+	es, err := NewEstimator(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	defer es.Close()
+	return es.Recompute(prev, core)
 }

@@ -18,7 +18,7 @@ func TestTheorem1(t *testing.T) {
 		g := testutil.RandomGraph(rng, 2+rng.Intn(25), 4)
 		n := g.NumNodes()
 		v := UniformJump(n)
-		p := PR(g, v, DefaultConfig())
+		p := jacobiScores(t, g, v)
 		sum := make(Vector, n)
 		for x := 0; x < n; x++ {
 			qx, err := NodeContribution(g, graph.NodeID(x), v, DefaultConfig())
@@ -63,7 +63,7 @@ func TestWalkOracleExactOnDAG(t *testing.T) {
 		g := testutil.RandomDAG(rng, 3+rng.Intn(10), 3)
 		n := g.NumNodes()
 		v := UniformJump(n)
-		p := PR(g, v, DefaultConfig())
+		p := jacobiScores(t, g, v)
 		oracle, _ := walkPageRank(g, v, c, 0) // tol 0: enumerate all (finite) walks
 		if d := testutil.MaxAbsDiff(p, oracle); d > 1e-10 {
 			t.Errorf("trial %d: PageRank vs exact walk sum differ by %v", trial, d)

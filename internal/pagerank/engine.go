@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"spammass/internal/graph"
 )
@@ -87,7 +86,7 @@ func (e *Engine) Solve(v Vector) (*Result, error) {
 }
 
 // SolveConfig solves with per-call overrides (warm start, epsilon,
-// algorithm, trace hook, …). The Workers setting is fixed at engine
+// algorithm, obs context, …). The Workers setting is fixed at engine
 // construction and ignored here.
 func (e *Engine) SolveConfig(v Vector, cfg Config) (*Result, error) {
 	rs, err := e.SolveManyConfig([]Vector{v}, cfg)
@@ -109,8 +108,8 @@ func (e *Engine) SolveMany(vs []Vector) ([]*Result, error) {
 	return e.SolveManyConfig(vs, e.cfg)
 }
 
-// SolveManyConfig is SolveMany with per-call overrides. A non-nil
-// cfg.WarmStart seeds every vector of the batch with the same initial
+// SolveManyConfig is SolveMany with per-call overrides; a non-nil
+// cfg.WarmStarts seeds each vector of the batch with its own initial
 // guess.
 func (e *Engine) SolveManyConfig(vs []Vector, cfg Config) ([]*Result, error) {
 	cfg = cfg.WithDefaults()
@@ -128,13 +127,7 @@ func (e *Engine) SolveManyConfig(vs []Vector, cfg Config) ([]*Result, error) {
 			return nil, fmt.Errorf("pagerank: jump vector %d has length %d, want %d", j, len(v), n)
 		}
 	}
-	if cfg.WarmStart != nil && len(cfg.WarmStart) != n {
-		return nil, fmt.Errorf("pagerank: warm start has length %d, want %d", len(cfg.WarmStart), n)
-	}
 	if cfg.WarmStarts != nil {
-		if cfg.WarmStart != nil {
-			return nil, fmt.Errorf("pagerank: both WarmStart and WarmStarts set")
-		}
 		if len(cfg.WarmStarts) != k {
 			return nil, fmt.Errorf("pagerank: %d warm starts for a batch of %d vectors", len(cfg.WarmStarts), k)
 		}
@@ -170,22 +163,13 @@ func (e *Engine) solveBatch(vs []Vector, cfg Config) ([]*Result, error) {
 			jump[i*k+j] = v[i]
 		}
 	}
-	warmStarted := cfg.WarmStart != nil || cfg.WarmStarts != nil
-	switch {
-	case cfg.WarmStarts != nil:
+	if cfg.WarmStarts != nil {
 		for j, w := range cfg.WarmStarts {
 			for i := 0; i < n; i++ {
 				cur[i*k+j] = w[i]
 			}
 		}
-	case cfg.WarmStart != nil:
-		for i := 0; i < n; i++ {
-			base := i * k
-			for j := 0; j < k; j++ {
-				cur[base+j] = cfg.WarmStart[i]
-			}
-		}
-	default:
+	} else {
 		copy(cur, jump)
 	}
 	workers := 1
@@ -194,28 +178,8 @@ func (e *Engine) solveBatch(vs []Vector, cfg Config) ([]*Result, error) {
 	}
 	e.partial = growBuf(e.partial, workers*k)
 
-	start := time.Now()
-	stats := &SolveStats{
-		Algorithm:   cfg.Algorithm,
-		Batch:       k,
-		Workers:     workers,
-		WarmStarted: warmStarted,
-	}
-	octx := cfg.Obs
-	sp := octx.Span("pagerank.solve")
-	if sp != nil {
-		sp.SetAttr("algorithm", cfg.Algorithm.String())
-		sp.SetAttr("batch", k)
-		sp.SetAttr("nodes", n)
-		sp.SetAttr("workers", workers)
-		if tid := octx.TraceID(); tid != "" {
-			sp.SetAttr("trace_id", tid)
-		}
-	}
-	// traced gates all per-iteration telemetry; span events and Logf
-	// lines are rendered from the same TraceEvent, so verbose output
-	// and the JSON trace cannot diverge.
-	traced := cfg.Trace != nil || sp != nil || octx.Logging()
+	run := startSolve(cfg, n, k, workers)
+	stats := run.stats
 	m := e.g.NumEdges()
 	c := cfg.Damping
 	resid := make([]float64, k) // per-vector residual of the last iteration
@@ -238,24 +202,7 @@ func (e *Engine) solveBatch(vs []Vector, cfg Config) ([]*Result, error) {
 				left--
 			}
 		}
-		stats.Residuals = append(stats.Residuals, maxRes)
-		if traced {
-			ev := TraceEvent{
-				Algorithm: cfg.Algorithm,
-				Batch:     k,
-				Iteration: it,
-				Residual:  maxRes,
-				Elapsed:   time.Since(start),
-			}
-			if cfg.Trace != nil {
-				cfg.Trace(ev)
-			}
-			if sp != nil || octx.Logging() {
-				msg := ev.String()
-				sp.Event(msg)
-				octx.Logf("%s", msg)
-			}
-		}
+		run.observe(it, maxRes)
 		return maxRes
 	}
 
@@ -267,26 +214,6 @@ func (e *Engine) solveBatch(vs []Vector, cfg Config) ([]*Result, error) {
 		if record(it) < cfg.Epsilon {
 			break
 		}
-	}
-	stats.finish(time.Since(start))
-	if octx != nil {
-		reg := octx.Registry()
-		reg.Counter("pagerank.solves_total").Inc()
-		reg.Counter("pagerank.batch_vectors_total").Add(int64(k))
-		reg.Counter("pagerank.iterations_total").Add(int64(stats.Iterations))
-		reg.Counter("pagerank.edges_swept_total").Add(stats.EdgesSwept)
-		reg.Histogram("pagerank.solve_seconds").Observe(stats.WallTime.Seconds())
-	}
-	if cfg.OnStats != nil {
-		cfg.OnStats(stats)
-	}
-	if sp != nil {
-		sp.SetAttr("iterations", stats.Iterations)
-		if len(stats.Residuals) > 0 {
-			sp.SetAttr("final_residual", stats.Residuals[len(stats.Residuals)-1])
-		}
-		sp.SetAttr("edges_swept", stats.EdgesSwept)
-		sp.End()
 	}
 	// The swap leaves the freshest iterate in cur; remember it for the
 	// next solve's buffer reuse.
@@ -310,27 +237,7 @@ func (e *Engine) solveBatch(vs []Vector, cfg Config) ([]*Result, error) {
 			Stats:      stats,
 		}
 	}
-	if err := vectorCheck(results); err != nil {
-		return nil, fmt.Errorf("pagerank: %w", err)
-	}
-	if !cfg.AllowTruncated {
-		worst := -1
-		for j := 0; j < k; j++ {
-			if !converged[j] && (worst < 0 || resid[j] > resid[worst]) {
-				worst = j
-			}
-		}
-		if worst >= 0 {
-			return results, &ErrNotConverged{
-				Algorithm:  cfg.Algorithm,
-				Iterations: stats.Iterations,
-				Residual:   resid[worst],
-				Epsilon:    cfg.Epsilon,
-				Column:     worst,
-			}
-		}
-	}
-	return results, nil
+	return run.finish(results)
 }
 
 // sweepPull computes next ← c·Tᵀcur + (1−c)·v for every vector of

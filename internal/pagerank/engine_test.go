@@ -103,7 +103,7 @@ func TestWarmStartFixpointEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := eng.Config()
-	cfg.WarmStart = cold.Scores
+	cfg.WarmStarts = []Vector{cold.Scores}
 	warm2, err := eng.SolveConfig(w2, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -188,7 +188,7 @@ func TestWarmStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	warmCfg := DefaultConfig()
-	warmCfg.WarmStart = cold.Scores
+	warmCfg.WarmStarts = []Vector{cold.Scores}
 	warmRes, err := Jacobi(g, v2, warmCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +201,7 @@ func TestWarmStart(t *testing.T) {
 	}
 	// Validation: wrong-length warm start must error.
 	badCfg := DefaultConfig()
-	badCfg.WarmStart = Vector{1}
+	badCfg.WarmStarts = []Vector{{1}}
 	if _, err := Jacobi(g, v2, badCfg); err == nil {
 		t.Error("wrong-length warm start accepted")
 	}
@@ -326,28 +326,23 @@ func TestEngineEmptyBatch(t *testing.T) {
 	}
 }
 
+// TestTraceCallback: the obs context's log callback receives one line
+// per iteration, each the text of that iteration's span event, and the
+// last residual logged is the one that met Epsilon.
 func TestTraceCallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	g := testutil.RandomGraph(rng, 300, 4)
-	var events []TraceEvent
 	cfg := DefaultConfig()
-	cfg.Trace = func(ev TraceEvent) { events = append(events, ev) }
-	res, err := Jacobi(g, UniformJump(g.NumNodes()), cfg)
-	if err != nil {
-		t.Fatal(err)
+	o := solveObserved(t, g, cfg, []Vector{UniformJump(g.NumNodes())})
+	if o.err != nil {
+		t.Fatal(o.err)
 	}
-	if len(events) != res.Stats.Iterations {
-		t.Fatalf("trace saw %d events for %d iterations", len(events), res.Stats.Iterations)
+	st := o.res[0].Stats
+	if len(o.logged) != st.Iterations {
+		t.Fatalf("log callback saw %d lines for %d iterations", len(o.logged), st.Iterations)
 	}
-	for i, ev := range events {
-		if ev.Iteration != i+1 {
-			t.Errorf("event %d has Iteration %d", i, ev.Iteration)
-		}
-		if ev.Residual != res.Stats.Residuals[i] {
-			t.Errorf("event %d residual %v != stats residual %v", i, ev.Residual, res.Stats.Residuals[i])
-		}
-	}
-	if last := events[len(events)-1]; last.Residual >= cfg.Epsilon {
-		t.Errorf("final traced residual %v not below epsilon", last.Residual)
+	checkEvents(t, "jacobi", o)
+	if last := st.Residuals[len(st.Residuals)-1]; last >= cfg.Epsilon {
+		t.Errorf("final logged residual %v not below epsilon", last)
 	}
 }

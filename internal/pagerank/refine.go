@@ -39,8 +39,8 @@ type RefineStats struct {
 //
 // until its L1 residual drops below tol or refineBudgetSweeps
 // full-sweep equivalents are spent. It is one warm-started column of
-// the AlgoGaussSouthwell solver, run on x itself: a solve with
-// Config.WarmStart = x leaves x untouched, Refine overwrites it.
+// the AlgoGaussSouthwell solver, run on x itself: a solve seeded from
+// x through Config.WarmStarts leaves x untouched, Refine overwrites it.
 //
 // No server or library path calls Refine: delta builds and recovery
 // pass their warm start to SolveManyConfig. Its last caller is the

@@ -55,7 +55,7 @@ func TestRefineFromZeroImproves(t *testing.T) {
 		t.Errorf("residual only dropped %.2e → %.2e", st.InitialResidual, st.FinalResidual)
 	}
 	cfg := eng.Config()
-	cfg.WarmStart = x
+	cfg.WarmStarts = []Vector{x}
 	res, err := eng.SolveConfig(v, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestRefineRepairsPerturbedWarmStart(t *testing.T) {
 		t.Errorf("10-edge churn residual only dropped %.2e → %.2e", st.InitialResidual, st.FinalResidual)
 	}
 	cfg := eng2.Config()
-	cfg.WarmStart = seed
+	cfg.WarmStarts = []Vector{seed}
 	warm, err := eng2.SolveConfig(v, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -207,13 +207,6 @@ func TestWarmStartsValidation(t *testing.T) {
 	jumps := []Vector{UniformJump(3), UniformJump(3)}
 
 	cfg := eng.Config()
-	cfg.WarmStart = make(Vector, 3)
-	cfg.WarmStarts = []Vector{make(Vector, 3), make(Vector, 3)}
-	if _, err := eng.SolveManyConfig(jumps, cfg); err == nil {
-		t.Error("both WarmStart and WarmStarts accepted")
-	}
-
-	cfg = eng.Config()
 	cfg.WarmStarts = []Vector{make(Vector, 3)}
 	if _, err := eng.SolveManyConfig(jumps, cfg); err == nil {
 		t.Error("warm-start count mismatch accepted")

@@ -18,7 +18,7 @@ func TestContributionToTheorem1(t *testing.T) {
 		g := testutil.RandomGraph(rng, 2+rng.Intn(30), 4)
 		n := g.NumNodes()
 		v := UniformJump(n)
-		p := PR(g, v, DefaultConfig())
+		p := jacobiScores(t, g, v)
 		for trial := 0; trial < 3; trial++ {
 			x := graph.NodeID(rng.Intn(n))
 			q, err := ContributionTo(g, x, v, DefaultConfig())
@@ -113,7 +113,7 @@ func TestTopSupporters(t *testing.T) {
 	if !top[f.G0] || !top[f.G1] || !top[f.S0] {
 		t.Errorf("top supporters %v, want {g0, g1, s0}", sup)
 	}
-	p := PR(f.Graph, v, DefaultConfig())
+	p := jacobiScores(t, f.Graph, v)
 	if !testutil.AlmostEqual(px, p[f.X], 1e-10) {
 		t.Errorf("reported p_x %v differs from PageRank %v", px, p[f.X])
 	}

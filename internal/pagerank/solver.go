@@ -2,6 +2,7 @@ package pagerank
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 
 	"spammass/internal/graph"
@@ -21,16 +22,12 @@ type Config struct {
 	// Workers is the number of goroutines used for the sparse
 	// matrix-vector products; 0 means GOMAXPROCS.
 	Workers int
-	// WarmStart, if non-nil, is the initial guess p[0] instead of v.
-	// Warm-starting from a previous solution cuts iterations sharply
-	// when the jump vector changes only slightly — e.g. re-estimating
-	// after a Section 4.4.2 core fix.
-	WarmStart Vector
 	// WarmStarts, if non-nil, supplies one initial guess per jump
-	// vector of a SolveMany batch — the delta-refresh path seeds p and
-	// p' from the previous snapshot's solutions, which differ per
-	// column. Its length must equal the batch width. Setting both
-	// WarmStart and WarmStarts is a configuration error.
+	// vector of a SolveMany batch instead of the jump vectors
+	// themselves — the delta-refresh path seeds p and p' from the
+	// previous snapshot's solutions, and a Section 4.4.2 core fix
+	// re-solves from the previous p'. Its length must equal the batch
+	// width.
 	WarmStarts []Vector
 	// Algorithm selects the solver: AlgoJacobi (default, Algorithm 1)
 	// or AlgoGaussSouthwell. Both return the solution of
@@ -42,18 +39,12 @@ type Config struct {
 	// nil error. By default such solves surface as *ErrNotConverged so
 	// a truncated vector can never be consumed silently.
 	AllowTruncated bool
-	// Trace, if non-nil, receives one TraceEvent per solver iteration.
-	Trace TraceFunc
-	// OnStats, if non-nil, receives the finished SolveStats of every
-	// solve, after the stats are final but before the results are
-	// returned. The serve tier uses it to feed per-solve iteration
-	// counts into its metric history without parsing spans. The hook
-	// must not retain the stats past the call if it mutates them.
-	OnStats func(*SolveStats)
 	// Obs, if non-nil, attaches the observability sinks: every solve
-	// records a "pagerank.solve" span (with one event per iteration)
-	// under the context's root and updates the pagerank.* metrics of
-	// its registry. A nil Obs costs a single pointer check per solve.
+	// records a "pagerank.solve" span (with one event per iteration,
+	// also written to the context's log) under the context's root and
+	// updates the pagerank.* metrics of its registry. A nil Obs costs a
+	// single pointer check per solve; the per-iteration residuals are
+	// in Result.Stats.Residuals either way.
 	Obs *obs.Context
 }
 
@@ -114,12 +105,15 @@ func (cfg Config) WithDefaults() Config {
 	return cfg
 }
 
+// validate rejects a configuration no solve can honour. The range
+// tests are written so that NaN, which compares false to everything,
+// fails them too.
 func (cfg Config) validate() error {
-	if cfg.Damping <= 0 || cfg.Damping >= 1 {
+	if !(cfg.Damping > 0 && cfg.Damping < 1) {
 		return fmt.Errorf("pagerank: damping factor %v outside (0,1)", cfg.Damping)
 	}
-	if cfg.Epsilon <= 0 {
-		return fmt.Errorf("pagerank: epsilon %v must be positive", cfg.Epsilon)
+	if !(cfg.Epsilon > 0) || math.IsInf(cfg.Epsilon, 1) {
+		return fmt.Errorf("pagerank: epsilon %v must be positive and finite", cfg.Epsilon)
 	}
 	if cfg.MaxIter <= 0 {
 		return fmt.Errorf("pagerank: MaxIter %d must be positive", cfg.MaxIter)
@@ -149,8 +143,8 @@ type Result struct {
 	Stats *SolveStats
 }
 
-// solveOnce builds a throwaway engine for one solve. Jacobi and PR
-// below are thin wrappers over it; code performing repeated solves on
+// solveOnce builds a throwaway engine for one solve. Jacobi below is a
+// thin wrapper over it; code performing repeated solves on
 // one graph should hold an Engine (or a mass.Estimator) instead to
 // reuse the cached graph state and pool.
 func solveOnce(g *graph.Graph, v Vector, cfg Config) (*Result, error) {
@@ -168,17 +162,4 @@ func solveOnce(g *graph.Graph, v Vector, cfg Config) (*Result, error) {
 func Jacobi(g *graph.Graph, v Vector, cfg Config) (*Result, error) {
 	cfg.Algorithm = AlgoJacobi
 	return solveOnce(g, v, cfg)
-}
-
-// PR solves the linear PageRank system for jump vector v with the
-// Jacobi method and returns the (possibly unnormalized) score vector.
-// It panics on invalid configuration or on a non-converged solve; use
-// Jacobi (optionally with Config.AllowTruncated) for error handling.
-// This is the p = PR(v) notation of the paper.
-func PR(g *graph.Graph, v Vector, cfg Config) Vector {
-	res, err := Jacobi(g, v, cfg)
-	if err != nil {
-		panic(err)
-	}
-	return res.Scores
 }

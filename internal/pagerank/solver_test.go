@@ -186,9 +186,9 @@ func TestLinearity(t *testing.T) {
 			v1[i] = rng.Float64() / (2 * float64(n))
 			v2[i] = rng.Float64() / (2 * float64(n))
 		}
-		p1 := PR(g, v1, DefaultConfig())
-		p2 := PR(g, v2, DefaultConfig())
-		p12 := PR(g, v1.Clone().Add(v2), DefaultConfig())
+		p1 := jacobiScores(t, g, v1)
+		p2 := jacobiScores(t, g, v2)
+		p12 := jacobiScores(t, g, v1.Clone().Add(v2))
 		return testutil.MaxAbsDiff(p1.Clone().Add(p2), p12) < 1e-9
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
@@ -203,7 +203,7 @@ func TestNormBound(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		g := testutil.RandomGraph(rng, 2+rng.Intn(60), 3)
 		v := UniformJump(g.NumNodes())
-		p := PR(g, v, DefaultConfig())
+		p := jacobiScores(t, g, v)
 		if p.Norm1() > v.Norm1()+1e-9 {
 			t.Fatalf("trial %d: ‖p‖ = %v exceeds ‖v‖ = %v", trial, p.Norm1(), v.Norm1())
 		}
@@ -224,7 +224,7 @@ func TestNormBound(t *testing.T) {
 // uniform jump, a node with no inlinks has scaled score exactly 1.
 func TestNoInlinkScore(t *testing.T) {
 	g := graph.FromEdges(4, [][2]graph.NodeID{{0, 1}, {1, 2}})
-	s := scaled(PR(g, UniformJump(4), DefaultConfig()))
+	s := scaled(jacobiScores(t, g, UniformJump(4)))
 	for _, x := range []graph.NodeID{0, 3} {
 		if !testutil.AlmostEqual(s[x], 1, 1e-9) {
 			t.Errorf("scaled score of inlink-free node %d = %v, want 1", x, s[x])
@@ -243,6 +243,29 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := Jacobi(g, v, Config{Epsilon: -1}); err == nil {
 		t.Error("negative epsilon accepted")
+	}
+	// NaN compares false to everything, so a range test written with
+	// <= and >= lets it through; ±Inf must fail the finiteness checks.
+	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, alg := range []Algorithm{AlgoJacobi, AlgoGaussSouthwell} {
+			if _, err := NewEngine(g, Config{Damping: x, Algorithm: alg}); err == nil {
+				t.Errorf("%v: damping %v accepted", alg, x)
+			}
+			if _, err := NewEngine(g, Config{Epsilon: x, Algorithm: alg}); err == nil {
+				t.Errorf("%v: epsilon %v accepted", alg, x)
+			}
+		}
+		eng, err := NewEngine(g, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.SolveConfig(v, Config{Damping: x}); err == nil {
+			t.Errorf("per-call damping %v accepted", x)
+		}
+		if _, err := eng.SolveConfig(v, Config{Epsilon: x}); err == nil {
+			t.Errorf("per-call epsilon %v accepted", x)
+		}
+		eng.Close()
 	}
 	if _, err := Jacobi(g, Vector{1}, DefaultConfig()); err == nil {
 		t.Error("wrong-length jump vector accepted")
@@ -309,4 +332,15 @@ func TestEmptyGraph(t *testing.T) {
 	if len(res.Scores) != 0 {
 		t.Errorf("empty graph produced %d scores", len(res.Scores))
 	}
+}
+
+// jacobiScores returns the Jacobi fixpoint of jump v under the
+// default configuration, failing the test on any solver error.
+func jacobiScores(t testing.TB, g *graph.Graph, v Vector) Vector {
+	t.Helper()
+	res, err := Jacobi(g, v, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Scores
 }

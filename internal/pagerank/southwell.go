@@ -1,9 +1,7 @@
 package pagerank
 
 import (
-	"fmt"
 	"math"
-	"time"
 
 	"spammass/internal/graph"
 )
@@ -35,69 +33,27 @@ func (e *Engine) solveSouthwell(vs []Vector, cfg Config) ([]*Result, error) {
 		chunk := (k + e.pool.workers - 1) / e.pool.workers
 		workers = (k + chunk - 1) / chunk
 	}
-	start := time.Now()
-	stats := &SolveStats{
-		Algorithm:   AlgoGaussSouthwell,
-		Batch:       k,
-		Workers:     workers,
-		WarmStarted: cfg.WarmStart != nil || cfg.WarmStarts != nil,
-	}
-	octx := cfg.Obs
-	sp := octx.Span("pagerank.solve")
-	if sp != nil {
-		sp.SetAttr("algorithm", cfg.Algorithm.String())
-		sp.SetAttr("batch", k)
-		sp.SetAttr("nodes", n)
-		sp.SetAttr("workers", workers)
-		if tid := octx.TraceID(); tid != "" {
-			sp.SetAttr("trace_id", tid)
-		}
-	}
-	traced := cfg.Trace != nil || sp != nil || octx.Logging()
+	run := startSolve(cfg, n, k, workers)
+	stats := run.stats
 
 	xs := make([]Vector, k)
 	sts := make([]RefineStats, k)
 	solveColumn := func(j int) {
-		v := vs[j]
 		var warm Vector
-		switch {
-		case cfg.WarmStarts != nil:
+		if cfg.WarmStarts != nil {
 			warm = cfg.WarmStarts[j]
-		case cfg.WarmStart != nil:
-			warm = cfg.WarmStart
 		}
 		x := make(Vector, n)
 		copy(x, warm)
 		st := &sts[j]
 		// Per-scan telemetry comes from the first column alone: scans of
 		// different columns do not align, and concurrently pushed
-		// columns must not call the Trace hook, the span or the log at
-		// once.
+		// columns must not write the stats, the span or the log at once.
 		var onScan func(float64)
 		if j == 0 {
-			onScan = func(rs float64) {
-				stats.Residuals = append(stats.Residuals, rs)
-				if !traced {
-					return
-				}
-				ev := TraceEvent{
-					Algorithm: AlgoGaussSouthwell,
-					Batch:     k,
-					Iteration: st.Scans,
-					Residual:  rs,
-					Elapsed:   time.Since(start),
-				}
-				if cfg.Trace != nil {
-					cfg.Trace(ev)
-				}
-				if sp != nil || octx.Logging() {
-					msg := ev.String()
-					sp.Event(msg)
-					octx.Logf("%s", msg)
-				}
-			}
+			onScan = func(rs float64) { run.observe(st.Scans, rs) }
 		}
-		pushRun(g, inv, c, x, v, warm != nil, cfg.Epsilon, cfg.MaxIter, onScan, st)
+		pushRun(g, inv, c, x, vs[j], warm != nil, cfg.Epsilon, cfg.MaxIter, onScan, st)
 		xs[j] = x
 	}
 	if workers > 1 {
@@ -113,7 +69,6 @@ func (e *Engine) solveSouthwell(vs []Vector, cfg Config) ([]*Result, error) {
 	}
 
 	results := make([]*Result, k)
-	var ncErr *ErrNotConverged
 	for j := range vs {
 		st := &sts[j]
 		stats.EdgesSwept += st.EdgesSwept
@@ -131,46 +86,11 @@ func (e *Engine) solveSouthwell(vs []Vector, cfg Config) ([]*Result, error) {
 			Converged:  st.Converged,
 			Stats:      stats,
 		}
-		if !st.Converged && (ncErr == nil || st.FinalResidual > ncErr.Residual) {
-			ncErr = &ErrNotConverged{
-				Algorithm:  AlgoGaussSouthwell,
-				Iterations: iters,
-				Residual:   st.FinalResidual,
-				Epsilon:    cfg.Epsilon,
-				Column:     j,
-			}
-		}
 	}
 	if stats.Iterations == 0 {
 		stats.Iterations = 1
 	}
-	stats.finish(time.Since(start))
-	if octx != nil {
-		reg := octx.Registry()
-		reg.Counter("pagerank.solves_total").Inc()
-		reg.Counter("pagerank.batch_vectors_total").Add(int64(k))
-		reg.Counter("pagerank.iterations_total").Add(int64(stats.Iterations))
-		reg.Counter("pagerank.edges_swept_total").Add(stats.EdgesSwept)
-		reg.Histogram("pagerank.solve_seconds").Observe(stats.WallTime.Seconds())
-	}
-	if cfg.OnStats != nil {
-		cfg.OnStats(stats)
-	}
-	if sp != nil {
-		sp.SetAttr("iterations", stats.Iterations)
-		if len(stats.Residuals) > 0 {
-			sp.SetAttr("final_residual", stats.Residuals[len(stats.Residuals)-1])
-		}
-		sp.SetAttr("edges_swept", stats.EdgesSwept)
-		sp.End()
-	}
-	if err := vectorCheck(results); err != nil {
-		return nil, fmt.Errorf("pagerank: %w", err)
-	}
-	if !cfg.AllowTruncated && ncErr != nil {
-		return results, ncErr
-	}
-	return results, nil
+	return run.finish(results)
 }
 
 // pushRun is the Gauss-Southwell worklist core: it pushes one column x

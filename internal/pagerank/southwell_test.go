@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"spammass/internal/graph"
-	"spammass/internal/obs"
 	"spammass/internal/testutil"
 )
 
@@ -74,7 +73,7 @@ func TestGaussSouthwellMatchesJacobi(t *testing.T) {
 		// A warm start from the exact solution must converge immediately:
 		// one verification sweep of m edges and no pushes beyond noise.
 		wcfg := scfg
-		wcfg.WarmStart = got[0].Scores
+		wcfg.WarmStarts = []Vector{got[0].Scores}
 		warm, err := eng.SolveConfig(vs[0], wcfg)
 		if err != nil {
 			t.Fatalf("trial %d warm: %v", trial, err)
@@ -93,8 +92,9 @@ func TestGaussSouthwellMatchesJacobi(t *testing.T) {
 // a graph above parallelThreshold (the -race regression test for it):
 // k = 2 and k = 3 batches on two workers must return bit-identical
 // vectors and the same work as one worker, report the columns actually
-// pushed at once, and call the trace hook, span and log (none of them
-// safe for concurrent use here) from column 0 alone.
+// pushed at once, and write the residual record, span and log (none of
+// them safe for concurrent use here) from column 0 alone: one event
+// per column-0 scan.
 func TestSouthwellConcurrentColumns(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
 	g := danglingHeavyGraph(rng, 6000)
@@ -104,32 +104,13 @@ func TestSouthwellConcurrentColumns(t *testing.T) {
 		ScaledCoreJump(n, []graph.NodeID{1, 3, 7}, 0.9),
 		ScaledCoreJump(n, []graph.NodeID{2}, 0.5),
 	}
-	type run struct {
-		res    []*Result
-		events []TraceEvent
-		logged []string
-		spans  int
-	}
-	solve := func(workers, k int) run {
-		var out run
-		root := obs.NewSpan("test")
-		octx := obs.NewContext(obs.NewRegistry(), root).WithLogf(func(f string, a ...any) {
-			out.logged = append(out.logged, fmt.Sprintf(f, a...))
-		})
-		cfg := Config{Damping: 0.85, Epsilon: 1e-12, MaxIter: 1000, Workers: workers,
-			Algorithm: AlgoGaussSouthwell, Obs: octx,
-			Trace: func(ev TraceEvent) { out.events = append(out.events, ev) }}
-		eng, err := NewEngine(g, cfg)
-		if err != nil {
-			t.Fatal(err)
+	solve := func(workers, k int) observedSolve {
+		cfg := Config{Damping: 0.85, Epsilon: 1e-12, MaxIter: 1000, Workers: workers, Algorithm: AlgoGaussSouthwell}
+		o := solveObserved(t, g, cfg, vs[:k])
+		if o.err != nil {
+			t.Fatalf("workers=%d k=%d: %v", workers, k, o.err)
 		}
-		defer eng.Close()
-		if out.res, err = eng.SolveMany(vs[:k]); err != nil {
-			t.Fatalf("workers=%d k=%d: %v", workers, k, err)
-		}
-		root.End()
-		out.spans = len(root.Snapshot().Find("pagerank.solve").Events)
-		return out
+		return o
 	}
 	for _, k := range []int{2, 3} {
 		seq, par := solve(1, k), solve(2, k)
@@ -153,18 +134,16 @@ func TestSouthwellConcurrentColumns(t *testing.T) {
 		}
 		// Per-scan telemetry is column 0's trajectory on either path.
 		scans := seq.res[0].Iterations
-		for _, got := range []int{len(ss.Residuals), len(ps.Residuals), len(seq.events), len(par.events), len(par.logged), par.spans} {
-			if got != scans {
-				t.Errorf("k=%d: residuals %d/%d, events %d/%d (sequential/concurrent), log lines %d, span events %d; want column 0's %d scans",
-					k, len(ss.Residuals), len(ps.Residuals), len(seq.events), len(par.events), len(par.logged), par.spans, scans)
+		if len(ss.Residuals) != scans || len(ps.Residuals) != scans {
+			t.Errorf("k=%d: %d/%d residuals (sequential/concurrent), want column 0's %d scans", k, len(ss.Residuals), len(ps.Residuals), scans)
+		}
+		for i := range ps.Residuals {
+			if math.Float64bits(ss.Residuals[i]) != math.Float64bits(ps.Residuals[i]) {
+				t.Errorf("k=%d: scan %d residual %v concurrent, %v sequential", k, i+1, ps.Residuals[i], ss.Residuals[i])
 				break
 			}
 		}
-		for i, ev := range par.events {
-			if ev.Iteration != i+1 || math.Float64bits(ev.Residual) != math.Float64bits(ps.Residuals[i]) {
-				t.Errorf("k=%d: event %d is scan %d residual %v, want scan %d residual %v", k, i, ev.Iteration, ev.Residual, i+1, ps.Residuals[i])
-				break
-			}
-		}
+		checkEvents(t, fmt.Sprintf("k=%d sequential", k), seq)
+		checkEvents(t, fmt.Sprintf("k=%d concurrent", k), par)
 	}
 }

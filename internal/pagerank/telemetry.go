@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"spammass/internal/obs"
 )
 
 // ErrNotConverged reports a solve that exhausted MaxIter with the L1
@@ -32,8 +34,9 @@ func IsNotConverged(err error) bool {
 	return errors.As(err, &nc)
 }
 
-// TraceEvent is one per-iteration telemetry sample.
-type TraceEvent struct {
+// traceEvent is one per-iteration telemetry sample: the source of the
+// pagerank.solve span's events and of the -v log lines.
+type traceEvent struct {
 	Algorithm Algorithm
 	// Batch is the number of jump vectors being solved together.
 	Batch int
@@ -49,15 +52,10 @@ type TraceEvent struct {
 
 // String renders the event as the one-line form shared by -v logs and
 // span events, so the two can never diverge.
-func (e TraceEvent) String() string {
+func (e traceEvent) String() string {
 	return fmt.Sprintf("%s batch=%d iter=%3d residual=%.3e elapsed=%s",
 		e.Algorithm, e.Batch, e.Iteration, e.Residual, e.Elapsed.Round(time.Microsecond))
 }
-
-// TraceFunc receives per-iteration telemetry during a solve. It is
-// called synchronously from the solver loop, so it must be cheap and
-// must not call back into the engine.
-type TraceFunc func(TraceEvent)
 
 // SolveStats aggregates the telemetry of one solve (or one batched
 // solve). All Results of a batch share the same *SolveStats.
@@ -86,9 +84,8 @@ type SolveStats struct {
 	// (1 when the sweep ran sequentially); for Gauss-Southwell it is
 	// the number of columns pushed at once.
 	Workers int
-	// WarmStarted reports whether the solve was seeded from a previous
-	// solution (Config.WarmStart or WarmStarts) rather than the jump
-	// vector.
+	// WarmStarted reports whether the solve was seeded from previous
+	// solutions (Config.WarmStarts) rather than the jump vectors.
 	WarmStarted bool
 	// InitialResidual is the L1 residual after the first sweep — for a
 	// warm-started solve it measures how far the seed was from the new
@@ -117,4 +114,109 @@ func (s *SolveStats) finish(wall time.Duration) {
 func (s *SolveStats) String() string {
 	return fmt.Sprintf("%s: batch=%d iters=%d wall=%v edges=%d (%.0f edges/s, %d workers)",
 		s.Algorithm, s.Batch, s.Iterations, s.WallTime.Round(time.Microsecond), s.EdgesSwept, s.EdgesPerSecond, s.Workers)
+}
+
+// solveRun is the bookkeeping every algorithm shares: the
+// pagerank.solve span, the per-iteration residual record, and the
+// result contract of finish. An algorithm opens one with startSolve,
+// reports each iteration to observe, and returns what finish returns.
+type solveRun struct {
+	cfg   Config
+	sp    *obs.Span
+	start time.Time
+	stats *SolveStats
+}
+
+// startSolve opens the telemetry of one batched solve of k vectors on
+// workers goroutines.
+func startSolve(cfg Config, n, k, workers int) *solveRun {
+	r := &solveRun{
+		cfg:   cfg,
+		start: time.Now(),
+		stats: &SolveStats{
+			Algorithm:   cfg.Algorithm,
+			Batch:       k,
+			Workers:     workers,
+			WarmStarted: cfg.WarmStarts != nil,
+		},
+	}
+	octx := cfg.Obs
+	if r.sp = octx.Span("pagerank.solve"); r.sp != nil {
+		r.sp.SetAttr("algorithm", cfg.Algorithm.String())
+		r.sp.SetAttr("batch", k)
+		r.sp.SetAttr("nodes", n)
+		r.sp.SetAttr("workers", workers)
+		if tid := octx.TraceID(); tid != "" {
+			r.sp.SetAttr("trace_id", tid)
+		}
+	}
+	return r
+}
+
+// observe records the residual of iteration it in Stats.Residuals and,
+// when a span or log is attached, renders it once for both.
+func (r *solveRun) observe(it int, residual float64) {
+	r.stats.Residuals = append(r.stats.Residuals, residual)
+	octx := r.cfg.Obs
+	if r.sp == nil && !octx.Logging() {
+		return
+	}
+	msg := traceEvent{
+		Algorithm: r.cfg.Algorithm,
+		Batch:     r.stats.Batch,
+		Iteration: it,
+		Residual:  residual,
+		Elapsed:   time.Since(r.start),
+	}.String()
+	r.sp.Event(msg)
+	octx.Logf("%s", msg)
+}
+
+// finish closes the solve: it stamps the stats, feeds the pagerank.*
+// metrics, ends the span, scans the results under the vectorcheck tag
+// and, unless truncation is allowed, reports the worst column that
+// missed Epsilon — the one with the largest residual, the first on a
+// tie — as an *ErrNotConverged beside the results. The caller has set
+// Stats.Iterations and Stats.EdgesSwept.
+func (r *solveRun) finish(results []*Result) ([]*Result, error) {
+	stats := r.stats
+	stats.finish(time.Since(r.start))
+	if octx := r.cfg.Obs; octx != nil {
+		reg := octx.Registry()
+		reg.Counter("pagerank.solves_total").Inc()
+		reg.Counter("pagerank.batch_vectors_total").Add(int64(stats.Batch))
+		reg.Counter("pagerank.iterations_total").Add(int64(stats.Iterations))
+		reg.Counter("pagerank.edges_swept_total").Add(stats.EdgesSwept)
+		reg.Histogram("pagerank.solve_seconds").Observe(stats.WallTime.Seconds())
+	}
+	if sp := r.sp; sp != nil {
+		sp.SetAttr("iterations", stats.Iterations)
+		if len(stats.Residuals) > 0 {
+			sp.SetAttr("final_residual", stats.Residuals[len(stats.Residuals)-1])
+		}
+		sp.SetAttr("edges_swept", stats.EdgesSwept)
+		sp.End()
+	}
+	if err := vectorCheck(results); err != nil {
+		return nil, fmt.Errorf("pagerank: %w", err)
+	}
+	if r.cfg.AllowTruncated {
+		return results, nil
+	}
+	worst := -1
+	for j, res := range results {
+		if !res.Converged && (worst < 0 || res.Residual > results[worst].Residual) {
+			worst = j
+		}
+	}
+	if worst < 0 {
+		return results, nil
+	}
+	return results, &ErrNotConverged{
+		Algorithm:  r.cfg.Algorithm,
+		Iterations: results[worst].Iterations,
+		Residual:   results[worst].Residual,
+		Epsilon:    r.cfg.Epsilon,
+		Column:     worst,
+	}
 }

@@ -6,7 +6,8 @@
 # top-10 for both (webgen refuses much smaller worlds: their good core
 # is too small to split). Then it runs a core-based solve with -core,
 # forces non-convergence with -epsilon 1e-300 (the command must print
-# converged=false and still exit 0), checks that the removed -solver
+# converged=false and still exit 0), checks that -damping NaN and
+# -epsilon NaN exit non-zero, checks that the removed -solver
 # and -walks flags and the removed telemetry sinks (-report, -trace,
 # -metrics-out, -debug-addr) are rejected by the flag package of
 # pagerank, spammass and experiments, and that spammass -v still
@@ -67,6 +68,18 @@ if ! grep -q 'converged=false' "$WORK/trunc.log"; then
     exit 1
 fi
 echo "pagerank-smoke: -epsilon 1e-300 reports converged=false and exits 0"
+
+# NaN compares false to everything, so a range check written with <=
+# and >= would let it through to print NaN scores or spin to MaxIter.
+for bad in "-damping NaN" "-epsilon NaN"; do
+    # $bad is unquoted on purpose: it splits into a flag and its value.
+    if "$WORK/pagerank" -graph "$WORK/bin.graph" $bad -top 3 >/dev/null 2>"$WORK/nan.log"; then
+        echo "pagerank-smoke: $bad exited 0:" >&2
+        cat "$WORK/nan.log" >&2
+        exit 1
+    fi
+done
+echo "pagerank-smoke: -damping NaN and -epsilon NaN exit non-zero"
 
 # Removed flags: only Jacobi is left, so there is no solver to choose
 # and no Monte-Carlo walk count to set; and no batch command writes a

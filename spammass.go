@@ -75,16 +75,10 @@ type SolverResult = pagerank.Result
 // vectors through one adjacency sweep per iteration (SolveMany).
 type Engine = pagerank.Engine
 
-// SolveStats carries per-solve telemetry: iteration residuals, wall
-// time, and edge throughput.
+// SolveStats carries per-solve telemetry: the per-iteration residuals
+// (Residuals, one per sweep — the same values -v streams to stderr),
+// wall time, and edge throughput.
 type SolveStats = pagerank.SolveStats
-
-// TraceEvent is one per-iteration telemetry sample; see
-// SolverConfig.Trace.
-type TraceEvent = pagerank.TraceEvent
-
-// TraceFunc receives TraceEvents during a solve.
-type TraceFunc = pagerank.TraceFunc
 
 // ErrNotConverged reports a solve that hit MaxIter without meeting
 // Epsilon. Unless SolverConfig.AllowTruncated is set, every truncated
