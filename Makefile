@@ -65,8 +65,9 @@ vectorcheck:
 	$(GO) test -tags vectorcheck ./internal/pagerank/ ./internal/mass/ ./internal/serve/
 
 # fuzz-smoke gives each fuzz target a short budget; regressions in the
-# decoders, host collapsing, the host-name index, the line loader, mass
-# derivation, or the /v1 JSON encoder and batch decoder surface fast.
+# decoders (graph, delta, WAL and snapshot files), host collapsing, the
+# host-name index, the line loader, mass derivation, or the /v1 JSON
+# encoder and batch decoder surface fast.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReadBinary -fuzztime=$(FUZZTIME) ./internal/graph/
@@ -80,6 +81,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDeltaApply -fuzztime=$(FUZZTIME) ./internal/delta/
 	$(GO) test -run='^$$' -fuzz=FuzzDeltaFold -fuzztime=$(FUZZTIME) ./internal/delta/
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=$(FUZZTIME) ./internal/ingest/
+	$(GO) test -run='^$$' -fuzz=FuzzReadSnapshotFile -fuzztime=$(FUZZTIME) ./internal/ingest/
 	$(GO) test -run='^$$' -fuzz=FuzzHostRecordJSON -fuzztime=$(FUZZTIME) ./internal/serve/
 	$(GO) test -run='^$$' -fuzz=FuzzBatchRequest -fuzztime=$(FUZZTIME) ./internal/serve/
 
@@ -94,7 +96,8 @@ serve-smoke:
 # pagerank-smoke drives cmd/pagerank end to end on a generated graph:
 # binary and text copies print the same top-10, -core solves, a forced
 # non-convergence prints converged=false and exits 0, -damping NaN and
-# -epsilon NaN exit non-zero, the removed
+# -epsilon NaN exit non-zero, spammass -tau/-rho NaN and experiments
+# -rho NaN exit 1, the removed
 # -solver and -walks flags are rejected, and pagerank, spammass and
 # experiments all reject the removed -report, -trace, -metrics-out and
 # -debug-addr sinks while spammass -v still streams residuals.

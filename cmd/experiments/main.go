@@ -20,6 +20,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -42,6 +43,12 @@ func main() {
 	reportPath := flag.String("md-report", "", "write a markdown reproduction report to this file")
 	verbose := flag.Bool("v", false, "print per-iteration solver residual traces to stderr")
 	flag.Parse()
+	// ρ defines T through comparisons, and every comparison with NaN
+	// is false.
+	if math.IsNaN(*rho) || math.IsInf(*rho, 0) {
+		fmt.Fprintf(os.Stderr, "experiments: -rho %v: want a finite threshold\n", *rho)
+		os.Exit(1)
+	}
 	var octx *obs.Context
 	if *verbose {
 		octx = obs.NewContext(nil, nil).WithLogf(obs.StderrLogf(os.Stderr))

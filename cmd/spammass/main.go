@@ -22,6 +22,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -61,6 +62,16 @@ func main() {
 	if *hostQuery != "" && *namesPath == "" {
 		die("-host requires -names")
 	}
+	// Algorithm 2 compares against τ and ρ, and every comparison with
+	// NaN is false: a NaN ρ would filter out no node and a NaN τ would
+	// keep none.
+	finite := func(name string, v float64) {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			die("%s %v: want a finite threshold", name, v)
+		}
+	}
+	finite("-tau", *tau)
+	finite("-rho", *rho)
 
 	var octx *obs.Context
 	if *verbose {

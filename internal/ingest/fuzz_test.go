@@ -2,7 +2,9 @@ package ingest
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -128,6 +130,56 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		if !found {
 			t.Fatalf("appended record (seq %d) not replayed", seq)
+		}
+	})
+}
+
+// FuzzReadSnapshotFile feeds arbitrary snapshot bodies to the snapshot
+// decoder. The harness appends the body's CRC32C itself, so mutations
+// get past the checksum and reach the decoder. Whatever the body is,
+// reading must not panic, and a state it accepts must be
+// self-consistent: P, PCore, the host names and the graph's nodes have
+// one length, and every core node is in range. Explore with
+// `go test -fuzz=FuzzReadSnapshotFile ./internal/ingest/`.
+func FuzzReadSnapshotFile(f *testing.F) {
+	dir := f.TempDir()
+	path, err := WriteSnapshotFile(dir, SnapshotStateOf(testServeSnapshot(f, 3), 7))
+	if err != nil {
+		f.Fatalf("WriteSnapshotFile: %v", err)
+	}
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatalf("reading snapshot: %v", err)
+	}
+	body := whole[:len(whole)-4]
+	f.Add(body)
+	f.Add(body[:len(body)/2])
+	f.Add(body[:len(snapMagic)+1])
+	f.Add([]byte{})
+	f.Add([]byte("SMSS\x01\x01\x00"))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if len(body) > 1<<16 {
+			return
+		}
+		data := binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.Checksum(body, crcTable))
+		path := filepath.Join(t.TempDir(), snapshotName(1, 1))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := ReadSnapshotFile(path)
+		if err != nil {
+			return
+		}
+		n := st.Hosts.Graph.NumNodes()
+		if len(st.Hosts.Names) != n || len(st.P) != n || len(st.PCore) != n {
+			t.Fatalf("accepted inconsistent state: %d nodes, %d names, %d P, %d PCore",
+				n, len(st.Hosts.Names), len(st.P), len(st.PCore))
+		}
+		for _, x := range st.Core {
+			if int(x) >= n {
+				t.Fatalf("accepted core node %d of a %d-node graph", x, n)
+			}
 		}
 	})
 }

@@ -70,10 +70,10 @@ type WALConfig struct {
 	// SegmentBytes is the rotation threshold: a segment that reaches it
 	// is sealed and a new one started. 0 means DefaultSegmentBytes.
 	SegmentBytes int64
-	// GroupCommit batches fsyncs: an append waits up to this long for
-	// neighbors so one fsync covers the group. 0 syncs every append
-	// before it returns. Either way no Append returns before its record
-	// is durable — the knob trades ack latency for fsync amortization,
+	// GroupCommit is how long the fsync leader waits for neighbors so
+	// one fsync covers the group; 0 syncs at once (concurrent waiters
+	// still share it). Either way no Append returns before its record is
+	// durable — the knob trades ack latency for fsync amortization,
 	// never durability.
 	GroupCommit time.Duration
 	// Obs receives the ingest.wal_* metrics.
@@ -94,16 +94,14 @@ type WAL struct {
 	segSize  int64
 	segments []segmentInfo // ascending by first sequence; last is active
 	nextSeq  uint64        // sequence the next append receives
-	written  uint64        // highest sequence written to the OS
-	failed   error         // a torn in-process write poisons the log
+	failed   error         // a torn write or failed fsync poisons the log
 
-	// Group-commit state: synced is the highest durable sequence,
-	// advanced by whichever appender is elected leader for a window.
+	// Fsync state: synced is the highest durable sequence, advanced by
+	// whichever waiter is elected leader.
 	smu     sync.Mutex
 	scond   *sync.Cond
 	synced  uint64
 	syncing bool
-	syncErr error
 
 	appends    *obs.Counter
 	appendedBy *obs.Counter
@@ -203,8 +201,7 @@ func OpenWAL(dir string, cfg WALConfig) (*WAL, error) {
 			w.segSize = validLen
 		}
 	}
-	w.written = w.nextSeq - 1
-	w.synced = w.written
+	w.synced = w.nextSeq - 1
 
 	if len(w.segments) == 0 {
 		if err := w.newSegmentLocked(); err != nil {
@@ -328,8 +325,13 @@ func (w *WAL) Append(b *delta.Batch) (uint64, error) {
 // lock before the group-commit window, so concurrent submitters share
 // one fsync.
 func (w *WAL) AppendBuffered(b *delta.Batch) (uint64, error) {
-	var body bytes.Buffer
-	if err := delta.WriteText(&body, b); err != nil {
+	// One buffer holds the whole frame: the batch text follows room for
+	// the record header and the longest sequence uvarint, which are
+	// filled in just in front of the text once the sequence is known.
+	const room = recHdrLen + binary.MaxVarintLen64
+	var buf bytes.Buffer
+	buf.Write(make([]byte, room))
+	if err := delta.WriteText(&buf, b); err != nil {
 		return 0, fmt.Errorf("ingest: encode batch: %w", err)
 	}
 
@@ -350,96 +352,76 @@ func (w *WAL) AppendBuffered(b *delta.Batch) (uint64, error) {
 		w.updateGaugesLocked()
 	}
 	seq := w.nextSeq
-	var frame bytes.Buffer
 	var seqBuf [binary.MaxVarintLen64]byte
-	nseq := binary.PutUvarint(seqBuf[:], seq)
-	payloadLen := nseq + body.Len()
-	var hdr [recHdrLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(payloadLen))
-	crc := crc32.Update(0, crcTable, seqBuf[:nseq])
-	crc = crc32.Update(crc, crcTable, body.Bytes())
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	frame.Grow(recHdrLen + payloadLen)
-	frame.Write(hdr[:])
-	frame.Write(seqBuf[:nseq])
-	frame.Write(body.Bytes())
+	seqBytes := binary.AppendUvarint(seqBuf[:0], seq)
+	frame := buf.Bytes()[room-len(seqBytes)-recHdrLen:]
+	payload := frame[recHdrLen:]
+	copy(payload, seqBytes)
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
 
-	if _, err := w.seg.Write(frame.Bytes()); err != nil {
+	if _, err := w.seg.Write(frame); err != nil {
 		w.failed = fmt.Errorf("ingest: torn WAL write at seq %d: %w", seq, err)
 		err = w.failed
 		w.mu.Unlock()
 		return 0, err
 	}
 	w.nextSeq++
-	w.written = seq
-	w.segSize += int64(frame.Len())
+	w.segSize += int64(len(frame))
 	w.mu.Unlock()
 
 	w.appends.Inc()
-	w.appendedBy.Add(int64(frame.Len()))
+	w.appendedBy.Add(int64(len(frame)))
 	w.updateGauges()
 	return seq, nil
 }
 
 // WaitDurable blocks until every record with sequence ≤ seq is covered
-// by an fsync. With group commit the first waiter becomes leader: it
-// sleeps out the window, syncs once, and publishes the new durable
-// horizon for the group. A failed fsync is sticky in both modes: on
-// Linux a retried fsync can report success after the kernel dropped
+// by an fsync. The first waiter leads: it sleeps out the GroupCommit
+// window (if any), fsyncs once, and publishes the durable horizon to
+// every waiter below it. A failed fsync poisons the log and is sticky:
+// on Linux a retried fsync can report success after the kernel dropped
 // the dirty pages, so nothing not yet durable is ever reported durable
 // after a failure, and every call for a seq returns the same outcome.
 func (w *WAL) WaitDurable(seq uint64) error {
-	if w.cfg.GroupCommit <= 0 {
-		w.mu.Lock()
-		defer w.mu.Unlock()
-		if w.synced >= seq {
-			return nil
-		}
-		if w.failed != nil {
-			return w.failed
-		}
-		if err := w.seg.Sync(); err != nil {
-			w.failed = fmt.Errorf("ingest: fsync: %w", err)
-			return w.failed
-		}
-		w.fsyncs.Inc()
-		w.smu.Lock()
-		w.synced = w.written
-		w.smu.Unlock()
-		return nil
-	}
 	w.smu.Lock()
 	defer w.smu.Unlock()
 	for w.synced < seq {
-		if w.syncErr != nil {
-			return w.syncErr
-		}
-		if !w.syncing {
-			w.syncing = true
-			w.smu.Unlock()
-			time.Sleep(w.cfg.GroupCommit)
-			w.mu.Lock()
-			err := w.seg.Sync()
-			high := w.written
-			if err != nil {
-				w.failed = fmt.Errorf("ingest: fsync: %w", err)
-				err = w.failed
-			}
-			w.mu.Unlock()
-			w.fsyncs.Inc()
-			w.smu.Lock()
-			w.syncing = false
-			if err != nil {
-				w.syncErr = err
-			} else if high > w.synced {
-				w.synced = high
-			}
-			w.scond.Broadcast()
+		if w.syncing {
+			w.scond.Wait()
 			continue
 		}
-		w.scond.Wait()
+		w.syncing = true
+		w.smu.Unlock()
+		if w.cfg.GroupCommit > 0 {
+			time.Sleep(w.cfg.GroupCommit)
+		}
+		high, err := w.syncActive()
+		w.smu.Lock()
+		w.syncing = false
+		w.scond.Broadcast()
+		if err != nil {
+			return err
+		}
+		w.synced = max(w.synced, high)
 	}
 	return nil
+}
+
+// syncActive fsyncs the active segment and returns the highest
+// sequence it covers; a poisoned log returns its poison unsynced.
+func (w *WAL) syncActive() (uint64, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.failed != nil {
+		return 0, w.failed
+	}
+	if err := w.seg.Sync(); err != nil {
+		w.failed = fmt.Errorf("ingest: fsync: %w", err)
+		return 0, w.failed
+	}
+	w.fsyncs.Inc()
+	return w.nextSeq - 1, nil
 }
 
 // LastSeq returns the sequence of the most recently appended record
@@ -461,9 +443,7 @@ func (w *WAL) Replay(from uint64, fn func(seq uint64, b *delta.Batch) error) err
 	w.mu.Unlock()
 	for i, seg := range segs {
 		last := i == len(segs)-1
-		expect := seg.first
 		_, _, err := scanSegment(seg.path, seg.first, func(seq uint64, payload []byte) error {
-			expect = seq + 1
 			if seq < from {
 				return nil
 			}
@@ -473,7 +453,6 @@ func (w *WAL) Replay(from uint64, fn func(seq uint64, b *delta.Batch) error) err
 			}
 			return fn(seq, b)
 		})
-		_ = expect
 		if err != nil {
 			if last && isFrameError(err) {
 				return nil // torn tail, never acknowledged
@@ -496,97 +475,59 @@ func isFrameError(err error) bool {
 	return errors.As(err, &fe)
 }
 
-// isEOF reports whether a ReadFull failure is EOF-shaped — the file
-// simply ended, the signature of a torn tail. Anything else (EIO, a
-// closed file) is a real read failure and must never be classified as
-// truncatable.
-func isEOF(err error) bool {
-	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
-}
-
-// scanSegment walks one segment file, calling visit for every valid
+// scanSegment reads one segment file and calls visit for every valid
 // record. It returns the byte offset just past the last valid record
 // and the number of valid records. Framing violations (short header,
-// oversized length, CRC mismatch, out-of-order sequence) return a
-// *frameError wrapped in ErrCorrupt; the caller decides whether that
-// is a truncatable tail (final segment) or real corruption. Only
-// EOF-shaped reads count as framing violations: a genuine I/O error
-// (e.g. EIO) is returned as-is, never a frameError, so it can never be
-// mistaken for a torn tail and silently truncated.
+// oversized length, a frame running past the data, CRC mismatch,
+// out-of-order sequence) return a *frameError wrapped in ErrCorrupt;
+// the caller decides whether that is a truncatable tail (final
+// segment) or real corruption. A failed read (e.g. EIO) is returned
+// as-is, never a frameError, so it can never be mistaken for a torn
+// tail and silently truncated.
 func scanSegment(path string, firstSeq uint64, visit func(seq uint64, payload []byte) error) (validLen int64, records int, err error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, 0, err
 	}
-	defer f.Close()
-	r := newCountingReader(f)
-
-	var hdr [segHdrLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if !isEOF(err) {
-			return 0, 0, fmt.Errorf("ingest: %s: reading segment header: %w", path, err)
-		}
-		return 0, 0, fmt.Errorf("%w: %s: short header: %w", ErrCorrupt, path, &frameError{err})
+	corrupt := func(format string, args ...any) error {
+		return fmt.Errorf("%w: %s: %w", ErrCorrupt, path, &frameError{fmt.Errorf(format, args...)})
 	}
-	if string(hdr[0:4]) != segMagic || hdr[4] != segVersion {
-		return 0, 0, fmt.Errorf("%w: %s: bad header: %w", ErrCorrupt, path, &frameError{fmt.Errorf("magic %q version %d", hdr[0:4], hdr[4])})
+	if len(data) < segHdrLen {
+		return 0, 0, corrupt("short header (%d bytes)", len(data))
 	}
-	validLen = segHdrLen
-	expect := firstSeq
-	var rec [recHdrLen]byte
-	for {
-		if _, err := io.ReadFull(r, rec[:]); err != nil {
-			if err == io.EOF {
-				return validLen, records, nil
-			}
-			if !isEOF(err) {
-				return validLen, records, fmt.Errorf("ingest: %s: reading record header: %w", path, err)
-			}
-			return validLen, records, fmt.Errorf("%w: %s: short record header: %w", ErrCorrupt, path, &frameError{err})
+	if string(data[0:4]) != segMagic || data[4] != segVersion {
+		return 0, 0, corrupt("bad header: magic %q version %d", data[0:4], data[4])
+	}
+	off := segHdrLen
+	for expect := firstSeq; off < len(data); expect++ {
+		rest := data[off:]
+		if len(rest) < recHdrLen {
+			return int64(off), records, corrupt("short record header at seq %d", expect)
 		}
-		plen := binary.LittleEndian.Uint32(rec[0:4])
-		wantCRC := binary.LittleEndian.Uint32(rec[4:8])
+		plen := binary.LittleEndian.Uint32(rest[0:4])
 		if plen == 0 || plen > maxRecordBytes {
-			return validLen, records, fmt.Errorf("%w: %s: record length %d out of range: %w", ErrCorrupt, path, plen, &frameError{fmt.Errorf("bad length")})
+			return int64(off), records, corrupt("record length %d out of range at seq %d", plen, expect)
 		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			if !isEOF(err) {
-				return validLen, records, fmt.Errorf("ingest: %s: reading payload: %w", path, err)
-			}
-			return validLen, records, fmt.Errorf("%w: %s: short payload: %w", ErrCorrupt, path, &frameError{err})
+		if uint64(len(rest)-recHdrLen) < uint64(plen) {
+			return int64(off), records, corrupt("short payload at seq %d", expect)
 		}
-		if crc32.Checksum(payload, crcTable) != wantCRC {
-			return validLen, records, fmt.Errorf("%w: %s: CRC mismatch at seq %d: %w", ErrCorrupt, path, expect, &frameError{fmt.Errorf("crc")})
+		payload := rest[recHdrLen : recHdrLen+int(plen)]
+		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(rest[4:8]) {
+			return int64(off), records, corrupt("CRC mismatch at seq %d", expect)
 		}
 		seq, n := binary.Uvarint(payload)
 		if n <= 0 || seq != expect {
-			return validLen, records, fmt.Errorf("%w: %s: sequence %d out of order (want %d): %w", ErrCorrupt, path, seq, expect, &frameError{fmt.Errorf("seq")})
+			return int64(off), records, corrupt("sequence %d out of order (want %d)", seq, expect)
 		}
 		if visit != nil {
 			if err := visit(seq, payload[n:]); err != nil {
-				return validLen, records, err
+				return int64(off), records, err
 			}
 		}
-		expect++
 		records++
-		validLen = r.count
+		off += recHdrLen + int(plen)
 	}
-}
-
-// countingReader tracks how many bytes have been consumed, so the
-// scanner knows the exact offset of the last whole record.
-type countingReader struct {
-	r     io.Reader
-	count int64
-}
-
-func newCountingReader(r io.Reader) *countingReader { return &countingReader{r: r} }
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.count += int64(n)
-	return n, err
+	return int64(off), records, nil
 }
 
 // TruncateThrough deletes sealed segments whose records all have

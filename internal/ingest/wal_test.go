@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"spammass/internal/delta"
+	"spammass/internal/obs"
 )
 
 // testBatch builds a recognizable batch keyed by i.
@@ -167,6 +169,48 @@ func TestWALCorruptSealedSegment(t *testing.T) {
 	}
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("error %v does not wrap ErrCorrupt", err)
+	}
+}
+
+// TestWALUnreadableFinalSegment: a final segment that cannot be read
+// (here a directory named like one) is a read failure, never a torn
+// tail. OpenWAL must fail with an error that is not ErrCorrupt and
+// leave every file as it found it.
+func TestWALUnreadableFinalSegment(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWAL(dir, WALConfig{})
+	if err != nil {
+		t.Fatalf("OpenWAL: %v", err)
+	}
+	appendN(t, w, 3)
+	w.Close()
+	sealed := filepath.Join(dir, segmentName(1))
+	before, err := os.ReadFile(sealed)
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	final := filepath.Join(dir, segmentName(4))
+	if err := os.Mkdir(final, 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := obs.NewRegistry()
+	w2, err := OpenWAL(dir, WALConfig{Obs: obs.NewContext(reg, nil)})
+	if err == nil {
+		w2.Close()
+		t.Fatal("OpenWAL accepted an unreadable final segment")
+	}
+	if errors.Is(err, ErrCorrupt) {
+		t.Fatalf("read failure reported as corruption: %v", err)
+	}
+	if n := reg.Counter("ingest.wal_truncated_records_total").Value(); n != 0 {
+		t.Fatalf("read failure taken for a torn tail (%d truncations): %v", n, err)
+	}
+	if after, err := os.ReadFile(sealed); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("sealed segment changed by a failed open (err %v)", err)
+	}
+	if fi, err := os.Stat(final); err != nil || !fi.IsDir() {
+		t.Fatalf("unreadable final segment was touched: %v", err)
 	}
 }
 

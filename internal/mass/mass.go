@@ -309,6 +309,11 @@ func (es *Estimator) EstimateFromBlacklist(spamCore []graph.NodeID, beta float64
 // Only synthetic settings (and Table 1) have this luxury; it is the
 // reference the estimators are judged against in tests.
 func (es *Estimator) Exact(spam []graph.NodeID) (*Estimates, error) {
+	for _, x := range spam {
+		if int(x) >= es.g.NumNodes() {
+			return nil, fmt.Errorf("mass: spam node %d outside graph of %d nodes", x, es.g.NumNodes())
+		}
+	}
 	sp := es.obsCtx().Span("mass.exact")
 	defer sp.End()
 	sp.SetAttr("spam_nodes", len(spam))

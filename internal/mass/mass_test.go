@@ -3,6 +3,7 @@ package mass
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -242,6 +243,12 @@ func TestEstimateInputValidation(t *testing.T) {
 	}
 	if _, err := EstimateFromCore(g, []graph.NodeID{1}, Options{Gamma: 1.5}); err == nil {
 		t.Error("gamma > 1 accepted")
+	}
+	// Exact takes the ground-truth spam set unchecked by validateCore (it
+	// may be empty), but a node outside the graph is still an error that
+	// names it, not an index panic in the jump restriction.
+	if _, err := Exact(g, []graph.NodeID{99}, DefaultOptions()); err == nil || !strings.Contains(err.Error(), "99") {
+		t.Errorf("out-of-range spam node: err = %v, want an error naming node 99", err)
 	}
 }
 

@@ -7,7 +7,8 @@
 # is too small to split). Then it runs a core-based solve with -core,
 # forces non-convergence with -epsilon 1e-300 (the command must print
 # converged=false and still exit 0), checks that -damping NaN and
-# -epsilon NaN exit non-zero, checks that the removed -solver
+# -epsilon NaN exit non-zero and that spammass -tau/-rho NaN and
+# experiments -rho NaN exit 1, checks that the removed -solver
 # and -walks flags and the removed telemetry sinks (-report, -trace,
 # -metrics-out, -debug-addr) are rejected by the flag package of
 # pagerank, spammass and experiments, and that spammass -v still
@@ -110,6 +111,28 @@ reject pagerank -solver=jacobi -walks=5 $SINKS
 reject spammass $SINKS
 reject experiments $SINKS
 echo "pagerank-smoke: removed flags are rejected by pagerank, spammass and experiments"
+
+# Algorithm 2 compares against tau and rho, and NaN compares false to
+# everything: a NaN -rho would filter out no node and a NaN -tau would
+# keep none.
+# spammass and experiments must exit 1 and name the bad value.
+for check in "spammass -tau" "spammass -rho" "experiments -rho"; do
+    bin=${check% *}
+    bad=${check#* }
+    args="-run fig1"
+    if [ "$bin" = spammass ]; then
+        args="-graph $WORK/bin.graph -core $WORK/bin.core"
+    fi
+    status=0
+    # $args is unquoted on purpose: it splits into flags and values.
+    "$WORK/$bin" $args "$bad" NaN >/dev/null 2>"$WORK/nan.log" || status=$?
+    if [ "$status" -ne 1 ] || ! grep -q -- "$bad NaN" "$WORK/nan.log"; then
+        echo "pagerank-smoke: $bin $bad NaN exited $status without naming the value:" >&2
+        cat "$WORK/nan.log" >&2
+        exit 1
+    fi
+done
+echo "pagerank-smoke: spammass -tau/-rho NaN and experiments -rho NaN exit 1"
 
 # -v is the one telemetry flag the batch commands keep.
 if ! "$WORK/spammass" -graph "$WORK/bin.graph" -core "$WORK/bin.core" -top 3 -v >/dev/null 2>"$WORK/verbose.log" ||
