@@ -127,8 +127,16 @@ func WriteBinary(w io.Writer, g *Graph) error {
 }
 
 // ReadBinary parses the compact binary format produced by WriteBinary.
+// A reader that is already an io.ByteReader is read directly, not
+// through a buffer of its own, so it stops exactly where the graph ends.
 func ReadBinary(r io.Reader) (*Graph, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	br, ok := r.(interface {
+		io.Reader
+		io.ByteReader
+	})
+	if !ok {
+		br = bufio.NewReaderSize(r, 1<<20)
+	}
 	magic := make([]byte, len(binaryMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, fmt.Errorf("graph: reading magic: %w", err)

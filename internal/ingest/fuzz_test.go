@@ -157,6 +157,9 @@ func FuzzReadSnapshotFile(f *testing.F) {
 	f.Add(body[:len(snapMagic)+1])
 	f.Add([]byte{})
 	f.Add([]byte("SMSS\x01\x01\x00"))
+	for _, b := range misplacedVectorBodies(f) {
+		f.Add(b)
+	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if len(body) > 1<<16 {
@@ -180,6 +183,16 @@ func FuzzReadSnapshotFile(f *testing.F) {
 			if int(x) >= n {
 				t.Fatalf("accepted core node %d of a %d-node graph", x, n)
 			}
+		}
+		// Every field of an accepted body is read from bytes of its own,
+		// so the body is at least as long as the state's own encoding,
+		// which writes every varint in its shortest form.
+		var enc bytes.Buffer
+		if err := encodeSnapshot(&enc, st); err != nil {
+			t.Fatalf("accepted a state that does not encode: %v", err)
+		}
+		if enc.Len() > len(body) {
+			t.Fatalf("accepted a %d-byte body whose state encodes to %d bytes", len(body), enc.Len())
 		}
 	})
 }

@@ -273,26 +273,25 @@ func ReadSnapshotFile(path string) (*SnapshotState, error) {
 		names[i] = all[off : off+int(l)]
 		off += int(l)
 	}
-	g, err := graph.ReadBinary(bufio.NewReader(r))
+	// The graph is exactly the bytes between the names and the two
+	// vectors, which are the last 16·n bytes of the body, and it must
+	// decode whole: nothing may sit between it and the vectors.
+	graphStart, vecStart := len(body)-r.Len(), len(body)-int(nn)*16
+	if vecStart < graphStart {
+		return nil, fmt.Errorf("ingest: snapshot %s: truncated vectors", path)
+	}
+	gr := bytes.NewReader(body[graphStart:vecStart])
+	g, err := graph.ReadBinary(gr)
 	if err != nil {
 		return fail("graph", err)
 	}
-	// ReadBinary pulled bytes through its own buffer, so r's position is
-	// no longer meaningful — but the two vectors are by construction the
-	// last 16·n bytes of the body, so address them from the end.
-	want := int(nn) * 16
-	if len(body) < want {
-		return nil, fmt.Errorf("ingest: snapshot %s: truncated vectors", path)
+	if gr.Len() != 0 {
+		return nil, fmt.Errorf("ingest: snapshot %s: %d bytes between graph and vectors", path, gr.Len())
 	}
-	rest := body[len(body)-want:]
-	st.P = make([]float64, nn)
-	st.PCore = make([]float64, nn)
-	for i := 0; i < int(nn); i++ {
-		st.P[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[i*8:]))
-	}
-	off := int(nn) * 8
-	for i := 0; i < int(nn); i++ {
-		st.PCore[i] = math.Float64frombits(binary.LittleEndian.Uint64(rest[off+i*8:]))
+	st.P, st.PCore = make([]float64, nn), make([]float64, nn)
+	for i := range st.P {
+		st.P[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[vecStart+8*i:]))
+		st.PCore[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[vecStart+8*(int(nn)+i):]))
 	}
 	if g.NumNodes() != int(nn) {
 		return nil, fmt.Errorf("ingest: snapshot %s: graph has %d nodes, %d names", path, g.NumNodes(), nn)

@@ -1,6 +1,8 @@
 package ingest
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -96,7 +98,7 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 // readSnapshotAllocsCeiling caps the allocations of loading a persisted
 // snapshot of the 100k seed-11 world: the measured value + 5 %. A
 // ceiling only comes down.
-const readSnapshotAllocsCeiling = 60 // measured 57
+const readSnapshotAllocsCeiling = 56 // measured 54
 
 // TestReadSnapshotFileAllocs pins that loading a snapshot costs a
 // fixed number of allocations, not one or two per host: the host names
@@ -134,6 +136,48 @@ func TestReadSnapshotFileAllocs(t *testing.T) {
 	}
 	if allocs > readSnapshotAllocsCeiling {
 		t.Errorf("ReadSnapshotFile made %.0f allocations, above its ceiling of %d", allocs, readSnapshotAllocsCeiling)
+	}
+}
+
+// misplacedVectorBodies returns two snapshot bodies, without their CRC,
+// whose lengths still agree with the host count but whose graph does
+// not end where the vectors begin: 12 junk bytes between the graph and
+// the vectors, and vectors 8 bytes short.
+func misplacedVectorBodies(t testing.TB) map[string][]byte {
+	t.Helper()
+	path, err := WriteSnapshotFile(t.TempDir(), SnapshotStateOf(testServeSnapshot(t, 3), 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := data[:len(data)-4]
+	vec := len(body) - 16*6
+	return map[string][]byte{
+		"junk before vectors":   append(append(append([]byte(nil), body[:vec]...), "junkjunkjunk"...), body[vec:]...),
+		"vectors 8 bytes short": body[:len(body)-8],
+	}
+}
+
+// TestReadSnapshotFileRejectsMisplacedVectors pins that the decoder
+// reads the graph from exactly the bytes before the vectors and needs
+// all of them: a CRC-valid body with junk after the graph, or with
+// vectors too short (whose P would be read out of the graph's bytes),
+// is refused.
+func TestReadSnapshotFileRejectsMisplacedVectors(t *testing.T) {
+	for name, body := range misplacedVectorBodies(t) {
+		path := filepath.Join(t.TempDir(), snapshotName(1, 1))
+		data := binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, crcTable))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if st, err := ReadSnapshotFile(path); err == nil {
+			t.Errorf("%s: accepted, P[0] = %v", name, st.P[0])
+		} else {
+			t.Logf("%s: %v", name, err)
+		}
 	}
 }
 

@@ -92,6 +92,11 @@ func (e *Estimates) ScaledPageRank(x graph.NodeID) float64 {
 	return e.P[x] * float64(e.N()) / (1 - e.Damping)
 }
 
+// ScaledPCore returns p'_x scaled by n/(1−c).
+func (e *Estimates) ScaledPCore(x graph.NodeID) float64 {
+	return e.PCore[x] * float64(e.N()) / (1 - e.Damping)
+}
+
 // ScaledAbsMass returns M̃_x scaled by n/(1−c).
 func (e *Estimates) ScaledAbsMass(x graph.NodeID) float64 {
 	return e.Abs[x] * float64(e.N()) / (1 - e.Damping)
@@ -494,22 +499,28 @@ func (e *Estimates) RelMassOrNaN(x graph.NodeID) float64 {
 // (scaled PageRank ≥ ρ and m̃ ≥ τ), good otherwise — including nodes
 // below ρ, which Algorithm 2 never examines and therefore never labels
 // spam. name may be empty. This is the single-node lookup surface
-// shared by Records, the spammass -host flag, and the spamserver
-// snapshot precompute.
+// shared by Records and the spammass -host flag; spamserver's records
+// are built from the same Estimates methods and DetectConfig.Label.
 func RecordFor(e *Estimates, x graph.NodeID, dcfg DetectConfig, name string) obs.DetectionRecord {
-	rec := obs.DetectionRecord{
+	p := e.ScaledPageRank(x)
+	return obs.DetectionRecord{
 		Node:    int64(x),
 		Host:    name,
-		P:       e.ScaledPageRank(x),
-		PCore:   e.PCore[x] * float64(e.N()) / (1 - e.Damping),
+		P:       p,
+		PCore:   e.ScaledPCore(x),
 		AbsMass: e.ScaledAbsMass(x),
 		RelMass: e.Rel[x],
-		Label:   obs.LabelGood,
+		Label:   dcfg.Label(p, e.Rel[x]),
 	}
-	if rec.P >= dcfg.ScaledPageRankThreshold && rec.RelMass >= dcfg.RelMassThreshold {
-		rec.Label = obs.LabelSpam
+}
+
+// Label is Algorithm 2's label for a node of scaled PageRank p and
+// relative mass rel: spam when it crosses both thresholds.
+func (c DetectConfig) Label(p, rel float64) string {
+	if p >= c.ScaledPageRankThreshold && rel >= c.RelMassThreshold {
+		return obs.LabelSpam
 	}
-	return rec
+	return obs.LabelGood
 }
 
 // Records renders the detection outcome of every node in T (scaled

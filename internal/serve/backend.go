@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 )
 
 // ErrNoSnapshot is returned by a Backend whose serving state has not
@@ -129,7 +130,9 @@ func MergeTop(metric string, n int, lists ...[]HostRecord) ([]HostRecord, error)
 	for _, l := range lists {
 		all = append(all, l...)
 	}
-	sortRanked(all, key)
+	sort.Slice(all, func(i, j int) bool {
+		return rankedBefore(key(&all[i]), key(&all[j]), all[i].Host, all[j].Host)
+	})
 	if n > len(all) {
 		n = len(all)
 	}

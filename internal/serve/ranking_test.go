@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
@@ -16,9 +17,10 @@ import (
 	"spammass/internal/webgen"
 )
 
-// webWorld is the shared 100k-host webgen world with real estimates
-// from its assembled good core: the fixture of the ranking oracle, the
-// /v1/top byte comparison and the NewSnapshot allocation budget. About
+// webWorld is a webgen world with real estimates from its assembled
+// good core. The shared 100k-host one is the fixture of the ranking
+// oracle, the /v1 byte comparisons and the NewSnapshot allocation
+// budget, which also builds a 10k-host one. In the 100k world about
 // 28 % of its hosts are isolated and share one exact p and M̃, and
 // every host the core does not reach ties at m̃ = 1, so all three
 // rankings carry large exact-tie groups.
@@ -28,8 +30,8 @@ type webWorld struct {
 	core  []graph.NodeID
 }
 
-var loadWebWorld = sync.OnceValues(func() (*webWorld, error) {
-	h, core, err := testutil.Web(webgen.DefaultConfig(100000))
+func newWebWorld(hosts int) (*webWorld, error) {
+	h, core, err := testutil.Web(webgen.DefaultConfig(hosts))
 	if err != nil {
 		return nil, err
 	}
@@ -38,7 +40,9 @@ var loadWebWorld = sync.OnceValues(func() (*webWorld, error) {
 		return nil, err
 	}
 	return &webWorld{hosts: h, est: est, core: core}, nil
-})
+}
+
+var loadWebWorld = sync.OnceValues(func() (*webWorld, error) { return newWebWorld(100000) })
 
 func webFixture(tb testing.TB) *webWorld {
 	tb.Helper()
@@ -62,14 +66,39 @@ func (w *webWorld) snapshot(tb testing.TB, epoch int64) *Snapshot {
 	return snap
 }
 
+// eagerRecords is the record table NewSnapshot used to materialise on
+// every publish, built the way it built it: one HostRecord per host from
+// mass.RecordFor, with the evaluated flag and the epoch. It is the
+// oracle the records derived on demand are held to.
+func eagerRecords(s *Snapshot) []HostRecord {
+	dcfg := s.cfg.Detect
+	recs := make([]HostRecord, len(s.hosts.Names))
+	for x := range recs {
+		rec := mass.RecordFor(s.est, graph.NodeID(x), dcfg, s.hosts.Names[x])
+		recs[x] = HostRecord{
+			Host:         rec.Host,
+			Node:         rec.Node,
+			PageRank:     rec.P,
+			CorePageRank: rec.PCore,
+			AbsMass:      rec.AbsMass,
+			RelMass:      rec.RelMass,
+			Label:        rec.Label,
+			Evaluated:    rec.P >= dcfg.ScaledPageRankThreshold,
+			Epoch:        s.epoch,
+		}
+	}
+	return recs
+}
+
 // rankOracle is the ranking as NewSnapshot built it before the bounded
-// selection: materialise every candidate record, full-sort by key
-// descending then host name ascending, keep the first MaxTop. It spells
-// the order out instead of calling rankedBefore so the two can disagree.
+// selection: materialise every candidate record (eagerRecords), full-sort
+// by key descending then host name ascending, keep the first MaxTop. It
+// spells the order out instead of calling rankedBefore so the two can
+// disagree.
 func rankOracle(s *Snapshot, metric string) []HostRecord {
 	key, _ := rankKey(metric)
 	var all []HostRecord
-	for _, rec := range s.records {
+	for _, rec := range eagerRecords(s) {
 		if metric == MetricRelMass && !rec.Evaluated {
 			continue
 		}
@@ -116,7 +145,8 @@ func TestRankMatchesOracleWebgen(t *testing.T) {
 	// is a strict, non-empty subset.
 	ties := map[float64]int{}
 	evaluated := 0
-	for _, rec := range snap.records {
+	for x := range snap.NumHosts() {
+		rec, _ := snap.LookupNode(graph.NodeID(x))
 		ties[rec.PageRank]++
 		if rec.Evaluated {
 			evaluated++
@@ -129,6 +159,39 @@ func TestRankMatchesOracleWebgen(t *testing.T) {
 	if largest <= DefaultMaxTop || evaluated == 0 || evaluated == snap.NumHosts() {
 		t.Fatalf("fixture lost its shape: largest exact-p tie %d (want > %d), %d of %d hosts examined",
 			largest, DefaultMaxTop, evaluated, snap.NumHosts())
+	}
+}
+
+// TestServedBytesMatchEagerOracle holds every answer the snapshot derives
+// on demand to the eager record table it replaced, on the 100k world:
+// each host's appendRecord bytes, by node and by name, and each
+// metric's full /v1/top body.
+func TestServedBytesMatchEagerOracle(t *testing.T) {
+	snap := webFixture(t).snapshot(t, 5)
+	var got, want []byte
+	for x, rec := range eagerRecords(snap) {
+		byNode, ok := snap.LookupNode(graph.NodeID(x))
+		if !ok {
+			t.Fatalf("LookupNode(%d) missed", x)
+		}
+		want = appendRecord(want[:0], &rec)
+		if got = appendRecord(got[:0], &byNode); !bytes.Equal(got, want) {
+			t.Fatalf("node %d:\n got %s\nwant %s", x, got, want)
+		}
+		if byName, _ := snap.Lookup(rec.Host); byName != byNode {
+			t.Fatalf("Lookup(%q) = %+v, LookupNode %+v", rec.Host, byName, byNode)
+		}
+	}
+	for _, metric := range rankedMetrics {
+		recs, err := snap.Top(metric, snap.cfg.MaxTop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = appendTop(got[:0], &TopResponse{Epoch: 5, Metric: metric, Records: recs})
+		want = appendTop(want[:0], &TopResponse{Epoch: 5, Metric: metric, Records: rankOracle(snap, metric)})
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: /v1/top body (%d bytes) differs from the eager oracle's (%d bytes)", metric, len(got), len(want))
+		}
 	}
 }
 

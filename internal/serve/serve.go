@@ -1,7 +1,7 @@
 // Package serve is the online query layer over the batch detector:
 // it packages one complete detection state — host graph (which owns
-// the host-name index), mass estimates, and per-host detection records
-// — into an immutable Snapshot, publishes snapshots through an atomic
+// the host-name index), mass estimates, and the top-k rankings — into
+// an immutable Snapshot, publishes snapshots through an atomic
 // double-buffered Store so readers never block, and answers HTTP JSON
 // queries (single host, bounded batch, precomputed rankings) against
 // whichever snapshot is current.
@@ -29,7 +29,7 @@ package serve
 import (
 	"fmt"
 	"math"
-	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -70,6 +70,9 @@ const (
 	MetricPageRank = "pagerank"
 )
 
+// rankedMetrics are the served rankings, in Snapshot.rankings order.
+var rankedMetrics = [...]string{MetricRelMass, MetricAbsMass, MetricPageRank}
+
 // DefaultMaxTop caps the length of the precomputed rankings (and
 // therefore the n of GET /v1/top) when SnapshotConfig.MaxTop is zero.
 const DefaultMaxTop = 1000
@@ -97,24 +100,22 @@ type SnapshotConfig struct {
 
 // Snapshot is one immutable detection state: every accessor is safe
 // for unsynchronized concurrent use, and nothing in a Snapshot changes
-// after NewSnapshot returns. Records, labels, and rankings are
-// precomputed at build time so the query path is a map lookup plus an
-// indexed read. The map is the HostGraph's own; a delta builds a new one.
+// after NewSnapshot returns. It stores nothing per host: a lookup probes
+// the HostGraph's name index (a delta builds a new one) and derives the
+// record from the estimates, and the rankings are node IDs.
 type Snapshot struct {
 	epoch    int64
 	builtAt  time.Time
 	hosts    *graph.HostGraph
 	est      *mass.Estimates
 	cfg      SnapshotConfig
-	records  []HostRecord
-	rankings map[string][]HostRecord
+	rankings [len(rankedMetrics)][]graph.NodeID
 }
 
-// NewSnapshot validates the estimates and precomputes the per-host
-// records and rankings. The validation is the vectorcheck guard at the
-// serving boundary: a NaN or ±Inf anywhere in the estimate vectors, or
-// a negative PageRank score, fails the build so a poisoned refresh can
-// never be published. epoch must be positive; the Refresher assigns
+// NewSnapshot validates the estimates and selects the rankings. The
+// validation is the vectorcheck guard at the serving boundary: a NaN or
+// ±Inf anywhere in the estimate vectors, or a negative PageRank score,
+// fails the build so a poisoned refresh can never be published. epoch must be positive; the Refresher assigns
 // prev+1.
 func NewSnapshot(hosts *graph.HostGraph, est *mass.Estimates, cfg SnapshotConfig, epoch int64) (*Snapshot, error) {
 	if epoch <= 0 {
@@ -142,63 +143,44 @@ func NewSnapshot(hosts *graph.HostGraph, est *mass.Estimates, cfg SnapshotConfig
 		cfg.Core = append([]graph.NodeID(nil), cfg.Core...)
 		cfg.CoreSize = len(cfg.Core)
 	}
-	s := &Snapshot{
-		epoch:   epoch,
-		builtAt: time.Now(),
-		hosts:   hosts,
-		est:     est,
-		cfg:     cfg,
-		records: make([]HostRecord, n),
-	}
-	// The records are filled in GOMAXPROCS contiguous chunks, each on
-	// its own goroutine (record x depends on x alone), and the three
-	// rankings then select concurrently over the finished records: on
-	// a multi-core box neither step runs on one core while the others
-	// idle. Every record and ranking is the same as a serial build's.
+	s := &Snapshot{epoch: epoch, builtAt: time.Now(), hosts: hosts, est: est, cfg: cfg}
+	// The three rankings select concurrently over the estimate arrays: on
+	// a multi-core box the build does not run on one core while the
+	// others idle. Each ranking is the same as a serial build's.
 	var wg sync.WaitGroup
-	chunks := min(runtime.GOMAXPROCS(0), n)
-	for c := 0; c < chunks; c++ {
+	for i, metric := range rankedMetrics {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for x := c * n / chunks; x < (c+1)*n/chunks; x++ {
-				rec := mass.RecordFor(est, graph.NodeID(x), cfg.Detect, hosts.Names[x])
-				s.records[x] = HostRecord{
-					Host:         rec.Host,
-					Node:         rec.Node,
-					PageRank:     rec.P,
-					CorePageRank: rec.PCore,
-					AbsMass:      rec.AbsMass,
-					RelMass:      rec.RelMass,
-					Label:        rec.Label,
-					Evaluated:    rec.P >= cfg.Detect.ScaledPageRankThreshold,
-					Epoch:        epoch,
-				}
-			}
+			s.rankings[i] = s.rank(cfg.MaxTop, metric)
 		}()
 	}
 	wg.Wait()
-	metrics := [...]string{MetricRelMass, MetricAbsMass, MetricPageRank}
-	var ranked [len(metrics)][]HostRecord
-	for i, metric := range metrics {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			key, _ := rankKey(metric)
-			ranked[i] = s.rank(cfg.MaxTop, metric == MetricRelMass, key)
-		}()
-	}
-	wg.Wait()
-	s.rankings = make(map[string][]HostRecord, len(metrics))
-	for i, metric := range metrics {
-		s.rankings[metric] = ranked[i]
-	}
 	return s, nil
 }
 
+// record derives the served record of node x: mass.RecordFor's row and
+// the serving metadata, built from the methods RecordFor uses but not
+// through its struct, whose copy made a lookup ≈380 ns, not ≈230.
+func (s *Snapshot) record(x graph.NodeID) HostRecord {
+	e, p := s.est, s.est.ScaledPageRank(x)
+	return HostRecord{
+		Host:         s.hosts.Names[x],
+		Node:         int64(x),
+		PageRank:     p,
+		CorePageRank: e.ScaledPCore(x),
+		AbsMass:      e.ScaledAbsMass(x),
+		RelMass:      e.Rel[x],
+		Label:        s.cfg.Detect.Label(p, e.Rel[x]),
+		Evaluated:    p >= s.cfg.Detect.ScaledPageRankThreshold,
+		Epoch:        s.epoch,
+	}
+}
+
 // rankKey maps a ranking metric name to its sort key. ok is false for
-// unknown metrics; ValidMetric and MergeTop share this table with the
-// snapshot ranking builder so every layer agrees on what is servable.
+// unknown metrics; ValidMetric and MergeTop share this table, and
+// Snapshot.rank reads the same fields from the estimates, so every
+// layer agrees on what is servable.
 func rankKey(metric string) (func(*HostRecord) float64, bool) {
 	switch metric {
 	case MetricRelMass:
@@ -224,28 +206,30 @@ func rankedBefore(ki, kj float64, hi, hj string) bool {
 	return hi < hj
 }
 
-// sortRanked sorts records in place into the serving order for key.
-func sortRanked(recs []HostRecord, key func(*HostRecord) float64) {
-	sort.Slice(recs, func(i, j int) bool {
-		return rankedBefore(key(&recs[i]), key(&recs[j]), recs[i].Host, recs[j].Host)
-	})
-}
-
-// rank returns the top-k records by key in the serving order
-// (rankedBefore). evaluatedOnly restricts the ranking to the examined
-// set T — the relative-mass ranking is meaningless below ρ, where tiny
-// absolute errors blow up m̃ (Section 3.6). A heap rooted at the worst
-// kept host holds the k best seen so far and only those are sorted; host
-// names are unique, so the order is total: a full sort's exact k-prefix.
-func (s *Snapshot) rank(k int, evaluatedOnly bool, key func(*HostRecord) float64) []HostRecord {
-	before := func(x, y int) bool {
-		a, b := &s.records[x], &s.records[y]
-		return rankedBefore(key(a), key(b), a.Host, b.Host)
+// rank returns the top-k node IDs for metric in the serving order
+// (rankedBefore), keyed by the float that field of each node's record
+// holds (rankKey), read straight from the estimate arrays. The
+// relative-mass ranking is restricted to the examined set T — it is
+// meaningless below ρ, where tiny absolute errors blow up m̃ (Section
+// 3.6). A heap rooted at the worst kept host holds the k best seen so
+// far and only those are sorted; host names are unique, so the order
+// is total: a full sort's exact k-prefix.
+func (s *Snapshot) rank(k int, metric string) []graph.NodeID {
+	key, names := s.est.ScaledPageRank, s.hosts.Names
+	switch metric {
+	case MetricRelMass:
+		key = func(x graph.NodeID) float64 { return s.est.Rel[x] }
+	case MetricAbsMass:
+		key = s.est.ScaledAbsMass
 	}
-	kept := make([]int, 0, min(k, len(s.records)))
-	for x := range s.records {
+	before := func(x, y graph.NodeID) bool {
+		return rankedBefore(key(x), key(y), names[x], names[y])
+	}
+	evaluatedOnly, rho := metric == MetricRelMass, s.cfg.Detect.ScaledPageRankThreshold
+	kept := make([]graph.NodeID, 0, min(k, len(names)))
+	for x := range graph.NodeID(len(names)) {
 		switch {
-		case evaluatedOnly && !s.records[x].Evaluated:
+		case evaluatedOnly && !(s.est.ScaledPageRank(x) >= rho):
 		case len(kept) < k:
 			if kept = append(kept, x); len(kept) == k {
 				// Worst first: a slice sorted that way is already a heap.
@@ -265,11 +249,7 @@ func (s *Snapshot) rank(k int, evaluatedOnly bool, key func(*HostRecord) float64
 		}
 	}
 	sort.Slice(kept, func(i, j int) bool { return before(kept[i], kept[j]) })
-	out := make([]HostRecord, len(kept))
-	for i, x := range kept {
-		out[i] = s.records[x]
-	}
-	return out
+	return kept
 }
 
 // validateEstimates is the NaN/±Inf guard at the snapshot boundary,
@@ -306,7 +286,7 @@ func (s *Snapshot) BuiltAt() time.Time { return s.builtAt }
 func (s *Snapshot) Age() time.Duration { return time.Since(s.builtAt) }
 
 // NumHosts returns the number of hosts covered.
-func (s *Snapshot) NumHosts() int { return len(s.records) }
+func (s *Snapshot) NumHosts() int { return len(s.hosts.Names) }
 
 // Config returns the snapshot's detection and ranking parameters.
 func (s *Snapshot) Config() SnapshotConfig { return s.cfg }
@@ -337,33 +317,30 @@ func (s *Snapshot) Lookup(name string) (HostRecord, bool) {
 	if !ok {
 		return HostRecord{}, false
 	}
-	return s.records[x], true
+	return s.record(x), true
 }
 
 // LookupNode returns the record of node x.
 func (s *Snapshot) LookupNode(x graph.NodeID) (HostRecord, bool) {
-	if int(x) >= len(s.records) {
+	if int(x) >= s.NumHosts() {
 		return HostRecord{}, false
 	}
-	return s.records[x], true
+	return s.record(x), true
 }
 
-// Top returns the first n entries of the precomputed ranking for
-// metric (MetricRelMass, MetricAbsMass, or MetricPageRank). n is
-// clamped to the precomputed length (SnapshotConfig.MaxTop).
+// Top returns the records of the first n entries of the precomputed
+// ranking for metric (MetricRelMass, MetricAbsMass, or MetricPageRank).
+// n is clamped to the precomputed length (SnapshotConfig.MaxTop).
 func (s *Snapshot) Top(metric string, n int) ([]HostRecord, error) {
-	ranked, ok := s.rankings[metric]
-	if !ok {
+	i := slices.Index(rankedMetrics[:], metric)
+	if i < 0 {
 		return nil, fmt.Errorf("serve: unknown ranking metric %q (want %s, %s, or %s)",
 			metric, MetricRelMass, MetricAbsMass, MetricPageRank)
 	}
-	if n < 0 {
-		n = 0
+	ranked := s.rankings[i][:min(max(n, 0), len(s.rankings[i]))]
+	out := make([]HostRecord, len(ranked))
+	for j, x := range ranked {
+		out[j] = s.record(x)
 	}
-	if n > len(ranked) {
-		n = len(ranked)
-	}
-	out := make([]HostRecord, n)
-	copy(out, ranked[:n])
 	return out, nil
 }
