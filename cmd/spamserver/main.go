@@ -51,15 +51,14 @@
 // published epoch, alerting on serve.drift_* and /readyz?verbose when
 // the detector's operating point jumps.
 //
-// Refreshes reload all three input files from disk, so replacing them
-// in place and sending SIGHUP (or POST /admin/refresh) picks up a new
-// crawl without a restart; schedule reloads with cron and either. A
-// SIGHUP during boot is held and runs one refresh once the server is
-// up. A refresh that fails — unreadable inputs, solver
-// non-convergence, NaN/Inf in the result — leaves the previous
-// snapshot serving. SIGINT/SIGTERM cancel a boot in progress and
-// drain in-flight requests before exit. -addr-file writes the bound
-// address (useful with -addr :0).
+// A refresh (SIGHUP or POST /admin/refresh) re-solves the served
+// generation cold, keeping every applied delta: input files are read
+// at first boot only, so a new crawl means a new data directory and a
+// new boot. A SIGHUP during boot is held and runs one refresh once the
+// server is up. A refresh that fails — solver non-convergence, NaN/Inf
+// in the result — leaves the previous snapshot serving. SIGINT/SIGTERM
+// cancel a boot in progress and drain in-flight requests before exit.
+// -addr-file writes the bound address (useful with -addr :0).
 //
 // Between full refreshes the graph can evolve incrementally: POST a
 // mutation batch in the delta text format to /admin/delta (?wait=1 to
@@ -191,35 +190,6 @@ func main() {
 		}
 		return gen.Cold(ctx, h, core, epoch)
 	}
-	// build is every full refresh, the boot included, so both boots
-	// publish through the refresher and its telemetry. A durable
-	// server's boot (prev == nil with a WAL) is its recovery: the last
-	// persisted snapshot (or the initial build when none exists) plus
-	// the WAL suffix folded onto it and solved once, exactly. kill -9
-	// at any byte offset recovers every acknowledged batch.
-	var pl *ingest.Pipeline
-	build := func(ctx context.Context, prev *serve.Snapshot, epoch int64) (*serve.Snapshot, error) {
-		if prev != nil || pl == nil {
-			return load(ctx, epoch)
-		}
-		base, baseSeq, err := pl.Latest(mass.DefaultDetectConfig(), 0)
-		if err != nil {
-			return nil, fmt.Errorf("loading snapshot: %w", err)
-		}
-		if base == nil {
-			if base, err = load(ctx, epoch); err != nil {
-				return nil, err
-			}
-		}
-		recovered, replayed, err := pl.Recover(ctx, base, baseSeq, gen)
-		if err != nil {
-			return nil, fmt.Errorf("WAL recovery: %w", err)
-		}
-		if replayed > 0 {
-			fmt.Fprintf(os.Stderr, "spamserver: recovered %d WAL batches, serving epoch %d\n", replayed, recovered.Epoch())
-		}
-		return recovered, nil
-	}
 
 	var recorder *obs.Recorder
 	if *sampleInterval > 0 {
@@ -236,6 +206,7 @@ func main() {
 		Flight:     flight,
 		FlightDir:  *flightDir,
 	}
+	var pl *ingest.Pipeline
 	if *walDir != "" {
 		var err error
 		pl, err = ingest.Open(ingest.Config{
@@ -251,7 +222,7 @@ func main() {
 	}
 
 	store := serve.NewStore()
-	ref := serve.NewRefresher(store, build, rcfg)
+	ref := serve.NewRefresher(store, builder(gen, pl, load), rcfg)
 	// A SIGHUP that lands during boot leaves a pending trigger, which
 	// the Run loop picks up as one refresh right after boot.
 	go func() {
@@ -302,6 +273,40 @@ func main() {
 		if err := pl.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "spamserver: closing WAL: %v\n", err)
 		}
+	}
+}
+
+// builder returns the refresher's BuildFunc. Only the boot (prev == nil)
+// reads the input files, through load; a durable server's boot (pl !=
+// nil) recovers instead: the last persisted snapshot (or load's build
+// when none exists) plus the WAL suffix folded onto it and solved once,
+// so kill -9 at any byte offset loses no acknowledged batch. A later
+// refresh re-solves the served generation cold, keeping every delta.
+func builder(gen serve.Generator, pl *ingest.Pipeline, load func(ctx context.Context, epoch int64) (*serve.Snapshot, error)) serve.BuildFunc {
+	return func(ctx context.Context, prev *serve.Snapshot, epoch int64) (*serve.Snapshot, error) {
+		switch {
+		case prev != nil:
+			return gen.Cold(ctx, prev.HostGraph(), prev.Core(), epoch)
+		case pl == nil:
+			return load(ctx, epoch)
+		}
+		base, baseSeq, err := pl.Latest(mass.DefaultDetectConfig(), 0)
+		if err != nil {
+			return nil, fmt.Errorf("loading snapshot: %w", err)
+		}
+		if base == nil {
+			if base, err = load(ctx, epoch); err != nil {
+				return nil, err
+			}
+		}
+		recovered, replayed, err := pl.Recover(ctx, base, baseSeq, gen)
+		if err != nil {
+			return nil, fmt.Errorf("WAL recovery: %w", err)
+		}
+		if replayed > 0 {
+			fmt.Fprintf(os.Stderr, "spamserver: recovered %d WAL batches, serving epoch %d\n", replayed, recovered.Epoch())
+		}
+		return recovered, nil
 	}
 }
 

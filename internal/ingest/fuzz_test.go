@@ -2,9 +2,7 @@ package ingest
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -135,11 +133,11 @@ func FuzzWALReplay(f *testing.F) {
 }
 
 // FuzzReadSnapshotFile feeds arbitrary snapshot bodies to the snapshot
-// decoder. The harness appends the body's CRC32C itself, so mutations
-// get past the checksum and reach the decoder. Whatever the body is,
-// reading must not panic, and a state it accepts must be
-// self-consistent: P, PCore, the host names and the graph's nodes have
-// one length, and every core node is in range. Explore with
+// decoder behind ReadSnapshotFile, past the file read and the CRC32C
+// check, so every mutation reaches it. Whatever the body is, decoding
+// must not panic, and a state it accepts must be self-consistent: P,
+// PCore, the host names and the graph's nodes have one length, and
+// every core node is in range. Explore with
 // `go test -fuzz=FuzzReadSnapshotFile ./internal/ingest/`.
 func FuzzReadSnapshotFile(f *testing.F) {
 	dir := f.TempDir()
@@ -165,12 +163,7 @@ func FuzzReadSnapshotFile(f *testing.F) {
 		if len(body) > 1<<16 {
 			return
 		}
-		data := binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.Checksum(body, crcTable))
-		path := filepath.Join(t.TempDir(), snapshotName(1, 1))
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		st, err := ReadSnapshotFile(path)
+		st, err := decodeSnapshot(body)
 		if err != nil {
 			return
 		}

@@ -118,8 +118,8 @@ func (p *Pipeline) MarkApplied(seq uint64, snap *serve.Snapshot) {
 	p.snap = snap
 }
 
-// MarkRefreshed implements serve.Journal: a full rebuild superseded
-// the served state without consuming queued sequences.
+// MarkRefreshed implements serve.Journal: a full refresh re-solved the
+// served generation, so snap is checkpointed under the same sequence.
 func (p *Pipeline) MarkRefreshed(snap *serve.Snapshot) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

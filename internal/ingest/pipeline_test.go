@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -221,6 +222,44 @@ func TestPipelineCompactSkipsUnchanged(t *testing.T) {
 	}
 	if snaps != 1 {
 		t.Fatalf("%d snapshot files after repeated compaction of one checkpoint, want 1", snaps)
+	}
+}
+
+// TestPipelineMarkRefreshed: a refresh re-solves the served generation,
+// so it is checkpointed under the sequence that generation covered. The
+// compactor persists the refreshed epoch under that sequence, and it
+// outranks the state it replaced, so a restart never serves an epoch
+// older than one already served.
+func TestPipelineMarkRefreshed(t *testing.T) {
+	dir := t.TempDir()
+	pl, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer pl.Close()
+	for i := 1; i <= 5; i++ {
+		if _, err := pl.Append(growthBatch(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := testServeSnapshot(t, 6), testServeSnapshot(t, 7)
+	pl.MarkApplied(5, a)
+	if err := pl.Compact(); err != nil {
+		t.Fatalf("Compact after MarkApplied: %v", err)
+	}
+	pl.MarkRefreshed(b)
+	if err := pl.Compact(); err != nil {
+		t.Fatalf("Compact after MarkRefreshed: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, snapshotName(5, b.Epoch()))); err != nil {
+		t.Fatalf("no snapshot of the refreshed epoch under seq 5: %v", err)
+	}
+	snap, seq, err := pl.Latest(b.Config().Detect, 0)
+	if err != nil || snap == nil {
+		t.Fatalf("Latest = (%v, %d, %v)", snap, seq, err)
+	}
+	if snap.Epoch() != b.Epoch() || seq != 5 {
+		t.Fatalf("Latest = epoch %d at seq %d, want the refreshed epoch %d at seq 5", snap.Epoch(), seq, b.Epoch())
 	}
 }
 

@@ -3,6 +3,7 @@ package ingest
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -10,7 +11,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -174,7 +175,7 @@ func encodeSnapshot(buf *bytes.Buffer, st *SnapshotState) error {
 	return nil
 }
 
-// ReadSnapshotFile loads and verifies one snapshot file.
+// ReadSnapshotFile loads one snapshot file, checks its CRC and decodes it.
 func ReadSnapshotFile(path string) (*SnapshotState, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -187,28 +188,35 @@ func ReadSnapshotFile(path string) (*SnapshotState, error) {
 	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(tail) {
 		return nil, fmt.Errorf("ingest: snapshot %s: CRC mismatch", path)
 	}
+	st, err := decodeSnapshot(body)
+	if err != nil {
+		return nil, fmt.Errorf("ingest: snapshot %s: %w", path, err)
+	}
+	return st, nil
+}
+
+// decodeSnapshot decodes a CRC-checked snapshot body; the state it
+// returns keeps no reference to body.
+func decodeSnapshot(body []byte) (*SnapshotState, error) {
 	r := bytes.NewReader(body)
 	var magic [5]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return nil, fmt.Errorf("ingest: snapshot %s: %w", path, err)
+		return nil, fmt.Errorf("magic: %w", err)
 	}
 	if string(magic[:4]) != snapMagic || magic[4] != snapVersion {
-		return nil, fmt.Errorf("ingest: snapshot %s: bad magic/version %q %d", path, magic[:4], magic[4])
-	}
-	fail := func(field string, err error) (*SnapshotState, error) {
-		return nil, fmt.Errorf("ingest: snapshot %s: %s: %w", path, field, err)
+		return nil, fmt.Errorf("bad magic/version %q %d", magic[:4], magic[4])
 	}
 	st := &SnapshotState{}
 	epoch, err := binary.ReadUvarint(r)
 	if err != nil {
-		return fail("epoch", err)
+		return nil, fmt.Errorf("epoch: %w", err)
 	}
 	if epoch == 0 || epoch > math.MaxInt64 {
-		return nil, fmt.Errorf("ingest: snapshot %s: epoch %d out of range", path, epoch)
+		return nil, fmt.Errorf("epoch %d out of range", epoch)
 	}
 	st.Epoch = int64(epoch)
 	if st.AppliedSeq, err = binary.ReadUvarint(r); err != nil {
-		return fail("applied seq", err)
+		return nil, fmt.Errorf("applied seq: %w", err)
 	}
 	readF64 := func() (float64, error) {
 		var b [8]byte
@@ -218,35 +226,35 @@ func ReadSnapshotFile(path string) (*SnapshotState, error) {
 		return math.Float64frombits(binary.LittleEndian.Uint64(b[:])), nil
 	}
 	if st.Damping, err = readF64(); err != nil {
-		return fail("damping", err)
+		return nil, fmt.Errorf("damping: %w", err)
 	}
 	if st.Gamma, err = readF64(); err != nil {
-		return fail("gamma", err)
+		return nil, fmt.Errorf("gamma: %w", err)
 	}
 	ncore, err := binary.ReadUvarint(r)
 	if err != nil {
-		return fail("core size", err)
+		return nil, fmt.Errorf("core size: %w", err)
 	}
 	if ncore > uint64(r.Len()) {
-		return nil, fmt.Errorf("ingest: snapshot %s: core size %d exceeds file", path, ncore)
+		return nil, fmt.Errorf("core size %d exceeds file", ncore)
 	}
 	st.Core = make([]graph.NodeID, ncore)
 	for i := range st.Core {
 		v, err := binary.ReadUvarint(r)
 		if err != nil {
-			return fail("core node", err)
+			return nil, fmt.Errorf("core node: %w", err)
 		}
 		if v > math.MaxUint32 {
-			return nil, fmt.Errorf("ingest: snapshot %s: core node %d out of range", path, v)
+			return nil, fmt.Errorf("core node %d out of range", v)
 		}
 		st.Core[i] = graph.NodeID(v)
 	}
 	nn, err := binary.ReadUvarint(r)
 	if err != nil {
-		return fail("host count", err)
+		return nil, fmt.Errorf("host count: %w", err)
 	}
 	if nn > uint64(r.Len()) {
-		return nil, fmt.Errorf("ingest: snapshot %s: host count %d exceeds file", path, nn)
+		return nil, fmt.Errorf("host count %d exceeds file", nn)
 	}
 	// The names are checked in one pass, then copied out of body as one
 	// string that every name is a substring of (two allocations, not
@@ -255,13 +263,13 @@ func ReadSnapshotFile(path string) (*SnapshotState, error) {
 	for i := uint64(0); i < nn; i++ {
 		l, err := binary.ReadUvarint(r)
 		if err != nil {
-			return fail("name length", err)
+			return nil, fmt.Errorf("name length: %w", err)
 		}
 		if l > uint64(r.Len()) {
-			return nil, fmt.Errorf("ingest: snapshot %s: name length %d exceeds file", path, l)
+			return nil, fmt.Errorf("name length %d exceeds file", l)
 		}
 		if _, err := r.Seek(int64(l), io.SeekCurrent); err != nil {
-			return fail("name", err)
+			return nil, fmt.Errorf("name: %w", err)
 		}
 	}
 	table := body[start : len(body)-r.Len()]
@@ -278,15 +286,15 @@ func ReadSnapshotFile(path string) (*SnapshotState, error) {
 	// decode whole: nothing may sit between it and the vectors.
 	graphStart, vecStart := len(body)-r.Len(), len(body)-int(nn)*16
 	if vecStart < graphStart {
-		return nil, fmt.Errorf("ingest: snapshot %s: truncated vectors", path)
+		return nil, fmt.Errorf("truncated vectors")
 	}
 	gr := bytes.NewReader(body[graphStart:vecStart])
-	g, err := graph.ReadBinary(gr)
+	g, err := graph.ReadBinary(gr) // its errors start with "graph:"
 	if err != nil {
-		return fail("graph", err)
+		return nil, err
 	}
 	if gr.Len() != 0 {
-		return nil, fmt.Errorf("ingest: snapshot %s: %d bytes between graph and vectors", path, gr.Len())
+		return nil, fmt.Errorf("%d bytes between graph and vectors", gr.Len())
 	}
 	st.P, st.PCore = make([]float64, nn), make([]float64, nn)
 	for i := range st.P {
@@ -294,15 +302,14 @@ func ReadSnapshotFile(path string) (*SnapshotState, error) {
 		st.PCore[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[vecStart+8*(int(nn)+i):]))
 	}
 	if g.NumNodes() != int(nn) {
-		return nil, fmt.Errorf("ingest: snapshot %s: graph has %d nodes, %d names", path, g.NumNodes(), nn)
+		return nil, fmt.Errorf("graph has %d nodes, %d names", g.NumNodes(), nn)
 	}
-	st.Hosts, err = graph.NewHostGraph(g, names)
-	if err != nil {
-		return fail("host graph", err)
+	if st.Hosts, err = graph.NewHostGraph(g, names); err != nil {
+		return nil, err
 	}
 	for _, x := range st.Core {
 		if int(x) >= int(nn) {
-			return nil, fmt.Errorf("ingest: snapshot %s: core node %d out of graph", path, x)
+			return nil, fmt.Errorf("core node %d out of graph", x)
 		}
 	}
 	return st, nil
@@ -313,72 +320,60 @@ func ReadSnapshotFile(path string) (*SnapshotState, error) {
 // rename, or bit-rotted past their CRC) are skipped with a log line,
 // never fatal: the WAL can always replay from further back.
 func LatestSnapshot(dir string, logf func(format string, args ...any)) (*SnapshotState, string, error) {
-	entries, err := os.ReadDir(dir)
+	paths, err := snapshotPaths(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, "", nil
 		}
 		return nil, "", err
 	}
-	type cand struct {
-		seq   uint64
-		epoch int64
-		path  string
-	}
-	var cands []cand
-	for _, e := range entries {
-		if seq, epoch, ok := parseSnapshotName(e.Name()); ok {
-			cands = append(cands, cand{seq, epoch, filepath.Join(dir, e.Name())})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].seq != cands[j].seq {
-			return cands[i].seq > cands[j].seq
-		}
-		return cands[i].epoch > cands[j].epoch
-	})
-	for _, c := range cands {
-		st, err := ReadSnapshotFile(c.path)
+	for _, path := range paths {
+		st, err := ReadSnapshotFile(path)
 		if err != nil {
 			if logf != nil {
-				logf("ingest: skipping unreadable snapshot %s: %v", c.path, err)
+				logf("ingest: skipping unreadable snapshot %s: %v", path, err)
 			}
 			continue
 		}
-		return st, c.path, nil
+		return st, path, nil
 	}
 	return nil, "", nil
 }
 
 // pruneSnapshots removes all but the keep newest snapshot files.
 func pruneSnapshots(dir string, keep int) error {
-	entries, err := os.ReadDir(dir)
+	paths, err := snapshotPaths(dir)
 	if err != nil {
 		return err
 	}
-	type cand struct {
-		seq   uint64
-		epoch int64
-		path  string
-	}
-	var cands []cand
-	for _, e := range entries {
-		if seq, epoch, ok := parseSnapshotName(e.Name()); ok {
-			cands = append(cands, cand{seq, epoch, filepath.Join(dir, e.Name())})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].seq != cands[j].seq {
-			return cands[i].seq > cands[j].seq
-		}
-		return cands[i].epoch > cands[j].epoch
-	})
-	for _, c := range cands[min(keep, len(cands)):] {
-		if err := os.Remove(c.path); err != nil {
+	for _, path := range paths[min(keep, len(paths)):] {
+		if err := os.Remove(path); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// snapshotPaths lists dir's snapshot files newest first, by applied
+// sequence and then epoch: a refresh persisted under the sequence it
+// re-solved outranks the state it replaced, when loading and pruning.
+func snapshotPaths(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var paths []string
+	for _, e := range entries {
+		if _, _, ok := parseSnapshotName(e.Name()); ok {
+			paths = append(paths, filepath.Join(dir, e.Name()))
+		}
+	}
+	slices.SortFunc(paths, func(a, b string) int {
+		seqA, epochA, _ := parseSnapshotName(filepath.Base(a))
+		seqB, epochB, _ := parseSnapshotName(filepath.Base(b))
+		return cmp.Or(cmp.Compare(seqB, seqA), cmp.Compare(epochB, epochA))
+	})
+	return paths, nil
 }
 
 // SnapshotStateOf captures the persistable state of a served snapshot.

@@ -165,7 +165,7 @@ func misplacedVectorBodies(t testing.TB) map[string][]byte {
 // reads the graph from exactly the bytes before the vectors and needs
 // all of them: a CRC-valid body with junk after the graph, or with
 // vectors too short (whose P would be read out of the graph's bytes),
-// is refused.
+// is refused, with an error that names the graph once.
 func TestReadSnapshotFileRejectsMisplacedVectors(t *testing.T) {
 	for name, body := range misplacedVectorBodies(t) {
 		path := filepath.Join(t.TempDir(), snapshotName(1, 1))
@@ -173,9 +173,13 @@ func TestReadSnapshotFileRejectsMisplacedVectors(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if st, err := ReadSnapshotFile(path); err == nil {
+		st, err := ReadSnapshotFile(path)
+		switch {
+		case err == nil:
 			t.Errorf("%s: accepted, P[0] = %v", name, st.P[0])
-		} else {
+		case strings.Count(err.Error(), "graph:") > 1:
+			t.Errorf("%s: error names the graph more than once: %v", name, err)
+		default:
 			t.Logf("%s: %v", name, err)
 		}
 	}

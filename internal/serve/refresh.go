@@ -14,14 +14,14 @@ import (
 	"spammass/internal/obs"
 )
 
-// BuildFunc produces the next snapshot generation: reload inputs,
-// re-run the estimation (Generator.Cold), and return a validated
+// BuildFunc produces the next full generation and returns a validated
 // snapshot carrying the given epoch. prev is the currently served
-// snapshot, nil only on the initial build; spamserver's builder reads it
-// for that alone, to tell a durable server's boot from a refresh. A
-// recovering initial build (that boot) instead returns the epoch its
-// replayed WAL suffix reached. A builder that fails returns an error;
-// it must not publish anything itself.
+// snapshot, nil only on the initial build: spamserver's builder reads
+// its input files (or, on a durable server, recovers) when prev is nil,
+// and otherwise re-solves prev's host graph and core cold
+// (Generator.Cold). A recovering initial build instead returns the
+// epoch its replayed WAL suffix reached. A builder that fails returns
+// an error; it must not publish anything itself.
 type BuildFunc func(ctx context.Context, prev *Snapshot, epoch int64) (*Snapshot, error)
 
 // DeltaApplyFunc produces the next snapshot generation from the
@@ -70,10 +70,10 @@ type Journal interface {
 	// MarkApplied reports that every journaled batch up to and
 	// including seq is reflected in the now-served snapshot.
 	MarkApplied(seq uint64, snap *Snapshot)
-	// MarkRefreshed reports a full (non-delta) refresh: snap supersedes
-	// the previously served state but does NOT advance the applied
-	// sequence — acknowledged batches still queued will be applied on
-	// top of it, live and during recovery alike.
+	// MarkRefreshed reports a full (non-delta) refresh: snap re-solves
+	// the served generation, so it covers the same applied sequence and
+	// replaces the snapshot without advancing it — acknowledged batches
+	// still queued apply on top of it, live and during recovery alike.
 	MarkRefreshed(snap *Snapshot)
 }
 
@@ -108,7 +108,7 @@ type RefresherConfig struct {
 
 // Refresher drives snapshot turnover: it runs BuildFunc on demand and
 // publishes the result to the Store only when the build succeeded end
-// to end. Any failure — input reload, solver
+// to end. Any failure — a boot's input read, solver
 // non-convergence (pagerank.ErrNotConverged from the estimator),
 // snapshot validation — leaves the previous snapshot serving and is
 // recorded in LastError and the serve.refresh_failures_total counter.
@@ -398,8 +398,8 @@ func (r *Refresher) runBuild(ctx context.Context, spanName string, needPrev bool
 	}
 	// Tell the journal what the served state now covers, so the
 	// compactor can fold the log prefix into a snapshot. A full refresh
-	// supersedes prior deltas without advancing the applied sequence;
-	// still-queued acknowledged batches apply on top of it.
+	// re-solves the served generation, so it covers the same applied
+	// sequence; still-queued acknowledged batches apply on top of it.
 	if j := r.cfg.Journal; j != nil {
 		if !needPrev {
 			j.MarkRefreshed(snap)

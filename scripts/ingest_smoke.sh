@@ -14,8 +14,9 @@
 # never-crashed server to the solver tolerance, not bit for bit) — the
 # acknowledged-batches-survive-kill-9 property, end to end. Once the
 # feed drains, both servers' ingest queues must read 0 on /admin/status
-# and /metrics. Run via
-# `make ingest-smoke`.
+# and /metrics. Last, a host created by one more acknowledged batch must
+# survive a refresh, the compaction after it and another SIGKILL. Run
+# via `make ingest-smoke`.
 set -eu
 
 GO=${GO:-go}
@@ -239,6 +240,52 @@ for HOST in $(sed -n '1p;1000p;5000p;9999p' "$WORK/web.names"); do
     fi
 done
 echo "ingest-smoke: recovered scores match the never-crashed control"
+
+# A refresh re-solves the served generation, so a host an acknowledged
+# batch created must survive it, the compaction that persists the
+# refreshed epoch, and a kill -9 after that.
+NEW=refresh-smoke.example
+printf 'delta 1\n+h %s\n+e %s %s\n+e %s %s\n' "$NEW" \
+    "$(sed -n '1p' "$WORK/web.names")" "$NEW" "$NEW" "$(sed -n '1000p' "$WORK/web.names")" \
+    >"$WORK/refresh.delta"
+curl -sS --fail --max-time 120 -X POST --data-binary "@$WORK/refresh.delta" \
+    "http://$CRASH/admin/delta?wait=1" >/dev/null
+curl -sS --fail --max-time 120 -X POST "http://$CRASH/admin/refresh?wait=1" >/dev/null
+EPOCH=$(epoch_of "$CRASH")
+# host_status <addr> — the HTTP status of a lookup of $NEW.
+host_status() {
+    curl -sS -o /dev/null -w '%{http_code}' --max-time 30 "http://$1/v1/host/$NEW"
+}
+STATUS=$(host_status "$CRASH")
+if [ "$STATUS" != 200 ]; then
+    echo "ingest-smoke: refresh to epoch $EPOCH dropped $NEW, created by an acknowledged batch (status $STATUS)" >&2
+    exit 1
+fi
+i=0
+until ls "$WORK/wal/snap-"*"-$EPOCH.snap" >/dev/null 2>&1; do
+    i=$((i + 1))
+    if [ "$i" -gt 100 ]; then
+        echo "ingest-smoke: no snapshot of the refreshed epoch $EPOCH after 10s" >&2
+        ls -l "$WORK/wal" >&2
+        exit 1
+    fi
+    sleep 0.1
+done
+kill -9 "$CRASH_PID"
+wait "$CRASH_PID" 2>/dev/null || true
+rm -f "$WORK/crash.addr"
+boot "$WORK/crash.addr" "$WORK/crash3.log" \
+    -wal-dir "$WORK/wal" -compact-every 2s -wal-group-commit 1ms
+CRASH_PID=$BOOT_PID
+CRASH=$(wait_addr "$WORK/crash.addr" "$CRASH_PID" "server restarted after the refresh")
+STATUS=$(host_status "$CRASH")
+RESTART_EPOCH=$(epoch_of "$CRASH")
+if [ "$STATUS" != 200 ] || [ "$RESTART_EPOCH" != "$EPOCH" ]; then
+    echo "ingest-smoke: after refresh, compaction and kill -9 the restart serves" \
+        "epoch $RESTART_EPOCH (want $EPOCH) and answers $STATUS for $NEW (want 200)" >&2
+    exit 1
+fi
+echo "ingest-smoke: $NEW survived a refresh, its compaction and kill -9 (epoch $EPOCH)"
 
 kill "$CRASH_PID" 2>/dev/null || true
 wait "$CRASH_PID" 2>/dev/null || true
