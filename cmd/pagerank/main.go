@@ -2,18 +2,17 @@
 // prints the top-scoring nodes, or the full score vector with -all.
 // With -core it computes the core-based PageRank p' instead, biased to
 // a good core read from a file of node IDs (one per line), scaled to
-// ‖w‖ = gamma. Graph files may be text edge lists, the compact binary
-// format (SMGR), or the out-of-core format (SMDG) built by
-// diskgraph.Build — the last is solved without loading the adjacency
-// into memory.
+// ‖w‖ = gamma. Graph files may be text edge lists or the compact
+// binary format (SMGR); either is loaded into memory.
 //
 // Usage:
 //
 //	pagerank -graph web.graph [-core web.core] [-gamma 0.85]
 //	         [-damping 0.85] [-epsilon 1e-10] [-top 20 | -all] [-v]
 //
-// Every graph format is solved with the Jacobi iteration of
-// Algorithm 1.
+// Every graph is solved with the Jacobi iteration of Algorithm 1. To
+// solve a binary graph too large to load, open it through
+// pagerank.OpenDiskGraph, which streams the same file once per sweep.
 package main
 
 import (
@@ -24,7 +23,6 @@ import (
 	"sort"
 
 	"spammass/internal/cliobs"
-	"spammass/internal/diskgraph"
 	"spammass/internal/graph"
 	"spammass/internal/obs"
 	"spammass/internal/pagerank"
@@ -48,18 +46,11 @@ func main() {
 		octx = obs.NewContext(nil, nil).WithLogf(obs.StderrLogf(os.Stderr))
 	}
 
-	// Out-of-core graphs are detected by magic and solved streaming;
-	// anything else is loaded into memory.
-	var g *graph.Graph
-	var n int
-	dg, err := diskgraph.Open(*graphPath)
-	if err == nil {
-		n = dg.NumNodes()
-	} else if g, _, err = graph.LoadFile(*graphPath, octx); err != nil {
+	g, _, err := graph.LoadFile(*graphPath, octx)
+	if err != nil {
 		die("load graph: %v", err)
-	} else {
-		n = g.NumNodes()
 	}
+	n := g.NumNodes()
 	v := pagerank.UniformJump(n)
 	if *corePath != "" {
 		core, err := cliobs.LoadNodeIDs(*corePath, n)
@@ -75,18 +66,12 @@ func main() {
 	// AllowTruncated: the command prints converged= itself instead of
 	// failing on a solve that hits MaxIter.
 	cfg := pagerank.Config{Damping: *damping, Epsilon: *epsilon, MaxIter: 1000, AllowTruncated: true, Obs: octx}
-	var res *pagerank.Result
-	prefix := ""
-	if g == nil {
-		if res, err = dg.PageRank(v, cfg); err != nil {
-			die("solve (disk): %v", err)
-		}
-		prefix = "out-of-core: "
-	} else if res, err = pagerank.Jacobi(g, v, cfg); err != nil {
+	res, err := pagerank.Jacobi(g, v, cfg)
+	if err != nil {
 		die("solve: %v", err)
 	}
-	fmt.Fprintf(os.Stderr, "%sconverged=%v iterations=%d residual=%.2e\n",
-		prefix, res.Converged, res.Iterations, res.Residual)
+	fmt.Fprintf(os.Stderr, "converged=%v iterations=%d residual=%.2e\n",
+		res.Converged, res.Iterations, res.Residual)
 	printScores(res.Scores, n, *damping, *top, *all)
 }
 

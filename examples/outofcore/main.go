@@ -1,8 +1,8 @@
 // Out-of-core: run the full mass-estimation pipeline with the graph's
 // adjacency on disk — the regime of the paper's real deployment, where
-// the page graph had billions of edges. Only the out-degree array and
-// the score vectors stay in memory; each Jacobi iteration streams the
-// in-neighbor lists from disk sequentially.
+// the page graph had billions of edges. The graph is written once in
+// the binary format every tool reads; only the score vectors stay in
+// memory, and each Jacobi iteration streams its rows from disk.
 //
 //	go run ./examples/outofcore
 package main
@@ -36,8 +36,15 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "web.smdg")
-	if err := spammass.BuildDiskGraph(path, w.Graph); err != nil {
+	path := filepath.Join(dir, "web.smgr")
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := spammass.WriteGraphBinary(f, w.Graph); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
 	info, err := os.Stat(path)
@@ -54,12 +61,12 @@ func main() {
 	cfg := pagerank.Config{Damping: 0.85, Epsilon: 1e-10, MaxIter: 300}
 	n := dg.NumNodes()
 
-	p, err := dg.PageRank(pagerank.UniformJump(n), cfg)
+	p, err := dg.Jacobi(pagerank.UniformJump(n), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("regular PageRank:    %d streaming iterations\n", p.Iterations)
-	pc, err := dg.PageRank(pagerank.ScaledCoreJump(n, core.Nodes, 0.85), cfg)
+	pc, err := dg.Jacobi(pagerank.ScaledCoreJump(n, core.Nodes, 0.85), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,7 +7,7 @@ func Example() {
 	main()
 	// Output:
 	// generating a 60000-host synthetic web...
-	// disk graph: web.smdg (0.3 MB for 127602 edges)
+	// disk graph: web.smgr (0.2 MB for 127602 edges)
 	// regular PageRank:    90 streaming iterations
 	// core-based PageRank: 85 streaming iterations
 	// detection over the disk-resident graph: 187 candidates, 90% spam-or-known-anomaly

@@ -91,108 +91,140 @@ const (
 // WriteBinary writes g in the compact binary format.
 func WriteBinary(w io.Writer, g *Graph) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	putUvarint := func(v uint64) error {
-		k := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:k])
-		return err
-	}
-	if err := putUvarint(binaryVersion); err != nil {
-		return err
-	}
-	if err := putUvarint(uint64(g.NumNodes())); err != nil {
-		return err
-	}
+	row := binary.AppendUvarint([]byte(binaryMagic), binaryVersion)
+	row = binary.AppendUvarint(row, uint64(g.NumNodes()))
 	for x := 0; x < g.NumNodes(); x++ {
 		adj := g.OutNeighbors(NodeID(x))
-		if err := putUvarint(uint64(len(adj))); err != nil {
+		row = binary.AppendUvarint(row, uint64(len(adj)))
+		prev := NodeID(0) // so the first neighbor is stored absolute
+		for _, y := range adj {
+			row = binary.AppendUvarint(row, uint64(y-prev))
+			prev = y
+		}
+		if _, err := bw.Write(row); err != nil {
 			return err
 		}
-		prev := uint64(0)
-		for i, y := range adj {
-			gap := uint64(y) - prev
-			if i == 0 {
-				gap = uint64(y)
-			}
-			if err := putUvarint(gap); err != nil {
-				return err
-			}
-			prev = uint64(y)
-		}
+		row = row[:0]
+	}
+	if _, err := bw.Write(row); err != nil { // the header of an empty graph
+		return err
 	}
 	return bw.Flush()
+}
+
+// byteReader is what the binary decoders read: io.ReadFull takes the
+// magic, binary.ReadUvarint every later field.
+type byteReader interface {
+	io.Reader
+	io.ByteReader
 }
 
 // ReadBinary parses the compact binary format produced by WriteBinary.
 // A reader that is already an io.ByteReader is read directly, not
 // through a buffer of its own, so it stops exactly where the graph ends.
 func ReadBinary(r io.Reader) (*Graph, error) {
-	br, ok := r.(interface {
-		io.Reader
-		io.ByteReader
-	})
+	br, ok := r.(byteReader)
 	if !ok {
 		br = bufio.NewReaderSize(r, 1<<20)
 	}
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("graph: reading magic: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("graph: bad magic %q", magic)
-	}
-	version, err := binary.ReadUvarint(br)
+	n, err := ReadBinaryHeader(br)
 	if err != nil {
-		return nil, fmt.Errorf("graph: reading version: %w", err)
+		return nil, err
 	}
-	if version != binaryVersion {
-		return nil, fmt.Errorf("graph: unsupported version %d", version)
-	}
-	n64, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("graph: reading node count: %w", err)
-	}
-	if n64 > 1<<32 {
-		return nil, fmt.Errorf("graph: node count %d exceeds uint32 ID space", n64)
-	}
-	n := int(n64)
 	g := &Graph{n: n}
 	// The header's node count is untrusted: preallocate at most 1<<20
 	// offsets and grow past that as degrees arrive, so a corrupt count
 	// fails on the truncated input before its offsets are allocated.
 	g.outStart = make([]int64, 1, min(n, 1<<20)+1)
 	for x := 0; x < n; x++ {
-		deg, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("graph: node %d degree: %w", x, err)
+		if g.outAdj, err = appendRow(br, g.outAdj, x, uint64(n)); err != nil {
+			return nil, err
 		}
-		prev := uint64(0)
-		for i := uint64(0); i < deg; i++ {
-			gap, err := binary.ReadUvarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("graph: node %d adjacency: %w", x, err)
-			}
-			y := prev + gap
-			if i == 0 {
-				y = gap
-			}
-			if y >= n64 {
-				return nil, fmt.Errorf("graph: node %d references node %d outside [0,%d)", x, y, n)
-			}
-			if i > 0 && y <= prev {
-				return nil, fmt.Errorf("graph: node %d adjacency not increasing", x)
-			}
-			g.outAdj = append(g.outAdj, NodeID(y))
-			prev = y
-		}
-		g.outStart = append(g.outStart, g.outStart[x]+int64(deg))
+		g.outStart = append(g.outStart, int64(len(g.outAdj)))
 	}
 	g.inStart, g.inAdj = reverseCSR(g.outStart, g.outAdj, n)
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
 	return g, nil
+}
+
+// ReadBinaryHeader reads the magic, version and node count that open
+// every binary graph; it is the one parser of that header.
+func ReadBinaryHeader(br byteReader) (int, error) {
+	magic := make([]byte, len(binaryMagic))
+	if _, err := io.ReadFull(br, magic); err != nil {
+		return 0, fmt.Errorf("graph: reading magic: %w", err)
+	}
+	if string(magic) != binaryMagic {
+		return 0, fmt.Errorf("graph: bad magic %q", magic)
+	}
+	version, err := binary.ReadUvarint(br)
+	if err != nil {
+		return 0, fmt.Errorf("graph: reading version: %w", err)
+	}
+	if version != binaryVersion {
+		return 0, fmt.Errorf("graph: unsupported version %d", version)
+	}
+	n, err := binary.ReadUvarint(br)
+	if err != nil {
+		return 0, fmt.Errorf("graph: reading node count: %w", err)
+	}
+	if n > 1<<32 {
+		return 0, fmt.Errorf("graph: node count %d exceeds uint32 ID space", n)
+	}
+	return int(n), nil
+}
+
+// appendRow decodes row x of an n-node binary graph — the out-degree,
+// then the out-neighbors, the first absolute and each later one as the
+// gap to its predecessor — and appends the neighbors to adj. It is the
+// one row decoder: every neighbor it returns is < n and not x, each
+// row is strictly increasing, and malformed input yields an error,
+// never a panic. adj grows only as neighbors arrive, so a corrupt
+// degree fails on the truncated input before it is allocated.
+func appendRow(br io.ByteReader, adj []NodeID, x int, n uint64) ([]NodeID, error) {
+	deg, err := binary.ReadUvarint(br)
+	if err != nil {
+		return adj, fmt.Errorf("graph: node %d degree: %w", x, err)
+	}
+	prev := uint64(0)
+	for i := uint64(0); i < deg; i++ {
+		gap, err := binary.ReadUvarint(br)
+		if err != nil {
+			return adj, fmt.Errorf("graph: node %d adjacency: %w", x, err)
+		}
+		y := prev + gap // prev is 0 before the first, stored absolute
+		if y >= n {
+			return adj, fmt.Errorf("graph: node %d references node %d outside [0,%d)", x, y, n)
+		}
+		if i > 0 && y <= prev {
+			return adj, fmt.Errorf("graph: node %d adjacency not increasing", x)
+		}
+		if y == uint64(x) {
+			return adj, fmt.Errorf("graph: self-link at node %d", x)
+		}
+		adj = append(adj, NodeID(y))
+		prev = y
+	}
+	return adj, nil
+}
+
+// ScanBinaryRows decodes the n rows that follow a binary header in
+// node order and passes each to fn, which must not keep adj: the next
+// row reuses it. Holding one row at a time, it is the reader of the
+// out-of-core solver, whose adjacency never fits in memory at once;
+// it decodes through ReadBinary's row decoder, so the two accept and
+// reject the same bytes and yield the same rows. It stops at the first
+// malformed row and returns its error.
+func ScanBinaryRows(br io.ByteReader, n int, fn func(x NodeID, adj []NodeID)) error {
+	var adj []NodeID
+	for x := 0; x < n; x++ {
+		var err error
+		if adj, err = appendRow(br, adj[:0], x, uint64(n)); err != nil {
+			return err
+		}
+		fn(NodeID(x), adj)
+	}
+	return nil
 }

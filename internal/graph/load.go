@@ -10,7 +10,7 @@ import (
 )
 
 // LoadFile reads a graph file in either the text edge-list or the
-// binary SMGR format, sniffing the four-byte magic to pick the codec.
+// binary SMGR format, sniffing the binary magic to pick the codec.
 // It is the shared loader of the CLIs and returns a filled GraphInfo
 // alongside the graph. octx, when non-nil, additionally records a
 // "graph.load" span (path, format, node/edge counts, bytes read) and
@@ -27,7 +27,7 @@ func LoadFile(path string, octx *obs.Context) (*Graph, *obs.GraphInfo, error) {
 	cr := &obs.CountingReader{R: f}
 	br := bufio.NewReaderSize(cr, 1<<20)
 	format := "text"
-	if magic, perr := br.Peek(4); perr == nil && string(magic) == "SMGR" {
+	if magic, perr := br.Peek(len(binaryMagic)); perr == nil && string(magic) == binaryMagic {
 		format = "binary"
 	}
 	var g *Graph

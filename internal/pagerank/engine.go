@@ -121,21 +121,8 @@ func (e *Engine) SolveManyConfig(vs []Vector, cfg Config) ([]*Result, error) {
 	if k == 0 {
 		return nil, nil
 	}
-	n := e.g.NumNodes()
-	for j, v := range vs {
-		if len(v) != n {
-			return nil, fmt.Errorf("pagerank: jump vector %d has length %d, want %d", j, len(v), n)
-		}
-	}
-	if cfg.WarmStarts != nil {
-		if len(cfg.WarmStarts) != k {
-			return nil, fmt.Errorf("pagerank: %d warm starts for a batch of %d vectors", len(cfg.WarmStarts), k)
-		}
-		for j, w := range cfg.WarmStarts {
-			if len(w) != n {
-				return nil, fmt.Errorf("pagerank: warm start %d has length %d, want %d", j, len(w), n)
-			}
-		}
+	if err := checkLengths(vs, cfg.WarmStarts, e.g.NumNodes()); err != nil {
+		return nil, err
 	}
 
 	e.mu.Lock()
@@ -144,6 +131,27 @@ func (e *Engine) SolveManyConfig(vs []Vector, cfg Config) ([]*Result, error) {
 		return nil, fmt.Errorf("pagerank: engine is closed")
 	}
 	return e.solveBatch(vs, cfg)
+}
+
+// checkLengths holds a batch of jump vectors, and its warm starts when
+// there are any, to one vector per column of length n each.
+func checkLengths(vs, warm []Vector, n int) error {
+	for j, v := range vs {
+		if len(v) != n {
+			return fmt.Errorf("pagerank: jump vector %d has length %d, want %d", j, len(v), n)
+		}
+	}
+	if warm != nil {
+		if len(warm) != len(vs) {
+			return fmt.Errorf("pagerank: %d warm starts for a batch of %d vectors", len(warm), len(vs))
+		}
+		for j, w := range warm {
+			if len(w) != n {
+				return fmt.Errorf("pagerank: warm start %d has length %d, want %d", j, len(w), n)
+			}
+		}
+	}
+	return nil
 }
 
 // solveBatch runs the iteration loop. Callers hold e.mu and have
@@ -179,62 +187,19 @@ func (e *Engine) solveBatch(vs []Vector, cfg Config) ([]*Result, error) {
 	e.partial = growBuf(e.partial, workers*k)
 
 	run := startSolve(cfg, n, k, workers)
-	stats := run.stats
-	m := e.g.NumEdges()
 	c := cfg.Damping
-	resid := make([]float64, k) // per-vector residual of the last iteration
-	firstIter := make([]int, k) // iteration at which each vector first converged
-	converged := make([]bool, k)
-	left := k // vectors that have not yet met Epsilon
-
-	// record folds one finished iteration into the stats, convergence
-	// flags, and telemetry. Every full sweep counts all m in-edges.
-	record := func(it int) (maxRes float64) {
-		stats.Iterations = it
-		stats.EdgesSwept += m
-		for j := 0; j < k; j++ {
-			if resid[j] > maxRes {
-				maxRes = resid[j]
-			}
-			if !converged[j] && resid[j] < cfg.Epsilon {
-				converged[j] = true
-				firstIter[j] = it
-				left--
-			}
-		}
-		run.observe(it, maxRes)
-		return maxRes
-	}
-
-	it := 0
-	for left > 0 && it < cfg.MaxIter {
-		it++
+	results, _ := run.sweep(e.g.NumEdges(), func(resid []float64) error {
 		e.sweepPull(cur, next, jump, k, c, workers, resid)
 		cur, next = next, cur
-		if record(it) < cfg.Epsilon {
-			break
-		}
-	}
+		return nil
+	})
 	// The swap leaves the freshest iterate in cur; remember it for the
 	// next solve's buffer reuse.
 	e.cur, e.next = cur, next
-
-	results := make([]*Result, k)
-	for j := 0; j < k; j++ {
-		scores := make(Vector, n)
-		for i := 0; i < n; i++ {
-			scores[i] = cur[i*k+j]
-		}
-		iters := firstIter[j]
-		if iters == 0 {
-			iters = stats.Iterations
-		}
-		results[j] = &Result{
-			Scores:     scores,
-			Iterations: iters,
-			Residual:   resid[j],
-			Converged:  converged[j],
-			Stats:      stats,
+	for j, r := range results {
+		r.Scores = make(Vector, n)
+		for i := range r.Scores {
+			r.Scores[i] = cur[i*k+j]
 		}
 	}
 	return run.finish(results)

@@ -172,6 +172,50 @@ func (r *solveRun) observe(it int, residual float64) {
 	octx.Logf("%s", msg)
 }
 
+// sweep runs the Jacobi loop every sweep solver shares over the run's
+// Batch columns: step performs one sweep of all m edges and leaves
+// each column's L1 step ‖next − cur‖₁ in resid. It stops once every
+// column has met Epsilon or after MaxIter sweeps, and returns one
+// Result per column with all but Scores set, which the caller fills
+// before handing them to finish. A step error ends the span and is
+// returned as is.
+func (r *solveRun) sweep(m int64, step func(resid []float64) error) ([]*Result, error) {
+	stats, eps := r.stats, r.cfg.Epsilon
+	resid := make([]float64, stats.Batch)
+	results := make([]*Result, stats.Batch)
+	for j := range results {
+		results[j] = &Result{Stats: stats}
+	}
+	left := len(results) // columns that have not yet met Epsilon
+	for it := 1; left > 0 && it <= r.cfg.MaxIter; it++ {
+		if err := step(resid); err != nil {
+			r.sp.End()
+			return nil, err
+		}
+		stats.Iterations = it
+		stats.EdgesSwept += m
+		maxRes := 0.0
+		for j, res := range results {
+			res.Residual = resid[j]
+			if resid[j] > maxRes {
+				maxRes = resid[j]
+			}
+			if !res.Converged && resid[j] < eps {
+				res.Converged = true
+				res.Iterations = it // the sweep at which it first met Epsilon
+				left--
+			}
+		}
+		r.observe(it, maxRes)
+	}
+	for _, res := range results {
+		if !res.Converged {
+			res.Iterations = stats.Iterations
+		}
+	}
+	return results, nil
+}
+
 // finish closes the solve: it stamps the stats, feeds the pagerank.*
 // metrics, ends the span, scans the results under the vectorcheck tag
 // and, unless truncation is allowed, reports the worst column that

@@ -35,17 +35,25 @@ type observedSolve struct {
 
 func solveObserved(t *testing.T, g *graph.Graph, cfg Config, vs []Vector) observedSolve {
 	t.Helper()
+	return observeSolve(t, cfg, func(cfg Config) ([]*Result, error) {
+		eng, err := NewEngine(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		return eng.SolveMany(vs)
+	})
+}
+
+// observeSolve runs solve with cfg under a fresh obs context.
+func observeSolve(t *testing.T, cfg Config, solve func(Config) ([]*Result, error)) observedSolve {
+	t.Helper()
 	out := observedSolve{reg: obs.NewRegistry()}
 	root := obs.NewSpan("test")
 	cfg.Obs = obs.NewContext(out.reg, root).WithLogf(func(f string, a ...any) {
 		out.logged = append(out.logged, fmt.Sprintf(f, a...))
 	})
-	eng, err := NewEngine(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	out.res, out.err = eng.SolveMany(vs)
+	out.res, out.err = solve(cfg)
 	root.End()
 	if out.span = root.Snapshot().Find("pagerank.solve"); out.span == nil {
 		t.Fatal("no pagerank.solve span")

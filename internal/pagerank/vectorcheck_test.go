@@ -59,6 +59,11 @@ func TestVectorCheckCatchesNegative(t *testing.T) {
 		!strings.Contains(err.Error(), "negative") {
 		t.Errorf("negative jump weight not caught: err=%v", err)
 	}
+	// The out-of-core solve closes through the same guard.
+	if _, err := openDisk(t, g).Jacobi(Vector{0, -0.5, 0}, cfg); err == nil ||
+		!strings.Contains(err.Error(), "negative") {
+		t.Errorf("negative jump weight not caught out of core: err=%v", err)
+	}
 }
 
 // A clean solve must pass the guard untouched.

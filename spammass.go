@@ -34,7 +34,6 @@ import (
 	"spammass/internal/baseline"
 	"spammass/internal/content"
 	"spammass/internal/delta"
-	"spammass/internal/diskgraph"
 	"spammass/internal/forensics"
 	"spammass/internal/goodcore"
 	"spammass/internal/graph"
@@ -315,16 +314,15 @@ func TrainContentClassifier(feats []ContentFeatures, labels []bool) (*ContentCla
 	return content.Train(feats, labels, content.DefaultTrainConfig())
 }
 
-// DiskGraph is an on-disk graph for out-of-core PageRank: only the
-// out-degree array and score vectors stay in memory while the
-// adjacency streams from disk once per iteration.
-type DiskGraph = diskgraph.DiskGraph
+// DiskGraph is a binary graph file (the format WriteGraphBinary
+// writes) opened for out-of-core PageRank: only the score vectors stay
+// in memory, and DiskGraph.Jacobi streams the rows from the file once
+// per iteration.
+type DiskGraph = pagerank.DiskGraph
 
-// BuildDiskGraph writes g in the out-of-core format at path.
-func BuildDiskGraph(path string, g *Graph) error { return diskgraph.Build(path, g) }
-
-// OpenDiskGraph opens an on-disk graph built by BuildDiskGraph.
-func OpenDiskGraph(path string) (*DiskGraph, error) { return diskgraph.Open(path) }
+// OpenDiskGraph checks the binary graph file at path in one streaming
+// pass and opens it for out-of-core solves.
+func OpenDiskGraph(path string) (*DiskGraph, error) { return pagerank.OpenDiskGraph(path) }
 
 // EvolveSpam advances a synthetic world one spam generation: existing
 // farms are abandoned and fresh ones stood up, while the good web (and

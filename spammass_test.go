@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 
 	"spammass"
@@ -203,8 +204,15 @@ func TestFacadeDiskGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := t.TempDir() + "/g.smdg"
-	if err := spammass.BuildDiskGraph(path, g); err != nil {
+	path := t.TempDir() + "/g.smgr"
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := spammass.WriteGraphBinary(f, g); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	dg, err := spammass.OpenDiskGraph(path)
@@ -216,7 +224,7 @@ func TestFacadeDiskGraph(t *testing.T) {
 	for i := range v {
 		v[i] = 1 / float64(n)
 	}
-	disk, err := dg.PageRank(v, spammass.DefaultSolverConfig())
+	disk, err := dg.Jacobi(v, spammass.DefaultSolverConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
