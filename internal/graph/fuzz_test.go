@@ -48,6 +48,8 @@ func FuzzReadBinary(f *testing.F) {
 		if err != nil {
 			return
 		}
+		// ReadBinary runs no Validate pass of its own: its row decoder
+		// must already have enforced everything Validate checks.
 		if err := g.Validate(); err != nil {
 			t.Fatalf("decoded graph violates invariants: %v", err)
 		}
@@ -165,6 +167,8 @@ func FuzzReadText(f *testing.F) {
 		if err != nil {
 			return
 		}
+		// ReadBinary runs no Validate pass of its own: its row decoder
+		// must already have enforced everything Validate checks.
 		if err := g.Validate(); err != nil {
 			t.Fatalf("decoded graph violates invariants: %v", err)
 		}

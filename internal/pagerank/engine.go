@@ -2,6 +2,7 @@ package pagerank
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -121,7 +122,7 @@ func (e *Engine) SolveManyConfig(vs []Vector, cfg Config) ([]*Result, error) {
 	if k == 0 {
 		return nil, nil
 	}
-	if err := checkLengths(vs, cfg.WarmStarts, e.g.NumNodes()); err != nil {
+	if err := checkBatch(vs, cfg.WarmStarts, e.g.NumNodes()); err != nil {
 		return nil, err
 	}
 
@@ -133,9 +134,11 @@ func (e *Engine) SolveManyConfig(vs []Vector, cfg Config) ([]*Result, error) {
 	return e.solveBatch(vs, cfg)
 }
 
-// checkLengths holds a batch of jump vectors, and its warm starts when
-// there are any, to one vector per column of length n each.
-func checkLengths(vs, warm []Vector, n int) error {
+// checkBatch holds a batch of jump vectors, and its warm starts when
+// there are any, to one vector per column of length n each, and every
+// warm score to a finite value ≥ 0: the push keeps x ≥ 0 from such a
+// start (its clamp relies on it), and no PageRank is negative.
+func checkBatch(vs, warm []Vector, n int) error {
 	for j, v := range vs {
 		if len(v) != n {
 			return fmt.Errorf("pagerank: jump vector %d has length %d, want %d", j, len(v), n)
@@ -149,9 +152,24 @@ func checkLengths(vs, warm []Vector, n int) error {
 			if len(w) != n {
 				return fmt.Errorf("pagerank: warm start %d has length %d, want %d", j, len(w), n)
 			}
+			if i := badScore(w); i >= 0 {
+				return fmt.Errorf("pagerank: warm start %d holds %v at node %d, want a finite score ≥ 0", j, w[i], i)
+			}
 		}
 	}
 	return nil
+}
+
+// badScore returns the first node whose score in x is negative, NaN or
+// ±Inf, or -1 when there is none. The test is written so that NaN,
+// which compares false to everything, fails it too.
+func badScore(x Vector) int {
+	for i, s := range x {
+		if !(s >= 0 && s <= math.MaxFloat64) {
+			return i
+		}
+	}
+	return -1
 }
 
 // solveBatch runs the iteration loop. Callers hold e.mu and have

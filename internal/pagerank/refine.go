@@ -53,6 +53,9 @@ func (e *Engine) Refine(x, v Vector, tol float64) (*RefineStats, error) {
 	if len(v) != n {
 		return nil, fmt.Errorf("pagerank: refine jump vector has length %d, want %d", len(v), n)
 	}
+	if i := badScore(x); i >= 0 {
+		return nil, fmt.Errorf("pagerank: refine iterate holds %v at node %d, want a finite score ≥ 0", x[i], i)
+	}
 	if !(tol > 0) || math.IsInf(tol, 0) {
 		return nil, fmt.Errorf("pagerank: refine tolerance %v, want a positive finite value", tol)
 	}

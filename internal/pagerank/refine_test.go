@@ -1,7 +1,9 @@
 package pagerank
 
 import (
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"spammass/internal/graph"
@@ -147,6 +149,9 @@ func TestRefineValidation(t *testing.T) {
 	if _, err := eng.Refine(x, v, -1); err == nil {
 		t.Error("negative tolerance accepted")
 	}
+	if _, err := eng.Refine(Vector{0, -1e-300, 0}, v, 1e-9); err == nil || !strings.Contains(err.Error(), "at node 1") {
+		t.Errorf("negative iterate accepted (err %v)", err)
+	}
 	eng.Close()
 	if _, err := eng.Refine(x, v, 1e-9); err == nil {
 		t.Error("closed engine accepted refine")
@@ -216,5 +221,26 @@ func TestWarmStartsValidation(t *testing.T) {
 	cfg.WarmStarts = []Vector{make(Vector, 3), make(Vector, 2)}
 	if _, err := eng.SolveManyConfig(jumps, cfg); err == nil {
 		t.Error("short warm start accepted")
+	}
+
+	// A score the push could drive below 0, or never finish with, is
+	// refused with its column and node, on either algorithm; -0 is a
+	// score of 0.
+	for _, algo := range []Algorithm{AlgoJacobi, AlgoGaussSouthwell} {
+		for _, bad := range []float64{-1e-300, math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg = eng.Config()
+			cfg.Algorithm = algo
+			cfg.WarmStarts = []Vector{{0.2, 0.3, 0.5}, {0.2, 0.3, bad}}
+			_, err := eng.SolveManyConfig(jumps, cfg)
+			if err == nil || !strings.Contains(err.Error(), "warm start 1 holds") || !strings.Contains(err.Error(), "at node 2") {
+				t.Errorf("%v: warm score %v accepted (err %v)", algo, bad, err)
+			}
+		}
+		cfg = eng.Config()
+		cfg.Algorithm = algo
+		cfg.WarmStarts = []Vector{{0.2, 0.3, 0.5}, {math.Copysign(0, -1), 0.3, 0.5}}
+		if _, err := eng.SolveManyConfig(jumps, cfg); err != nil {
+			t.Errorf("%v: warm score -0 refused: %v", algo, err)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package pagerank
 
 import (
 	"math"
+	"slices"
 
 	"spammass/internal/graph"
 )
@@ -72,6 +73,7 @@ func (e *Engine) solveSouthwell(vs []Vector, cfg Config) ([]*Result, error) {
 	for j := range vs {
 		st := &sts[j]
 		stats.EdgesSwept += st.EdgesSwept
+		stats.Pushes += st.Pushes
 		if st.Scans > stats.Iterations {
 			stats.Iterations = st.Scans
 		}
@@ -134,7 +136,7 @@ func pushRun(g *graph.Graph, inv []float64, c float64, x, v Vector, warm bool, t
 	st.InitialResidual = rsum
 	budget := int64(maxIter) * (m + int64(n))
 
-	queued := make([]bool, n)
+	queued := make([]uint8, n)
 	q := make([]int32, 0, 256)
 	floor := tol / float64(2*n)
 	thresh := rsum / float64(2*n)
@@ -145,16 +147,20 @@ func pushRun(g *graph.Graph, inv []float64, c float64, x, v Vector, warm bool, t
 	// pushed concurrently never write to a shared cache line.
 	var pushes, edges int64
 	for rsum > tol && work < budget {
+		// Every node was dequeued before this rescan, so queued is all
+		// 0 and a plain store of e sets it.
 		rsum = 0
-		q = q[:0]
+		q = slices.Grow(q[:0], n)[:n]
+		k := 0
 		for y := 0; y < n; y++ {
 			a := math.Abs(r[y])
 			rsum += a
-			if a > thresh {
-				queued[y] = true
-				q = append(q, int32(y))
-			}
+			e := b2u(a > thresh)
+			queued[y] = e
+			q[k] = int32(y)
+			k += int(e)
 		}
+		q = q[:k]
 		work += int64(n)
 		st.Scans++
 		if onScan != nil {
@@ -172,16 +178,17 @@ func pushRun(g *graph.Graph, inv []float64, c float64, x, v Vector, warm bool, t
 		}
 		for head := 0; head < len(q) && rsum > tol && work < budget; head++ {
 			y := q[head]
-			queued[y] = false
+			queued[y] = 0
 			d := r[y]
 			if math.Abs(d) <= thresh {
 				continue
 			}
-			if x[y]+d < 0 {
-				// From a start above the fixpoint, a negative residual
-				// can exceed x[y] by a rounding error where the true
-				// score is 0. Push only what x[y] holds and keep the
-				// rest in r[y], so x stays non-negative and r exact.
+			// From a start above the fixpoint, a negative residual can
+			// exceed x[y] by a rounding error where the true score is 0.
+			// Push only what x[y] holds and keep the rest in r[y], so x
+			// stays non-negative and r exact. Since x ≥ 0 (a warm start
+			// is checked for it), x[y]+d < 0 needs d < 0.
+			if d < 0 && x[y]+d < 0 {
 				d = -x[y]
 			}
 			x[y] += d
@@ -189,16 +196,28 @@ func pushRun(g *graph.Graph, inv []float64, c float64, x, v Vector, warm bool, t
 			r[y] -= d
 			rsum += math.Abs(r[y]) - math.Abs(ry)
 			out := g.OutNeighbors(graph.NodeID(y))
-			w := c * d * inv[y]
+			// 1/len(out) equals inv[y] bit for bit and costs no load
+			// from inv; a dangling y spreads nothing, so its w (±Inf
+			// or NaN) is never used.
+			w := c * d * (1 / float64(len(out)))
+			// Enqueue without a data-dependent branch: z is always
+			// stored at q[k], and k advances only for a node that
+			// crosses thresh and is not queued already — the same
+			// nodes, in the same order, as a conditional append.
+			q = slices.Grow(q, len(out))
+			k := len(q)
+			q = q[:k+len(out)]
 			for _, z := range out {
 				old := r[z]
-				r[z] += w
-				rsum += math.Abs(r[z]) - math.Abs(old)
-				if !queued[z] && math.Abs(r[z]) > thresh {
-					queued[z] = true
-					q = append(q, int32(z))
-				}
+				nz := old + w
+				r[z] = nz
+				rsum += math.Abs(nz) - math.Abs(old)
+				e := b2u(math.Abs(nz) > thresh) &^ queued[z]
+				queued[z] |= e
+				q[k] = int32(z)
+				k += int(e)
 			}
+			q = q[:k]
 			work += int64(len(out)) + 1
 			edges += int64(len(out))
 			pushes++
@@ -209,4 +228,13 @@ func pushRun(g *graph.Graph, inv []float64, c float64, x, v Vector, warm bool, t
 	st.EdgesSwept += edges
 	st.FinalResidual = rsum
 	st.Converged = rsum <= tol
+}
+
+// b2u converts a comparison to 0 or 1; the compiler lowers it to a
+// flag set, not a branch.
+func b2u(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
 }

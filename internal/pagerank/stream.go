@@ -84,7 +84,7 @@ func (d *DiskGraph) Jacobi(v Vector, cfg Config) (*Result, error) {
 	if cfg.Algorithm != AlgoJacobi {
 		return nil, fmt.Errorf("pagerank: the out-of-core solve runs %s only, not %s", AlgoJacobi, cfg.Algorithm)
 	}
-	if err := checkLengths([]Vector{v}, cfg.WarmStarts, d.n); err != nil {
+	if err := checkBatch([]Vector{v}, cfg.WarmStarts, d.n); err != nil {
 		return nil, err
 	}
 	cur, next := make(Vector, d.n), make(Vector, d.n)

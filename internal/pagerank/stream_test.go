@@ -106,7 +106,7 @@ func TestDiskJacobiCoreJump(t *testing.T) {
 
 // TestDiskJacobiWarmStart: a seed at the fixpoint converges in one
 // sweep to the same scores, and warm starts get the engine's length
-// checks.
+// and score checks.
 func TestDiskJacobiWarmStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := testutil.RandomGraph(rng, 800, 6)
@@ -129,7 +129,9 @@ func TestDiskJacobiWarmStart(t *testing.T) {
 	if dd := testutil.MaxAbsDiff(warm.Scores, cold.Scores); dd > 1e-12 {
 		t.Errorf("warm and cold scores differ by %v", dd)
 	}
-	for _, bad := range [][]Vector{{cold.Scores, cold.Scores}, {cold.Scores[:n-1]}, {}} {
+	negative := cold.Scores.Clone()
+	negative[1] = -negative[1] // node 1 is in the core, so its score is > 0
+	for _, bad := range [][]Vector{{cold.Scores, cold.Scores}, {cold.Scores[:n-1]}, {}, {negative}} {
 		cfg.WarmStarts = bad
 		if _, err := d.Jacobi(v, cfg); err == nil || !strings.Contains(err.Error(), "warm start") {
 			t.Errorf("%d warm starts accepted (err %v)", len(bad), err)

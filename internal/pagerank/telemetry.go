@@ -78,6 +78,10 @@ type SolveStats struct {
 	// batched solve traverses the in-neighbor lists once per iteration
 	// regardless of batch width, which is exactly its advantage.
 	EdgesSwept int64
+	// Pushes counts Gauss-Southwell relaxations across all columns (0
+	// for a sweep solver); EdgesSwept / Pushes is the mean out-list
+	// length a push spreads over.
+	Pushes int64
 	// EdgesPerSecond is the sweep throughput EdgesSwept / WallTime.
 	EdgesPerSecond float64
 	// Workers is the number of goroutines used for parallel sweeps
