@@ -14,7 +14,7 @@
 // The detector runs at the paper's operating point (c = γ = 0.85,
 // ρ = 10, τ = 0.98; serve.DefaultGenerator builds every generation,
 // from a full refresh, a delta build or WAL recovery, pushing p and p′
-// to ε = 1e-11 with Gauss-Southwell), the request path at serve's
+// to ε = 3e-12 with Gauss-Southwell), the request path at serve's
 // defaults (256 in flight, 5 s deadline, 1000-host batches).
 //
 // Endpoints: GET /v1/host/{name}, POST /v1/batch, GET /v1/top,

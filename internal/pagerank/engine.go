@@ -14,11 +14,11 @@ import (
 const parallelThreshold = 4096
 
 // Engine is a reusable PageRank solver bound to one graph. It computes
-// the inverse out-degrees once at construction instead of on every
-// solve, keeps one persistent worker pool alive across iterations and
-// solves, and offers batched solves (SolveMany) that sweep the
-// in-neighbor lists once per iteration for several jump vectors at a
-// time.
+// the inverse out-degrees once at construction, and the Gauss-Southwell
+// block (pushBlock) once on its first push, instead of on every solve,
+// keeps one persistent worker pool alive across iterations and solves,
+// and offers batched solves (SolveMany) that sweep the in-neighbor
+// lists once per iteration for several jump vectors at a time.
 //
 // An Engine is safe for concurrent use; solves are serialized
 // internally. Call Close when done to release the worker pool (a
@@ -27,7 +27,8 @@ const parallelThreshold = 4096
 type Engine struct {
 	g   *graph.Graph
 	cfg Config
-	inv []float64 // 1/out(x), 0 for dangling nodes
+	inv []float64  // 1/out(x), 0 for dangling nodes
+	blk *pushBlock // the push's block, built by the first push
 
 	mu      sync.Mutex
 	pool    *workerPool
@@ -60,6 +61,15 @@ func NewEngine(g *graph.Graph, cfg Config) (*Engine, error) {
 	return e, nil
 }
 
+// block returns the engine's push block, building it on first use.
+// Callers hold e.mu.
+func (e *Engine) block() *pushBlock {
+	if e.blk == nil {
+		e.blk = newPushBlock(e.g, e.inv)
+	}
+	return e.blk
+}
+
 // Graph returns the graph the engine is bound to.
 func (e *Engine) Graph() *graph.Graph { return e.g }
 
@@ -75,9 +85,13 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed = true
+	e.blk = nil
 	if e.pool != nil {
 		e.pool.close()
 		e.pool = nil
+		// Closed, the engine needs no finalizer; left set, it would
+		// keep the engine reachable through one more GC cycle.
+		runtime.SetFinalizer(e, nil)
 	}
 }
 

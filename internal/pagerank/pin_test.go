@@ -7,6 +7,7 @@ import (
 	"math"
 	"testing"
 
+	"spammass/internal/graph"
 	"spammass/internal/testutil"
 	"spammass/internal/webgen"
 )
@@ -34,15 +35,15 @@ func floatDigest(xs []float64) string {
 
 // TestPushBitIdentity pins the Gauss-Southwell kernel to one exact
 // floating-point trajectory, on a 20k-host webgen world with its
-// assembled core at the served ε = 1e-11: a change to pushRun that
-// moves any value here changes what is served, not just how fast. Each
-// of the (p, p′) columns is pushed cold from x = 0 and warm from the
-// other column's cold fixpoint scaled by 5/4, which leaves residuals
-// of both signs and drives scores that are truly 0 down to 0 through
-// the clamp. A kernel that reorders the worklist, enqueues a node
-// twice, or evaluates any float expression differently moves at least
-// one digest or counter. The engine must then return the same bits at
-// one and two workers, where the two columns are pushed concurrently.
+// assembled core at ε = 1e-11: a change to pushRun that moves any value
+// here changes what is served, not just how fast. Each of the (p, p′)
+// columns is pushed cold from x = 0 and warm from the other column's
+// cold fixpoint scaled by 5/4, which leaves residuals of both signs and
+// drives scores that are truly 0 down to 0 through the clamp. A kernel
+// that reorders the worklist, enqueues a node twice, or evaluates any
+// float expression differently moves at least one digest or counter.
+// The engine must then return the same bits at one and two workers,
+// where the two columns are pushed concurrently.
 func TestPushBitIdentity(t *testing.T) {
 	wcfg := webgen.DefaultConfig(20_000)
 	wcfg.Seed = 11
@@ -55,19 +56,22 @@ func TestPushBitIdentity(t *testing.T) {
 	vs := []Vector{UniformJump(n), ScaledCoreJump(n, core, 0.85)}
 	cfg := Config{Damping: 0.85, Epsilon: 1e-11, MaxIter: 1000, Algorithm: AlgoGaussSouthwell}
 
+	// Re-recorded when the push was restricted to the hosts with
+	// out-links: dangling hosts are no longer pushed, but set in one
+	// pass at the end, so every counter, residual and score moved then.
 	want := map[string]pushPin{
-		"cold/uniform": {12, 186965, 1108964, 0x3da5fd7d26bfcd0a,
-			"f5c117801630568de8193fe07847dd068b45b2f0ba8d20cfd584d569f43d254c",
-			"4304f025d8ebb279be59882a81f02e3f9bb1a8c558094109355ab41271aae358"},
-		"cold/core": {11, 144369, 739315, 0x3da5fd4b2028dadd,
-			"6ec6fa8e21cb1c5bdd4ba231aa9494952465a1bc70de5a820eb06f5767aee479",
-			"4cdde949dc527127f9bf2fd3b021478f0f26d0bbfa6a672a12ea84567526e834"},
-		"warm/uniform": {12, 181689, 1096622, 0x3da5fcf47ef465d5,
-			"ca1c0cd9af81de369c8097ce50631182f4463a2dc4e6b07365a9ab61f4c781f0",
-			"9457d62c0d27f505eb8ce4f5ec8dfcbeb65c503aeecc0ac4656cfa88984458cd"},
-		"warm/core": {12, 165123, 1010536, 0x3da5fd2526773ceb,
-			"a0939897374df45cae1f88b6dfd0ef098d14b2b67da2251ec8ce2fc426308271",
-			"37cc25df8d8c2f0eb6705717bb0fec37513ea50e2f8b803b53109568ee4f226d"},
+		"cold/uniform": {11, 120982, 949534, 0x3da5fd3ae3674f2d,
+			"7799b1b5f65941eda00e66c4d4aee354b5c2cb1d274c8a3dab6860ab8292c5e6",
+			"6052e329e0f17a3fe7bbc3c3dc01f375ceb1e724365d53eccdec2e8a285d563c"},
+		"cold/core": {12, 92208, 594687, 0x3da5fce8057cfd3d,
+			"898f185a8942f01338513685465fbb0ed4d86c4947fa14923ba35d564d367a9f",
+			"0ab2a10275f8d5f7276f754436e92570a9cb54a64655c502c28b8a7e06e0ab5d"},
+		"warm/uniform": {12, 113887, 915477, 0x3da5fce7b1862e5b,
+			"28ad6e1e94ca58bd08e0e46c553e07c4e87fda31789b0af4b69f3caae0927d7f",
+			"2768a00e9c262c4c5576192291e396540264f4de0bd21c6975c356d26b6ebebd"},
+		"warm/core": {12, 119077, 969783, 0x3da5fb86efb1c445,
+			"c407fd65c463845f5a0a22d1cb66771c53c1e747f763d1b9c093d976746bac7d",
+			"7d7424da6847dac6b2780d28f88d1f06b134966346fe68cd3b528a25825bb278"},
 	}
 
 	eng, err := NewEngine(g, cfg)
@@ -81,7 +85,7 @@ func TestPushBitIdentity(t *testing.T) {
 		copy(x, warm)
 		var trace []float64
 		st := &RefineStats{}
-		pushRun(g, eng.inv, cfg.Damping, x, v, warm != nil, cfg.Epsilon, cfg.MaxIter, func(rs float64) { trace = append(trace, rs) }, st)
+		pushRun(eng.block(), cfg.Damping, x, v, warm != nil, cfg.Epsilon, cfg.MaxIter, func(rs float64) { trace = append(trace, rs) }, st)
 		got := pushPin{st.Scans, st.Pushes, st.EdgesSwept, math.Float64bits(st.FinalResidual), floatDigest(x), floatDigest(trace)}
 		if !st.Converged {
 			t.Errorf("%s did not converge: residual %v", name, st.FinalResidual)
@@ -141,6 +145,122 @@ func TestPushBitIdentity(t *testing.T) {
 				if d := floatDigest(r.Scores); d != pins[j].scores {
 					t.Errorf("%s column %d at %d workers: scores %s, want %s", start, j, workers, d, pins[j].scores)
 				}
+			}
+		}
+	}
+}
+
+// solvePin is what one (p, p′) batch solve must reproduce bit for bit
+// through the Engine: the batch's work counters and residual trace,
+// and per column its scans, residual bits and score digest.
+type solvePin struct {
+	edges, pushes int64
+	trace         string
+	cols          [2]columnPin
+}
+
+type columnPin struct {
+	scans  int
+	final  uint64
+	scores string
+}
+
+// danglingFreeWeb is TestPushBitIdentity's 20k world with one link
+// added from every dangling host to the next host (mod n), so that no
+// host is dangling, and its assembled core.
+func danglingFreeWeb(t *testing.T) (*graph.Graph, []graph.NodeID) {
+	t.Helper()
+	wcfg := webgen.DefaultConfig(20_000)
+	wcfg.Seed = 11
+	h, core, err := testutil.Web(wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := h.Graph
+	n := g.NumNodes()
+	b := graph.NewBuilder(n)
+	g.Edges(func(x, y graph.NodeID) bool {
+		b.AddEdge(x, y)
+		return true
+	})
+	for x := 0; x < n; x++ {
+		if g.IsDangling(graph.NodeID(x)) {
+			b.AddEdge(graph.NodeID(x), graph.NodeID((x+1)%n))
+		}
+	}
+	return b.Build(), core
+}
+
+// TestPushDanglingFreeIdentity pins the Gauss-Southwell solve on a
+// webgen-derived graph with no dangling host, where the block the push
+// solves over is the whole graph. The pins were recorded before the
+// push was restricted to the hosts with out-links, so they hold that
+// restriction to leaving a dangling-free solve exactly as it was: the
+// same scores, residuals, traces, edges and pushes, cold and warm (from
+// the other column's fixpoint scaled by 5/4), at one and two workers.
+func TestPushDanglingFreeIdentity(t *testing.T) {
+	g, core := danglingFreeWeb(t)
+	n := g.NumNodes()
+	for x := 0; x < n; x++ {
+		if g.IsDangling(graph.NodeID(x)) {
+			t.Fatalf("host %d is dangling", x)
+		}
+	}
+	vs := []Vector{UniformJump(n), ScaledCoreJump(n, core, 0.85)}
+	cfg := Config{Damping: 0.85, Epsilon: 1e-11, MaxIter: 1000, Algorithm: AlgoGaussSouthwell}
+
+	// Recorded at the parent of the block push, whose push ran over
+	// every host.
+	want := map[string]solvePin{
+		"cold": {2400365, 782033, "9a43928dea91261561ed80fee75d1d91a12c45fb072a4c6b556aee5e357bd443", [2]columnPin{
+			{11, 0x3da5fd1523239621, "cd62b8a0c0ecfa39ce1c19325d848ccd98efff7f2c6b520cc2f2f6e6bc915bb7"},
+			{11, 0x3da5fd46ac2b086e, "dab2f137be7646454cc7b8f3621af1439ef1583e16cd93f43ecbb751b2e0316f"}}},
+		"warm": {2703469, 729596, "e9c63fbbac66d02aae5a6759068fc431f0ddc52749e82c8fe19fc2eb34f44e12", [2]columnPin{
+			{12, 0x3da5fd71b115e64b, "d4da35a2a572e4d923576aa2e6871587878dc81a70cb7a49d44cc4f8e06efca7"},
+			{12, 0x3da5fd523e914b83, "7050b50fe340cdcab9b18b582544187276ebced5937eeb3fb16c77f20593ee9f"}}},
+	}
+
+	solve := func(workers int, warm []Vector) []*Result {
+		t.Helper()
+		wc := cfg
+		wc.Workers = workers
+		wc.WarmStarts = warm
+		e, err := NewEngine(g, wc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		rs, err := e.SolveMany(vs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+	cold := solve(1, nil)
+	warm := []Vector{cold[1].Scores.Clone(), cold[0].Scores.Clone()}
+	for _, w := range warm {
+		for i := range w {
+			w[i] *= 1.25
+		}
+	}
+	for _, workers := range []int{1, 2} {
+		for _, start := range []string{"cold", "warm"} {
+			var rs []*Result
+			if start == "cold" {
+				rs = solve(workers, nil)
+			} else {
+				rs = solve(workers, warm)
+			}
+			st := rs[0].Stats
+			got := solvePin{edges: st.EdgesSwept, pushes: st.Pushes, trace: floatDigest(st.Residuals)}
+			for j, r := range rs {
+				if !r.Converged {
+					t.Errorf("%s column %d did not converge: residual %v", start, j, r.Residual)
+				}
+				got.cols[j] = columnPin{r.Iterations, math.Float64bits(r.Residual), floatDigest(r.Scores)}
+			}
+			if got != want[start] {
+				t.Errorf("%s at %d workers solved\n\t%#v\nwant\n\t%#v", start, workers, got, want[start])
 			}
 		}
 	}

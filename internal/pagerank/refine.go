@@ -18,12 +18,15 @@ type RefineStats struct {
 	// to (re)build the push worklist.
 	Scans int
 	// InitialResidual and FinalResidual are ‖r‖₁ before and after, for
-	// the system residual r = c·Tᵀx + (1−c)v − x.
+	// the system residual r = c·Tᵀx + (1−c)v − x over the nodes with
+	// out-links, which the push solves for. The dangling nodes are set
+	// exactly after it, so FinalResidual is also the whole system's.
 	InitialResidual float64
 	FinalResidual   float64
-	// EdgesSwept counts adjacency entries actually touched: the m
-	// in-edges of a warm start's residual pass plus one out-neighbor
-	// list per push. The unit is the same "edges" that
+	// EdgesSwept counts adjacency entries actually touched: the edges
+	// between nodes with out-links for a warm start's residual pass,
+	// one such out-list per push, and the dangling nodes' in-edges for
+	// the pass that sets them. The unit is the same "edges" that
 	// SolveStats.EdgesSwept counts for sweep solvers, so push work and
 	// sweep work stay comparable in telemetry.
 	EdgesSwept int64
@@ -41,6 +44,7 @@ type RefineStats struct {
 // full-sweep equivalents are spent. It is one warm-started column of
 // the AlgoGaussSouthwell solver, run on x itself: a solve seeded from
 // x through Config.WarmStarts leaves x untouched, Refine overwrites it.
+// As there, x's dangling entries are not read but recomputed.
 //
 // No server or library path calls Refine: delta builds and recovery
 // pass their warm start to SolveManyConfig. Its last caller is the
@@ -66,6 +70,6 @@ func (e *Engine) Refine(x, v Vector, tol float64) (*RefineStats, error) {
 		return nil, fmt.Errorf("pagerank: engine is closed")
 	}
 	st := &RefineStats{}
-	pushRun(e.g, e.inv, e.cfg.Damping, x, v, true, tol, refineBudgetSweeps, nil, st)
+	pushRun(e.block(), e.cfg.Damping, x, v, true, tol, refineBudgetSweeps, nil, st)
 	return st, nil
 }

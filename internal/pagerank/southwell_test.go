@@ -147,3 +147,132 @@ func TestSouthwellConcurrentColumns(t *testing.T) {
 		checkEvents(t, fmt.Sprintf("k=%d concurrent", k), par)
 	}
 }
+
+// systemResidual recomputes, independently of the solver, the residual
+// r_y = c·Σ_{z∈in(y)} x_z/out(z) + (1−c)v_y − x_y of every host y. It
+// returns ‖r‖₁; slack, the rounding error that recomputation may make
+// (each of a row's in-degree + 3 operations may err by one unit
+// roundoff of the row's terms); and the dangling hosts whose |r_y|
+// exceeds their own row's share of slack.
+func systemResidual(g *graph.Graph, c float64, x, v Vector) (total, slack float64, dangling []int) {
+	const u = 0x1p-53
+	for y := range x {
+		sum := 0.0
+		in := g.InNeighbors(graph.NodeID(y))
+		for _, z := range in {
+			sum += x[z] / float64(g.OutDegree(z))
+		}
+		r := math.Abs(c*sum + (1-c)*v[y] - x[y])
+		row := float64(len(in)+3) * u * (c*sum + (1-c)*v[y] + x[y])
+		total += r
+		slack += row
+		if g.IsDangling(graph.NodeID(y)) && r > row {
+			dangling = append(dangling, y)
+		}
+	}
+	return total, slack, dangling
+}
+
+// TestDanglingSplitExact holds the push, which solves over the hosts
+// with out-links and then sets each dangling host in one pass, to the
+// whole system. For cold and warm solves at one and two workers, an
+// independent pull over all n hosts recomputes the residual of each
+// returned x: it must be ≤ ε and agree with Result.Residual up to the
+// recomputation's rounding bound, and every dangling row's residual
+// must be 0 up to its own.
+// A warm start's dangling entries are recomputed exactly, so a start
+// whose dangling entries are 10× their fixpoint must return the same
+// bits as one holding the fixpoint there. The graphs are an edgeless
+// one (no block at all), one without dangling hosts (the block is the
+// whole graph) and a dangling-heavy one, with a core of hosts with
+// out-links and a core made only of dangling hosts, whose p′ puts no
+// jump on the block.
+func TestDanglingSplitExact(t *testing.T) {
+	const n, c, eps = 6000, 0.85, 1e-12
+	rng := rand.New(rand.NewSource(58))
+	b := graph.NewBuilder(n)
+	for x := 0; x < n; x++ {
+		b.AddEdge(graph.NodeID(x), graph.NodeID((x+1)%n))
+		for i := rng.Intn(4); i > 0; i-- {
+			b.AddEdge(graph.NodeID(x), graph.NodeID(rng.Intn(n)))
+		}
+	}
+	noDangling := b.Build()
+	heavy := danglingHeavyGraph(rng, n) // every x with x%3 == 0 is dangling
+	var danglingCore []graph.NodeID
+	for x := 0; x < 150; x += 3 {
+		danglingCore = append(danglingCore, graph.NodeID(x))
+	}
+	cases := []struct {
+		name string
+		g    *graph.Graph
+		core []graph.NodeID
+	}{
+		{"edgeless", graph.NewBuilder(n).Build(), []graph.NodeID{1, 5, 9}},
+		{"no dangling host", noDangling, []graph.NodeID{1, 5, 9}},
+		{"linked core", heavy, []graph.NodeID{1, 4, 7, 11}},
+		{"dangling core", heavy, danglingCore},
+	}
+	for _, tc := range cases {
+		g := tc.g
+		vs := []Vector{UniformJump(n), ScaledCoreJump(n, tc.core, 0.85)}
+		for _, workers := range []int{1, 2} {
+			name := fmt.Sprintf("%s at %d workers", tc.name, workers)
+			solve := func(warm []Vector) []*Result {
+				t.Helper()
+				e, err := NewEngine(g, Config{Damping: c, Epsilon: eps, MaxIter: 1000, Workers: workers, Algorithm: AlgoGaussSouthwell, WarmStarts: warm})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer e.Close()
+				rs, err := e.SolveMany(vs)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				return rs
+			}
+			check := func(start string, rs []*Result) {
+				t.Helper()
+				for j, r := range rs {
+					total, slack, dangling := systemResidual(g, c, r.Scores, vs[j])
+					if total > eps+slack || math.Abs(total-r.Residual) > slack {
+						t.Errorf("%s, %s column %d: recomputed residual %.6g ± %.3g, reported %.6g, ε %g", name, start, j, total, slack, r.Residual, eps)
+					}
+					if len(dangling) > 0 {
+						t.Errorf("%s, %s column %d: %d dangling rows hold more than rounding, the first host %d", name, start, j, len(dangling), dangling[0])
+					}
+				}
+			}
+			cold := solve(nil)
+			check("cold", cold)
+
+			// Hosts with out-links start at the other column's fixpoint
+			// scaled by 5/4; dangling hosts at their own fixpoint, or 10×.
+			right := make([]Vector, 2)
+			wrong := make([]Vector, 2)
+			for j := range right {
+				right[j], wrong[j] = make(Vector, n), make(Vector, n)
+				for x := 0; x < n; x++ {
+					if g.IsDangling(graph.NodeID(x)) {
+						right[j][x], wrong[j][x] = cold[j].Scores[x], 10*cold[j].Scores[x]
+					} else {
+						right[j][x] = 1.25 * cold[1-j].Scores[x]
+						wrong[j][x] = right[j][x]
+					}
+				}
+			}
+			warm := solve(right)
+			check("warm", warm)
+			off := solve(wrong)
+			if warm[0].Stats.EdgesSwept != off[0].Stats.EdgesSwept || warm[0].Stats.Pushes != off[0].Stats.Pushes {
+				t.Errorf("%s: 10× dangling warm entries swept %d edges in %d pushes, the fixpoint's %d in %d",
+					name, off[0].Stats.EdgesSwept, off[0].Stats.Pushes, warm[0].Stats.EdgesSwept, warm[0].Stats.Pushes)
+			}
+			for j := range warm {
+				if floatDigest(warm[j].Scores) != floatDigest(off[j].Scores) || math.Float64bits(warm[j].Residual) != math.Float64bits(off[j].Residual) {
+					t.Errorf("%s: column %d from 10× dangling warm entries differs from the fixpoint's", name, j)
+				}
+			}
+		}
+	}
+}

@@ -76,11 +76,11 @@ type SolveStats struct {
 	WallTime time.Duration
 	// EdgesSwept counts in-edges visited across all iterations. A
 	// batched solve traverses the in-neighbor lists once per iteration
-	// regardless of batch width, which is exactly its advantage.
+	// regardless of batch width, which is exactly its advantage. For
+	// Gauss-Southwell it sums every column's RefineStats.EdgesSwept.
 	EdgesSwept int64
 	// Pushes counts Gauss-Southwell relaxations across all columns (0
-	// for a sweep solver); EdgesSwept / Pushes is the mean out-list
-	// length a push spreads over.
+	// for a sweep solver).
 	Pushes int64
 	// EdgesPerSecond is the sweep throughput EdgesSwept / WallTime.
 	EdgesPerSecond float64

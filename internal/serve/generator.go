@@ -25,13 +25,19 @@ type Generator struct {
 }
 
 // DefaultGenerator is the generator spamserver runs. Gauss-Southwell
-// pushes p and p′ concurrently to ε = 1e-11, from x = 0 for a full
+// pushes p and p′ concurrently to ε = 3e-12, from x = 0 for a full
 // refresh and from the remapped previous (p, p′) for a delta build or
-// WAL recovery. ε bounds each algorithm's own residual; 1e-11 is the
-// loosest decade at which the push serves every generation within
-// δ = 1e-7 of the ε = 1e-13 solution (TestServedAccuracy).
+// WAL recovery. ε bounds each algorithm's own residual. The push
+// solves over the hosts with out-links and sets the dangling hosts
+// exactly afterwards, so its whole residual sits on hosts whose error
+// propagates; at equal ε it serves a larger worst error than a push
+// over every host did at 1e-11. 3e-12 is the loosest of {1e-11, 5e-12,
+// 3e-12, 2e-12, 1e-12} at which the worst served error is no larger
+// than that push's, on the 100k world of TestServedAccuracy
+// (3.17e-8 → 2.32e-8) and on a 500k one (5.83e-8 → 4.21e-8), and every
+// generation stays within δ = 1e-7 of the ε = 1e-13 solution.
 func DefaultGenerator() Generator {
-	return Generator{Solver: pagerank.Config{Damping: 0.85, Epsilon: 1e-11, MaxIter: 1000, Algorithm: pagerank.AlgoGaussSouthwell}}
+	return Generator{Solver: pagerank.Config{Damping: 0.85, Epsilon: 3e-12, MaxIter: 1000, Algorithm: pagerank.AlgoGaussSouthwell}}
 }
 
 // Cold builds the generation at epoch from h and its good core. The

@@ -20,21 +20,34 @@ import (
 // a max(1, ·) denominator. δ may only tighten.
 const servedDelta = 1e-7
 
-// Exact work ceilings on the accuracy test's world and stream:
-// SolveStats.EdgesSwept of the (p, p′) push for the cold refresh, one
-// warm build and the 10-batch fold, each the measured count + 5 %. Push
-// columns are bit-identical at any worker count, so the counts do not
-// depend on GOMAXPROCS. A ceiling only comes down.
-const (
-	coldRefreshEdgesCeiling = 7_994_370 // measured 7,613,686
-	warmBuildEdgesCeiling   = 5_543_413 // measured 5,279,441
-	foldEdgesCeiling        = 7_118_176 // measured 6,779,216
-)
+// servedWorlds are TestServedAccuracy's worlds: the benchmark's 100k
+// world (webgen seed 11) at webgen's default density, ≈2.3 edges per
+// host, and at the paper's, ≈13.3 (MeanOutDeg 100). Each carries exact
+// work ceilings: SolveStats.EdgesSwept of the (p, p′) push for the
+// cold refresh, one warm build and the 10-batch fold, each the measured
+// count + 5 %. Push columns are bit-identical at any worker count, so
+// the counts do not depend on GOMAXPROCS. A ceiling only comes down.
+//
+// Before the push was restricted to the hosts with out-links (at
+// ε = 1e-11) the counts were 7,613,686 / 5,279,441 / 6,779,216 at the
+// default density and 54,340,470 / 39,312,131 / 46,761,192 at the
+// paper's. The paper-density world adds about 4 s to the test on two
+// cores (1.4 s → 5.5 s).
+var servedWorlds = []struct {
+	name             string
+	meanOutDeg       float64 // 0 keeps webgen's default
+	cold, warm, fold int64
+}{
+	// measured 6,675,930 / 4,705,059 / 6,279,790
+	{"default density", 0, 7_009_727, 4_940_312, 6_593_780},
+	// measured 35,341,617 / 27,197,930 / 31,825,209
+	{"paper density", 100, 37_108_698, 28_557_827, 33_416_470},
+}
 
-// TestServedAccuracy pins what every generation serves. On the
-// benchmark's 100k-host world (webgen seed 11, its assembled good core)
-// and a bench-shaped delta stream (testutil.DeltaStream, seed 271) it
-// drives DefaultGenerator, the generator spamserver runs:
+// TestServedAccuracy pins what every generation serves. On each of
+// servedWorlds (its assembled good core) and a bench-shaped delta
+// stream (testutil.DeltaStream, seed 271) it drives DefaultGenerator,
+// the generator spamserver runs:
 //   - the cold refresh (Cold);
 //   - a warm build after one batch (Delta);
 //   - a chain of ten sequential warm builds;
@@ -47,10 +60,23 @@ const (
 // misses the bound in every case (4–6e-7).
 func TestServedAccuracy(t *testing.T) {
 	if testing.Short() {
-		t.Skip("solves a 100k-host world 16 times")
+		t.Skip("solves two 100k-host worlds 16 times each")
 	}
-	wcfg := webgen.DefaultConfig(100_000)
-	wcfg.Seed = 11
+	for _, w := range servedWorlds {
+		t.Run(w.name, func(t *testing.T) {
+			wcfg := webgen.DefaultConfig(100_000)
+			wcfg.Seed = 11
+			if w.meanOutDeg > 0 {
+				wcfg.MeanOutDeg = w.meanOutDeg
+			}
+			servedAccuracy(t, wcfg, w.cold, w.warm, w.fold)
+		})
+	}
+}
+
+// servedAccuracy is TestServedAccuracy on one world, with its three
+// edge ceilings.
+func servedAccuracy(t *testing.T, wcfg webgen.Config, coldCeil, warmCeil, foldCeil int64) {
 	h, core, err := testutil.Web(wcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +117,8 @@ func TestServedAccuracy(t *testing.T) {
 				}
 			}
 		}
-		t.Logf("%s: %d hosts, worst served error %.3g, %d edges pushed", name, ref.N(), maxErr, est.SolveStats.EdgesSwept)
+		st := est.SolveStats
+		t.Logf("%s: %d hosts, worst served error %.3g, %d edges in %d pushes", name, ref.N(), maxErr, st.EdgesSwept, st.Pushes)
 		if maxErr > servedDelta {
 			t.Errorf("%s serves a worst relative error of %.3g, want ≤ %g", name, maxErr, servedDelta)
 		}
@@ -111,7 +138,7 @@ func TestServedAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ceiling("cold refresh", base, coldRefreshEdgesCeiling)
+	ceiling("cold refresh", base, coldCeil)
 	check("cold refresh", base)
 
 	chain := base
@@ -120,7 +147,7 @@ func TestServedAccuracy(t *testing.T) {
 			t.Fatalf("batch %d: %v", k+1, err)
 		}
 		if k == 0 {
-			ceiling("warm build after 1 batch", chain, warmBuildEdgesCeiling)
+			ceiling("warm build after 1 batch", chain, warmCeil)
 			check("warm build after 1 batch", chain)
 		}
 	}
@@ -136,7 +163,7 @@ func TestServedAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ceiling("fold of 10 batches", folded, foldEdgesCeiling)
+	ceiling("fold of 10 batches", folded, foldCeil)
 	check("fold of 10 batches", folded)
 }
 
@@ -187,5 +214,45 @@ func TestMergeAllocCeiling(t *testing.T) {
 	}
 	if allocs > mergeAllocsCeiling {
 		t.Errorf("one-batch merge made %d allocations, above its ceiling of %d", allocs, mergeAllocsCeiling)
+	}
+}
+
+// coldBytesCeiling is the bytes one Generator.Cold allocates on
+// TestServedAccuracy's 100k world, measured before the push was
+// restricted to the hosts with out-links. A ceiling only comes down.
+const coldBytesCeiling = 11_022_744
+
+// TestColdAllocCeiling pins the bytes one cold build allocates: the
+// engine, its push block, both pushed columns and the snapshot. It
+// measures the second of two builds, so that one-time runtime
+// allocations do not count.
+func TestColdAllocCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 100k-host world")
+	}
+	if raceEnabled {
+		t.Skip("allocation counts under -race are not the production ones")
+	}
+	wcfg := webgen.DefaultConfig(100_000)
+	wcfg.Seed = 11
+	h, core, err := testutil.Web(wcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, ctx := DefaultGenerator(), context.Background()
+	if _, err := gen.Cold(ctx, h, core, 1); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := gen.Cold(ctx, h, core, 2); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("one cold build: %d bytes, %d allocations", bytes, after.Mallocs-before.Mallocs)
+	if bytes > coldBytesCeiling {
+		t.Errorf("one cold build allocated %d bytes, above its ceiling of %d", bytes, coldBytesCeiling)
 	}
 }
